@@ -88,40 +88,44 @@ def _levels(leaf_count: int) -> int:
     return levels
 
 
-def merkle_root(chunks: list[bytes]) -> Digest:
-    """Root of the binary merkle tree over sha256(chunk_i).
+def _tree(chunks: list[bytes]) -> list[list[Digest]]:
+    """Every level of the binary merkle tree over sha256(chunk_i), leaves
+    first and the root last. An odd level keeps the copy of its last node
+    that it was paired with, so the sibling of position p is level[p ^ 1].
 
     Raises ValueError on an empty chunk list: "empty input".
     """
     if not chunks:
         raise ValueError("empty input")
     level = [hash_bytes(c) for c in chunks]
+    levels = [level]
     while len(level) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
         level = [hash_bytes(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+        levels.append(level)
+    return levels
 
 
-def merkle_prove(chunks: list[bytes], index: int) -> MerkleProof:
-    """Build the inclusion proof for chunks[index].
+def merkle_root(chunks: list[bytes]) -> Digest:
+    """Root of the binary merkle tree over sha256(chunk_i); see _tree."""
+    return _tree(chunks)[-1][0]
 
-    Raises IndexError if index is out of range, ValueError on empty input.
+
+def merkle_prove(chunks: list[bytes], index: int | range) -> MerkleProof | tuple[MerkleProof, ...]:
+    """Inclusion proof for chunks[index]. For a range of indices, a tuple of
+    their proofs, all cut from one tree; an empty range gives ().
+
+    Raises IndexError if an index is out of range, ValueError on empty input.
     """
-    if not chunks:
-        raise ValueError("empty input")
-    if not 0 <= index < len(chunks):
+    levels = _tree(chunks)[:-1]
+    indices = range(index, index + 1) if isinstance(index, int) else index
+    # every index of a range lies between its first and its last
+    if indices and not (0 <= indices[0] < len(chunks) and 0 <= indices[-1] < len(chunks)):
         raise IndexError(f"chunk index {index} out of range for {len(chunks)} chunks")
-    siblings: list[Digest] = []
-    level = [hash_bytes(c) for c in chunks]
-    pos = index
-    while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        siblings.append(level[pos ^ 1])
-        level = [hash_bytes(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-        pos //= 2
-    return MerkleProof(leaf_index=index, leaf_count=len(chunks), siblings=tuple(siblings))
+    # lists, not generators: most payloads are one chunk, and this is their hot path
+    proofs = tuple([MerkleProof(i, len(chunks), tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(levels)])) for i in indices])
+    return proofs[0] if isinstance(index, int) else proofs
 
 
 def verify_chunk(chunk: bytes, proof: MerkleProof, root: Digest) -> bool:

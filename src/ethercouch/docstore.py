@@ -358,9 +358,6 @@ class StoreState:
             for rev in doc.revisions
         }
 
-    def set_applied_upto(self, mark: Origin | None) -> None:
-        self.applied_upto = mark
-
     def _sorted_docs(self) -> list[Document]:
         return [self.docs[k] for k in sorted(self.docs)]
 
@@ -432,20 +429,19 @@ class StoreState:
             raise ValueError("bad topic filter block")
         topics = frozenset(topics_blob[i : i + 32] for i in range(0, len(topics_blob), 32))
         markf = r.field()
-        mark = None
-        if markf[0] == 1:
-            mark = (
-                struct.unpack(">Q", markf[1:9])[0],
-                struct.unpack(">Q", markf[9:17])[0],
-            )
+        if markf != b"\x00" and (len(markf) != 17 or markf[0] != 1):
+            raise ValueError("bad applied-upto mark")
+        mark = struct.unpack(">QQ", markf[1:]) if len(markf) == 17 else None
         store = cls(chunk_size=chunk_size, topics=topics)
         ndocs = r.u64_field()
         for _ in range(ndocs):
             lineage = r.field()
             topic = r.field()
-            deleted = bool(r.field()[0])
+            deleted = r.field()
+            if deleted not in (b"\x00", b"\x01"):
+                raise ValueError("bad deleted flag")
             deleted_seq = r.u64_field() or None
-            doc = Document(lineage=lineage, topic_id=topic, deleted=deleted, deleted_seq=deleted_seq)
+            doc = Document(lineage=lineage, topic_id=topic, deleted=deleted == b"\x01", deleted_seq=deleted_seq)
             nrevs = r.u64_field()
             for _ in range(nrevs):
                 seq = r.u64_field()
@@ -453,7 +449,9 @@ class StoreState:
                 h = r.u64_field()
                 i = r.u64_field()
                 body = r.field()
-                payload = body[1:] if body[0] == 1 else None
+                if body != b"\x00" and body[:1] != b"\x01":
+                    raise ValueError("bad revision body")
+                payload = body[1:] if body[:1] == b"\x01" else None
                 doc.revisions.append(Revision(seq, data_hash, payload, (h, i)))
             store.docs[lineage] = doc
         if not r.done():

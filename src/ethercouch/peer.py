@@ -286,7 +286,7 @@ class Peer:
         replica catches up; it is dropped once the document is deleted."""
         if self.config.mode is Mode.PLAIN or task is Task.ADD:
             return self.publish(task, topic, payload, lineage)
-        if self._deferred_ready(lineage):
+        if self.holds_latest(lineage):
             try:
                 return self.publish(task, topic, payload, lineage)
             except TxRejected as e:
@@ -297,9 +297,6 @@ class Peer:
         self.env.request_poll(self)
         return None
 
-    def _deferred_ready(self, lineage: Digest) -> bool:
-        return self.holds_latest(lineage)
-
     def _retry_deferred(self) -> None:
         if not self.deferred:
             return
@@ -309,7 +306,7 @@ class Peer:
             if latest is not None and latest[1]:
                 self.env.note(self, f"dropped deferred {intent['task'].label}: deleted")
                 continue
-            if self._deferred_ready(intent["lineage"]):
+            if self.holds_latest(intent["lineage"]):
                 try:
                     self.publish(intent["task"], intent["topic"], intent["payload"], intent["lineage"])
                 except TxRejected as e:
@@ -463,7 +460,7 @@ class Peer:
             req.seq,
             req.chunk_start,
             tuple(chunks[i] for i in indices),
-            tuple(merkle_prove(chunks, i) for i in indices),
+            merkle_prove(chunks, indices),
         )
 
     # -- fetching -------------------------------------------------------------
@@ -675,7 +672,7 @@ class Peer:
             tx.sequence_id,
             0,
             tuple(chunks),
-            tuple(merkle_prove(chunks, i) for i in range(len(chunks))),
+            merkle_prove(chunks, range(len(chunks))),
         )
         for name in recipients:
             self.env.send(self, name, resp)

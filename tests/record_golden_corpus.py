@@ -1,0 +1,97 @@
+"""Record the golden corpus that tests/test_golden_corpus.py checks.
+
+    PYTHONPATH=src python3 tests/record_golden_corpus.py
+
+Every case below is run once to completion; its trace digest and the
+SHA-256 of every peer's saved .chain and .store bytes go to
+tests/golden_corpus.json. The corpus pins behaviour in absolute terms, so a
+change that alters replication the same way in every run still shows.
+Rerun only when a change is meant to alter behaviour.
+
+The cases are:
+- ``convergence:<seed>``: the seeded multi-peer scenarios of the acceptance
+  suite (offline windows, a partition, a filtered peer), with their
+  single-chunk payloads;
+- ``chunked:<seed>``: the same scenarios cut into 64-byte chunks, so most
+  payloads span 1-11 chunks and every Response carries real proofs,
+  including trees with odd levels;
+- ``large:<n>``: four peers trading 20-70 KiB documents in 4 KiB chunks,
+  with an offline peer that catches up by pulling;
+- ``bench:<mode>``: one single-node insert cell of ``ethercouch bench``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from conftest import build_convergence_scenario
+from ethercouch.bench import BenchSpec, _bench_scenario
+from ethercouch.peer import PeerConfig
+from ethercouch.simnet import Scenario, ScriptAction, Simulation
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE / "golden_corpus.json"
+SEEDS = range(10)
+HORIZON = 200_000
+
+
+def _large_scenario(n: int):
+    script = [ScriptAction(40, "offline", "p3"), ScriptAction(400, "online", "p3")]
+    for i in range(6):
+        size = 20_000 + 9_000 * ((i * 7 + n) % 6)
+        script.append(ScriptAction(10 + 30 * i, "publish", f"p{i % 3}", {"doc": f"d{i}", "topic": "t", "size": size}))
+        if i % 2:
+            script.append(ScriptAction(25 + 30 * i, "edit", f"p{(i + 1) % 3}", {"doc": f"d{i - 1}", "size": size // 2}))
+    script.sort(key=lambda a: a.at)
+    return Scenario(
+        seed=n,
+        peers=[PeerConfig(name=f"p{i}") for i in range(4)],
+        script=script,
+        latency=(1, 5),
+        mean_block_interval=30,
+    )
+
+
+def cases():
+    """(name, scenario, payload overrides) for every corpus entry."""
+    for seed in SEEDS:
+        yield f"convergence:{seed}", build_convergence_scenario(seed), {}
+    for seed in SEEDS:
+        yield f"chunked:{seed}", dataclasses.replace(build_convergence_scenario(seed), chunk_size=64), {}
+    for n in range(2):
+        yield f"large:{n}", _large_scenario(n), {}
+    for mode in ("ethercouch", "chainonly", "plain"):
+        yield (f"bench:{mode}", *_bench_scenario(BenchSpec(mode=mode, counts=[60], seed=7), 60))
+
+
+def fingerprint(scenario, overrides) -> dict:
+    """Trace digest plus SHA-256 of every peer's saved .chain/.store bytes."""
+    sim = Simulation(scenario)
+    sim.payload_overrides = overrides
+    result = sim.run(until=HORIZON)
+    peers = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, peer in sorted(result.peers.items()):
+            chain = Path(tmp) / f"{name}.chain"
+            peer.chain.save(chain)
+            peers[name] = {
+                "chain": hashlib.sha256(chain.read_bytes()).hexdigest(),
+                "store": hashlib.sha256(peer.store.snapshot_bytes()).hexdigest(),
+            }
+    return {"trace": result.trace.digest(), "peers": peers}
+
+
+def main() -> None:
+    corpus = {}
+    for name, scenario, overrides in cases():
+        corpus[name] = fingerprint(scenario, overrides)
+        print(f"{name} {corpus[name]['trace']}", flush=True)
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

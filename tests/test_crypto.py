@@ -96,6 +96,8 @@ def test_empty_input_rejected():
         merkle_root([])
     with pytest.raises(ValueError, match="empty input"):
         merkle_prove([], 0)
+    with pytest.raises(ValueError, match="empty input"):
+        merkle_prove([], range(0))
 
 
 def test_single_chunk_proof_has_no_siblings():
@@ -120,6 +122,50 @@ def test_five_chunk_proof_verifies_last_index():
 def test_index_out_of_range():
     with pytest.raises(IndexError):
         merkle_prove([b"a", b"b"], 2)
+    with pytest.raises(IndexError):
+        merkle_prove([b"a", b"b", b"c"], range(1, 4))
+    with pytest.raises(IndexError):
+        merkle_prove([b"a", b"b", b"c"], range(-1, 2))
+
+
+def test_range_proofs_equal_per_index_proofs():
+    rng = random.Random(7)
+    for n in range(1, 34):  # every odd-level padding shape up to 33 leaves
+        chunks = [rng.randbytes(rng.randint(0, 40)) for _ in range(n)]
+        a, b = sorted(rng.sample(range(n + 1), 2))
+        assert merkle_prove(chunks, range(n)) == tuple(merkle_prove(chunks, i) for i in range(n))
+        assert merkle_prove(chunks, range(a, b)) == tuple(merkle_prove(chunks, i) for i in range(a, b))
+
+
+def test_empty_range_returns_no_proofs():
+    assert merkle_prove([b"a", b"b", b"c"], range(0)) == ()
+    assert merkle_prove([b"a", b"b", b"c"], range(2, 2)) == ()
+
+
+def test_proving_every_chunk_hashes_one_tree(monkeypatch):
+    from ethercouch import crypto
+
+    calls = 0
+    real = crypto.hash_bytes
+
+    def counting(payload):
+        nonlocal calls
+        calls += 1
+        return real(payload)
+
+    monkeypatch.setattr(crypto, "hash_bytes", counting)
+    for n in range(1, 34):
+        chunks = [bytes([i]) for i in range(n)]
+        calls = 0
+        merkle_root(chunks)
+        tree = calls
+        calls = 0
+        proofs = merkle_prove(chunks, range(n))
+        assert len(proofs) == n and calls == tree
+        # n leaves, n - 1 parents, and one more parent per odd level
+        assert calls <= 2 * n - 1 + (n - 1).bit_length()
+        if n & (n - 1) == 0:
+            assert calls == 2 * n - 1
 
 
 def test_roundtrip_property_random_chunk_lists():

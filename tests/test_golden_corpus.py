@@ -1,0 +1,24 @@
+"""Behaviour lock: fixed scenarios must end in the recorded trace and bytes.
+
+The corpus is written by tests/record_golden_corpus.py, which also lists
+what each case covers. A mismatch means behaviour changed; rerecord only if
+that change is intended.
+"""
+
+import json
+
+import pytest
+
+from record_golden_corpus import CORPUS, cases, fingerprint
+
+RECORDED = json.loads(CORPUS.read_text())
+CASES = list(cases())
+
+
+def test_corpus_covers_every_case():
+    assert sorted(RECORDED) == sorted(name for name, _, _ in CASES)
+
+
+@pytest.mark.parametrize("name,scenario,overrides", CASES, ids=[c[0] for c in CASES])
+def test_case_matches_recorded_fingerprint(name, scenario, overrides):
+    assert fingerprint(scenario, overrides) == RECORDED[name]

@@ -162,6 +162,22 @@ def test_serve_chunk_range():
     assert resp.proofs[0].leaf_index == 1
 
 
+def test_serve_sub_range_proofs_verify_against_data_hash():
+    peer, _ = make_peer()
+    payload = bytes(range(251)) * 140  # 35140 bytes, 9 chunks at 4096
+    tx = peer.publish(Task.ADD, NEWS, payload)
+    peer.on_mine_complete()
+    chunks = chunk_payload(payload, peer.chunk_size)
+    for start, count, served in ((2, 5, range(2, 7)), (7, 5, range(7, 9)), (9, 1, range(0))):
+        resp = peer.serve_request(Request(lineage_of(tx), 1, start, count, ()), "bob")
+        assert resp.chunk_start == start
+        assert resp.chunks == tuple(chunks[i] for i in served)
+        assert [p.leaf_index for p in resp.proofs] == list(served)
+        for chunk, proof in zip(resp.chunks, resp.proofs):
+            assert proof.leaf_count == 9
+            assert verify_chunk(chunk, proof, tx.data_hash)
+
+
 def test_serve_from_staging_before_apply():
     # a publisher can hand out payloads as soon as the record is queued
     peer, _ = make_peer(confirmation_depth=3)
