@@ -223,6 +223,10 @@ def emit_csv(results: list[BenchResult], path) -> None:
 def verify_chain(chain: ChainState) -> list[str]:
     """Recompute every canonical block's hash, target and linkage, and
     re-validate the transaction sequence from scratch."""
+    return _chain_violations(chain, DataRegistry.rebuild(chain))
+
+
+def _chain_violations(chain: ChainState, reg: DataRegistry) -> list[str]:
     from .crypto import hash_bytes
     from .ledger import meets_target
 
@@ -239,7 +243,6 @@ def verify_chain(chain: ChainState) -> list[str]:
         for tx in blk.txs:
             if tx.inline_payload is not None and payload_root(tx.inline_payload, chain.chunk_size) != tx.data_hash:
                 violations.append(f"block h={blk.height}: inline payload hash mismatch")
-    reg = DataRegistry.rebuild(chain)
     if reg.skipped:
         violations.append(f"chain carries {reg.skipped} sequence-invalid transactions")
     return violations
@@ -249,8 +252,8 @@ def verify_pair(chain: ChainState, store: StoreState) -> list[str]:
     """Chain checks plus store payload hashes plus the one-to-one mapping
     between store revisions and accepted chain entries (scoped to the
     store's topic filter and applied-upto mark)."""
-    violations = verify_chain(chain)
     reg = DataRegistry.rebuild(chain)
+    violations = _chain_violations(chain, reg)
     for doc in store.docs.values():
         for rev in doc.revisions:
             if rev.payload is not None and payload_root(rev.payload, store.chunk_size) != rev.data_hash:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from .codec import Reader, lp, u64
 from .crypto import (
     DEFAULT_CHUNK_SIZE,
     Digest,
@@ -389,27 +390,27 @@ class StoreState:
         document (sorted by lineage) with its revisions in order.
         """
         out = [self.SNAPSHOT_MAGIC]
-        out.append(_lp(_u64(self.chunk_size)))
-        out.append(_lp(b"".join(sorted(self.topics))))
+        out.append(lp(u64(self.chunk_size)))
+        out.append(lp(b"".join(sorted(self.topics))))
         if self.applied_upto is None:
-            out.append(_lp(b"\x00"))
+            out.append(lp(b"\x00"))
         else:
-            out.append(_lp(b"\x01" + _u64(self.applied_upto[0]) + _u64(self.applied_upto[1])))
+            out.append(lp(b"\x01" + u64(self.applied_upto[0]) + u64(self.applied_upto[1])))
         docs = self._sorted_docs()
-        out.append(_lp(_u64(len(docs))))
+        out.append(lp(u64(len(docs))))
         for doc in docs:
-            out.append(_lp(doc.lineage))
-            out.append(_lp(doc.topic_id))
-            out.append(_lp(bytes([int(doc.deleted)])))
-            out.append(_lp(_u64(doc.deleted_seq or 0)))
-            out.append(_lp(_u64(len(doc.revisions))))
+            out.append(lp(doc.lineage))
+            out.append(lp(doc.topic_id))
+            out.append(lp(bytes([int(doc.deleted)])))
+            out.append(lp(u64(doc.deleted_seq or 0)))
+            out.append(lp(u64(len(doc.revisions))))
             for rev in doc.revisions:
-                out.append(_lp(_u64(rev.seq)))
-                out.append(_lp(rev.data_hash))
-                out.append(_lp(_u64(rev.origin[0])))
-                out.append(_lp(_u64(rev.origin[1])))
+                out.append(lp(u64(rev.seq)))
+                out.append(lp(rev.data_hash))
+                out.append(lp(u64(rev.origin[0])))
+                out.append(lp(u64(rev.origin[1])))
                 body = b"\x00" if rev.payload is None else b"\x01" + rev.payload
-                out.append(_lp(body))
+                out.append(lp(body))
         return b"".join(out)
 
     def save(self, path) -> None:
@@ -418,11 +419,9 @@ class StoreState:
 
     @classmethod
     def from_snapshot(cls, buf: bytes) -> "StoreState":
-        from .ledger import _Reader
-
         if buf[:8] != cls.SNAPSHOT_MAGIC:
             raise ValueError("not a store snapshot")
-        r = _Reader(buf[8:])
+        r = Reader(buf[8:])
         chunk_size = r.u64_field()
         topics_blob = r.field()
         if len(topics_blob) % 32:
@@ -464,10 +463,3 @@ class StoreState:
         with open(path, "rb") as f:
             return cls.from_snapshot(f.read())
 
-
-def _lp(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
-
-
-def _u64(n: int) -> bytes:
-    return struct.pack(">Q", n)

@@ -20,10 +20,10 @@ block hash to start with ``difficulty_bits`` zero bits.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .codec import Reader, lp, u64
 from .crypto import (
     DEFAULT_CHUNK_SIZE,
     DIGEST_SIZE,
@@ -46,42 +46,6 @@ class Task(Enum):
 
 
 _TASK_BY_CODE = {t.value: t for t in Task}
-
-
-def _lp(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
-
-
-def _u64(n: int) -> bytes:
-    return struct.pack(">Q", n)
-
-
-class _Reader:
-    """Cursor over length-prefixed fields."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def field(self) -> bytes:
-        if self.pos + 4 > len(self.buf):
-            raise ValueError("truncated field prefix")
-        (n,) = struct.unpack_from(">I", self.buf, self.pos)
-        self.pos += 4
-        if self.pos + n > len(self.buf):
-            raise ValueError("truncated field body")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u64_field(self) -> int:
-        b = self.field()
-        if len(b) != 8:
-            raise ValueError("bad integer width")
-        return struct.unpack(">Q", b)[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
 
 
 @dataclass(frozen=True)
@@ -118,26 +82,26 @@ def serialize_tx(tx: DbFunction) -> bytes:
         payload_field = b"\x01" + tx.inline_payload
     return b"".join(
         (
-            _lp(bytes([tx.task.value])),
-            _lp(tx.data_hash),
-            _lp(tx.editor_hash),
-            _lp(tx.topic_id),
-            _lp(_u64(tx.sequence_id)),
-            _lp(tx.lineage),
-            _lp(payload_field),
+            lp(bytes([tx.task.value])),
+            lp(tx.data_hash),
+            lp(tx.editor_hash),
+            lp(tx.topic_id),
+            lp(u64(tx.sequence_id)),
+            lp(tx.lineage),
+            lp(payload_field),
         )
     )
 
 
 def parse_tx(buf: bytes) -> DbFunction:
-    r = _Reader(buf)
+    r = Reader(buf)
     tx = _read_tx(r)
     if not r.done():
         raise ValueError("trailing bytes after transaction")
     return tx
 
 
-def _read_tx(r: _Reader) -> DbFunction:
+def _read_tx(r: Reader) -> DbFunction:
     code = r.field()
     if len(code) != 1 or code[0] not in _TASK_BY_CODE:
         raise ValueError("unknown task code")
@@ -201,13 +165,13 @@ def block_preimage(
     parent: Digest, height: int, nonce: int, miner: Digest, txs: tuple[DbFunction, ...]
 ) -> bytes:
     parts = [
-        _lp(parent),
-        _lp(_u64(height)),
-        _lp(_u64(nonce)),
-        _lp(miner),
-        _lp(_u64(len(txs))),
+        lp(parent),
+        lp(u64(height)),
+        lp(u64(nonce)),
+        lp(miner),
+        lp(u64(len(txs))),
     ]
-    parts.extend(_lp(serialize_tx(t)) for t in txs)
+    parts.extend(lp(serialize_tx(t)) for t in txs)
     return b"".join(parts)
 
 
@@ -217,7 +181,7 @@ def serialize_block(block: Block) -> bytes:
 
 
 def parse_block(buf: bytes) -> Block:
-    r = _Reader(buf)
+    r = Reader(buf)
     parent = r.field()
     height = r.u64_field()
     nonce = r.u64_field()
@@ -429,24 +393,26 @@ class ChainState:
         return (True, "ok")
 
     def _view_at(self, block_digest: Digest):
-        """Registry validation view for the chain ending at block_digest."""
-        if block_digest == self.tip:
-            return self.registry.fork_view()
-        from .registry import DataRegistry
+        """Registry validation view for the chain ending at block_digest:
+        the canonical registry as of the fork height, plus the side branch."""
+        fork_height, branch = self._side_branch(block_digest)
+        view = self.registry.fork_view(fork_height)
+        for blk in branch:
+            for tx in blk.txs:
+                view.apply(tx)
+        return view
 
-        path = []
-        cur = block_digest
-        while cur != ZERO_DIGEST:
-            blk = self.blocks[cur]
-            path.append(blk)
-            cur = blk.parent
-        path.reverse()
-        reg = DataRegistry()
-        for blk in path:
-            for i, tx in enumerate(blk.txs):
-                if reg.validate(tx) == "ok":
-                    reg.apply(tx, blk.height, i)
-        return reg.fork_view()
+    def _side_branch(self, block_digest: Digest) -> tuple[int, list[Block]]:
+        """Height of block_digest's last canonical ancestor, and the stored
+        blocks after it up to block_digest, oldest first."""
+        canonical = self.canonical_hashes
+        branch: list[Block] = []
+        blk = self.blocks[block_digest]
+        while blk.height >= len(canonical) or canonical[blk.height] != blk.block_hash:
+            branch.append(blk)
+            blk = self.blocks[blk.parent]
+        branch.reverse()
+        return blk.height, branch
 
     def adopt_block(self, block: Block) -> ReorgReport:
         """Store a validated block and re-run fork choice.
@@ -466,6 +432,9 @@ class ChainState:
                 bucket.append(block)
             return ReorgReport(old_tip, old_tip, self.tip_block.height)
 
+        # The old tip already beat every earlier block, so fork choice (longest
+        # chain, ties to the smaller hash) only weighs it against the new ones.
+        best = self.tip_block
         queue = [block]
         while queue:
             blk = queue.pop(0)
@@ -476,34 +445,15 @@ class ChainState:
                 continue
             self.blocks[blk.block_hash] = blk
             queue.extend(self.orphans.pop(blk.block_hash, []))
+            best = min(best, blk, key=lambda b: (-b.height, b.block_hash))
 
-        best = self._best_tip()
-        if best == old_tip:
+        if best.block_hash == old_tip:
             return ReorgReport(old_tip, old_tip, self.tip_block.height)
-        return self._switch_tip(best)
-
-    def _best_tip(self) -> Digest:
-        """Longest chain wins; equal heights fall to the smaller hash."""
-        best = self.tip
-        best_blk = self.blocks[best]
-        for h, blk in self.blocks.items():
-            if blk.height > best_blk.height or (
-                blk.height == best_blk.height and h < best
-            ):
-                best, best_blk = h, blk
-        return best
+        return self._switch_tip(best.block_hash)
 
     def _switch_tip(self, new_tip: Digest) -> ReorgReport:
         old_tip = self.tip
-        canonical = set(self.canonical_hashes)
-        new_branch: list[Block] = []
-        cur = new_tip
-        while cur not in canonical:
-            blk = self.blocks[cur]
-            new_branch.append(blk)
-            cur = blk.parent
-        new_branch.reverse()
-        fork_height = self.blocks[cur].height
+        fork_height, new_branch = self._side_branch(new_tip)
         old_branch = [self.blocks[h] for h in self.canonical_hashes[fork_height + 1 :]]
 
         rolled_back = [tx for blk in old_branch for tx in blk.txs]
@@ -580,10 +530,10 @@ class ChainState:
     def save(self, path) -> None:
         with open(path, "wb") as f:
             f.write(self.CHAIN_MAGIC)
-            f.write(_lp(_u64(self.difficulty_bits)))
-            f.write(_lp(_u64(self.chunk_size)))
+            f.write(lp(u64(self.difficulty_bits)))
+            f.write(lp(u64(self.chunk_size)))
             for blk in self.canonical_blocks():
-                f.write(_lp(serialize_block(blk)))
+                f.write(lp(serialize_block(blk)))
 
     @classmethod
     def load(cls, path) -> "ChainState":
@@ -591,7 +541,7 @@ class ChainState:
             buf = f.read()
         if buf[:8] != cls.CHAIN_MAGIC:
             raise ValueError("not a chain file")
-        r = _Reader(buf[8:])
+        r = Reader(buf[8:])
         difficulty_bits = r.u64_field()
         chunk_size = r.u64_field()
         state = cls(difficulty_bits=difficulty_bits, chunk_size=chunk_size)

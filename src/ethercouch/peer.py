@@ -455,6 +455,8 @@ class Peer:
         chunks = chunk_payload(payload, self.chunk_size)
         stop = len(chunks) if req.chunk_count == 0 else min(len(chunks), req.chunk_start + req.chunk_count)
         indices = range(req.chunk_start, stop)
+        if not indices:
+            return Refusal(req.lineage, req.seq, "not-held")
         return Response(
             req.lineage,
             req.seq,

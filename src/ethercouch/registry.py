@@ -57,6 +57,16 @@ def _apply(state: dict[Digest, tuple[int, bool]], tx: DbFunction) -> None:
     state[lineage_of(tx)] = (tx.sequence_id, tx.task is Task.DELETE)
 
 
+def _undo(state: dict[Digest, tuple[int, bool]], entry: RegistryEntry) -> None:
+    """Exact inverse of applying an accepted entry, when undone from the
+    end of the chain: an add forgets the lineage, an edit or delete steps
+    the lineage back one revision."""
+    if entry.tx.task is Task.ADD:
+        del state[entry.lineage]
+    else:
+        state[entry.lineage] = (entry.tx.sequence_id - 1, False)
+
+
 class MempoolView:
     """Scratch lineage state for validating queued or candidate transactions
     on top of a fixed registry snapshot."""
@@ -104,22 +114,20 @@ class DataRegistry:
     def lineages(self) -> list[Digest]:
         return list(self._state)
 
-    def fork_view(self) -> MempoolView:
-        return MempoolView(dict(self._state))
+    def fork_view(self, height: int | None = None) -> MempoolView:
+        """Scratch view of the state after block ``height`` (default: now)."""
+        state = dict(self._state)
+        if height is not None:
+            for e in reversed(self.entries):
+                if e.height <= height:
+                    break
+                _undo(state, e)
+        return MempoolView(state)
 
     def rollback_to_height(self, height: int) -> None:
-        """Drop entries above a block height, undoing their state effects.
-
-        Entries are chain-ordered, so popping from the end in reverse is an
-        exact inverse: an add forgets the lineage, an edit or delete steps
-        the lineage back one revision.
-        """
+        """Drop entries above a block height, undoing their state effects."""
         while self.entries and self.entries[-1].height > height:
-            e = self.entries.pop()
-            if e.tx.task is Task.ADD:
-                del self._state[e.lineage]
-            else:
-                self._state[e.lineage] = (e.tx.sequence_id - 1, False)
+            _undo(self._state, self.entries.pop())
 
     @classmethod
     def rebuild(cls, chain) -> "DataRegistry":

@@ -6,27 +6,19 @@ blocks travel as announcements (BlockAnnounce) and catch-up requests
 (BlockRequest). TxAnnounce floods freshly published mutations so miners
 can pick them up.
 
-Encoding reuses the ledger's field convention: a one-byte message tag,
-then length-prefixed fields in declaration order (4-byte big-endian
+Encoding uses the ledger's field codec (``codec``): a one-byte message
+tag, then length-prefixed fields in declaration order (4-byte big-endian
 prefixes, integers as 8-byte big-endian). Transport identity (who sent
 the message) is carried by the network layer, not the message body.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
+from .codec import Reader, lp, u64
 from .crypto import Digest, MerkleProof
-from .ledger import Block, DbFunction, _Reader, parse_block, parse_tx, serialize_block, serialize_tx
-
-
-def _lp(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
-
-
-def _u64(n: int) -> bytes:
-    return struct.pack(">Q", n)
+from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_block, serialize_tx
 
 
 @dataclass(frozen=True)
@@ -87,12 +79,12 @@ _TAG_TX_ANNOUNCE = 6
 
 def _encode_proof(p: MerkleProof) -> bytes:
     return b"".join(
-        [_lp(_u64(p.leaf_index)), _lp(_u64(p.leaf_count)), _lp(_u64(len(p.siblings)))]
-        + [_lp(s) for s in p.siblings]
+        [lp(u64(p.leaf_index)), lp(u64(p.leaf_count)), lp(u64(len(p.siblings)))]
+        + [lp(s) for s in p.siblings]
     )
 
 
-def _read_proof(r: _Reader) -> MerkleProof:
+def _read_proof(r: Reader) -> MerkleProof:
     leaf_index = r.u64_field()
     leaf_count = r.u64_field()
     n = r.u64_field()
@@ -102,42 +94,42 @@ def _read_proof(r: _Reader) -> MerkleProof:
 def encode_message(msg: Message) -> bytes:
     if isinstance(msg, Request):
         body = [
-            _lp(msg.lineage),
-            _lp(_u64(msg.seq)),
-            _lp(_u64(msg.chunk_start)),
-            _lp(_u64(msg.chunk_count)),
-            _lp(_u64(len(msg.declared_topics))),
+            lp(msg.lineage),
+            lp(u64(msg.seq)),
+            lp(u64(msg.chunk_start)),
+            lp(u64(msg.chunk_count)),
+            lp(u64(len(msg.declared_topics))),
         ]
-        body.extend(_lp(t) for t in msg.declared_topics)
+        body.extend(lp(t) for t in msg.declared_topics)
         return bytes([_TAG_REQUEST]) + b"".join(body)
     if isinstance(msg, Response):
         body = [
-            _lp(msg.lineage),
-            _lp(_u64(msg.seq)),
-            _lp(_u64(msg.chunk_start)),
-            _lp(_u64(len(msg.chunks))),
+            lp(msg.lineage),
+            lp(u64(msg.seq)),
+            lp(u64(msg.chunk_start)),
+            lp(u64(len(msg.chunks))),
         ]
-        body.extend(_lp(c) for c in msg.chunks)
-        body.append(_lp(_u64(len(msg.proofs))))
-        body.extend(_lp(_encode_proof(p)) for p in msg.proofs)
+        body.extend(lp(c) for c in msg.chunks)
+        body.append(lp(u64(len(msg.proofs))))
+        body.extend(lp(_encode_proof(p)) for p in msg.proofs)
         return bytes([_TAG_RESPONSE]) + b"".join(body)
     if isinstance(msg, Refusal):
         return bytes([_TAG_REFUSAL]) + b"".join(
-            [_lp(msg.lineage), _lp(_u64(msg.seq)), _lp(msg.reason.encode())]
+            [lp(msg.lineage), lp(u64(msg.seq)), lp(msg.reason.encode())]
         )
     if isinstance(msg, BlockAnnounce):
-        return bytes([_TAG_BLOCK_ANNOUNCE]) + _lp(serialize_block(msg.block))
+        return bytes([_TAG_BLOCK_ANNOUNCE]) + lp(serialize_block(msg.block))
     if isinstance(msg, BlockRequest):
-        return bytes([_TAG_BLOCK_REQUEST]) + _lp(_u64(msg.from_height))
+        return bytes([_TAG_BLOCK_REQUEST]) + lp(u64(msg.from_height))
     if isinstance(msg, TxAnnounce):
-        return bytes([_TAG_TX_ANNOUNCE]) + _lp(serialize_tx(msg.tx))
+        return bytes([_TAG_TX_ANNOUNCE]) + lp(serialize_tx(msg.tx))
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
 def decode_message(buf: bytes) -> Message:
     if not buf:
         raise ValueError("empty message")
-    tag, r = buf[0], _Reader(buf[1:])
+    tag, r = buf[0], Reader(buf[1:])
     if tag == _TAG_REQUEST:
         lineage = r.field()
         seq = r.u64_field()
@@ -153,7 +145,7 @@ def decode_message(buf: bytes) -> Message:
         nchunks = r.u64_field()
         chunks = tuple(r.field() for _ in range(nchunks))
         nproofs = r.u64_field()
-        proofs = tuple(_read_proof(_Reader(r.field())) for _ in range(nproofs))
+        proofs = tuple(_read_proof(Reader(r.field())) for _ in range(nproofs))
         msg = Response(lineage, seq, start, chunks, proofs)
     elif tag == _TAG_REFUSAL:
         msg = Refusal(r.field(), r.u64_field(), r.field().decode())

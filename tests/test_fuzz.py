@@ -8,11 +8,23 @@ else would reach the CLI as a traceback or crash a peer.
 
 import random
 
-from conftest import build_convergence_scenario
+import pytest
+
+from conftest import TOPIC_T, TOPIC_U, build_convergence_scenario, make_add, make_delete, make_edit, raw_block
 from ethercouch.crypto import chunk_payload, hash_bytes, merkle_prove
 from ethercouch.docstore import StoreState
+from ethercouch.ledger import ChainState, parse_block, parse_tx, serialize_block, serialize_tx
 from ethercouch.simnet import deterministic_bytes, run_scenario
-from ethercouch.wire import Response, decode_message, encode_message
+from ethercouch.wire import (
+    BlockAnnounce,
+    BlockRequest,
+    Refusal,
+    Request,
+    Response,
+    TxAnnounce,
+    decode_message,
+    encode_message,
+)
 
 MUTANTS = 5000
 
@@ -60,3 +72,26 @@ def test_multi_chunk_response_mutants_raise_only_value_error():
     buf = encode_message(resp)
     assert len(chunks) == 11 and decode_message(buf) == resp
     assert rejected_share(decode_message, buf, seed=2) > 0.5
+
+
+LINEAGE = hash_bytes(b"lin")
+TX = make_edit(LINEAGE, 3, b"inline edit", inline=True)
+BLOCK = raw_block(ChainState(difficulty_bits=0), hash_bytes(b"parent"), 7, [make_add(b"a"), TX, make_delete(LINEAGE, 4)])
+
+
+@pytest.mark.parametrize(
+    "value, encode, parse, seed",
+    [
+        pytest.param(TX, serialize_tx, parse_tx, 3, id="tx"),
+        pytest.param(BLOCK, serialize_block, parse_block, 4, id="block"),
+        pytest.param(Request(LINEAGE, 2, 1, 3, (TOPIC_T, TOPIC_U)), encode_message, decode_message, 5, id="request"),
+        pytest.param(Refusal(LINEAGE, 2, "filter-refused"), encode_message, decode_message, 6, id="refusal"),
+        pytest.param(BlockAnnounce(BLOCK), encode_message, decode_message, 7, id="block-announce"),
+        pytest.param(BlockRequest(17), encode_message, decode_message, 8, id="block-request"),
+        pytest.param(TxAnnounce(TX), encode_message, decode_message, 9, id="tx-announce"),
+    ],
+)
+def test_parser_mutants_raise_only_value_error(value, encode, parse, seed):
+    buf = encode(value)
+    assert parse(buf) == value
+    assert rejected_share(parse, buf, seed) > 0.5

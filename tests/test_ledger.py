@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import EDITOR_A, EDITOR_B, make_add, make_delete, make_edit, raw_block
+from conftest import EDITOR_A, EDITOR_B, make_add, make_delete, make_edit, random_mutation_batch, raw_block
 from ethercouch.crypto import ZERO_DIGEST, hash_bytes
 from ethercouch.ledger import (
     Block,
@@ -21,6 +23,7 @@ from ethercouch.ledger import (
     serialize_tx,
     tx_digest,
 )
+from ethercouch.registry import DataRegistry
 
 
 def fresh(difficulty=0, **kw):
@@ -348,6 +351,86 @@ def test_equal_tips_report_equal_tx_sequences():
     s2.adopt_block(a)
     assert s1.tip == s2.tip
     assert list(s1.canonical_txs()) == list(s2.canonical_txs())
+
+
+
+def replay(tree: dict, digest: bytes) -> DataRegistry:
+    """Reference: fold the path from genesis to digest into a fresh
+    registry, skipping transactions invalid in their place."""
+    path = []
+    while digest in tree:
+        path.append(tree[digest])
+        digest = tree[digest].parent
+    reg = DataRegistry()
+    for blk in reversed(path):
+        for i, tx in enumerate(blk.txs):
+            if reg.validate(tx) == "ok":
+                reg.apply(tx, blk.height, i)
+    return reg
+
+
+def replay_verdict(tree: dict, blk) -> tuple[bool, str]:
+    reg = replay(tree, blk.parent)
+    for i, tx in enumerate(blk.txs):
+        reason = reg.validate(tx)
+        if reason != "ok":
+            return (False, f"tx-invalid:{reason}")
+        reg.apply(tx, blk.height, i)
+    return (True, "ok")
+
+
+def test_fork_parent_validation_matches_replay_from_genesis():
+    rng = random.Random(77)
+    verdicts = Counter()
+    fork_checks = 0
+    for trial in range(20):
+        base = fresh()
+        tree = {base.genesis.block_hash: base.genesis}
+        for _ in range(10):
+            parent = rng.choice(list(tree.values()))
+            # now and then build on another block's state, or repeat its
+            # records, so that whether a block is valid depends on its branch
+            context = parent if rng.random() < 0.6 else rng.choice(list(tree.values()))
+            if context.txs and rng.random() < 0.25:
+                txs = list(context.txs)
+            else:
+                reg = replay(tree, context.block_hash)
+                live = {lin: reg.latest(lin)[0] + 1 for lin in reg.lineages() if not reg.latest(lin)[1]}
+                txs, _ = random_mutation_batch(rng, rng.randint(1, 3), live=live)
+            blk = raw_block(base, parent.block_hash, parent.height + 1, txs, miner=rng.choice([EDITOR_A, EDITOR_B]))
+            tree[blk.block_hash] = blk
+        lineages = {lineage_of(tx) for blk in tree.values() for tx in blk.txs}
+        order = [blk for blk in tree.values() if blk != base.genesis]
+        rng.shuffle(order)
+        state = fresh()
+        for adopted in order:
+            state.adopt_block(adopted)
+            for blk in order:
+                if blk.parent in state.blocks:
+                    verdict = state.validate_block(blk)
+                    assert verdict == replay_verdict(tree, blk)
+                    verdicts[verdict[1]] += 1
+                    fork_checks += blk.parent != state.tip
+            canonical = state.canonical_blocks()
+            for h in range(len(canonical)):
+                prefix = [(tx, b.height, i) for b in canonical[: h + 1] for i, tx in enumerate(b.txs)]
+                ref = DataRegistry.rebuild(SimpleNamespace(canonical_txs=lambda: iter(prefix)))
+                view = state.registry.fork_view(h)
+                assert {lin: view.latest(lin) for lin in lineages} == {lin: ref.latest(lin) for lin in lineages}
+        # exactly the blocks whose whole path is valid were stored
+        stored = {base.genesis.block_hash}
+        grown = True
+        while grown:
+            grown = False
+            for blk in order:
+                if blk.block_hash not in stored and blk.parent in stored and replay_verdict(tree, blk)[0]:
+                    stored.add(blk.block_hash)
+                    grown = True
+        assert set(state.blocks) == stored
+    # the trees exercised every sequence rule on fork parents
+    assert fork_checks > 100
+    for reason in ("ok", "unknown-lineage", "stale-sequence", "duplicate-add", "already-deleted"):
+        assert any(v.endswith(reason) for v in verdicts), reason
 
 
 # -- confirmations ------------------------------------------------------

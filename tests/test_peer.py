@@ -168,7 +168,7 @@ def test_serve_sub_range_proofs_verify_against_data_hash():
     tx = peer.publish(Task.ADD, NEWS, payload)
     peer.on_mine_complete()
     chunks = chunk_payload(payload, peer.chunk_size)
-    for start, count, served in ((2, 5, range(2, 7)), (7, 5, range(7, 9)), (9, 1, range(0))):
+    for start, count, served in ((2, 5, range(2, 7)), (7, 5, range(7, 9))):
         resp = peer.serve_request(Request(lineage_of(tx), 1, start, count, ()), "bob")
         assert resp.chunk_start == start
         assert resp.chunks == tuple(chunks[i] for i in served)
@@ -176,6 +176,9 @@ def test_serve_sub_range_proofs_verify_against_data_hash():
         for chunk, proof in zip(resp.chunks, resp.proofs):
             assert proof.leaf_count == 9
             assert verify_chunk(chunk, proof, tx.data_hash)
+    # a range past the last chunk serves nothing, so it is refused
+    resp = peer.serve_request(Request(lineage_of(tx), 1, 9, 1, ()), "bob")
+    assert resp == Refusal(lineage_of(tx), 1, "not-held")
 
 
 def test_serve_from_staging_before_apply():
