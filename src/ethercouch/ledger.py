@@ -13,6 +13,10 @@ Canonical serialization (the wire and hashing contract):
 - the optional inline payload is encoded as one presence byte (0x00 absent,
   0x01 present) followed by the payload bytes, prefixed as a single field.
 
+This is the only encoding the parsers accept, so a parsed transaction's
+digest is the hash of the bytes it arrived in, and a mined or parsed block
+keeps the exact bytes it was hashed from.
+
 A block's hash is the digest of its serialized parent, height, nonce,
 miner and transaction list, in that order. Proof of work requires the
 block hash to start with ``difficulty_bits`` zero bits.
@@ -20,6 +24,7 @@ block hash to start with ``difficulty_bits`` zero bits.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -93,29 +98,37 @@ def serialize_tx(tx: DbFunction) -> bytes:
     )
 
 
+# the fixed head of a canonical tx: the width-prefixed task code, data hash,
+# editor hash, topic, sequence number and lineage, then the payload field's
+# width; the payload field (presence byte, then any inline payload) follows
+_TX_HEAD = struct.Struct(">IBI32sI32sI32sIQI32sI")
+_TX_WIDTHS = (1, DIGEST_SIZE, DIGEST_SIZE, DIGEST_SIZE, 8, DIGEST_SIZE)
+
+
 def parse_tx(buf: bytes) -> DbFunction:
-    r = Reader(buf)
-    tx = _read_tx(r)
-    if not r.done():
-        raise ValueError("trailing bytes after transaction")
-    return tx
-
-
-def _read_tx(r: Reader) -> DbFunction:
-    code = r.field()
-    if len(code) != 1 or code[0] not in _TASK_BY_CODE:
+    """Strict inverse of ``serialize_tx``: only the canonical encoding
+    parses, so the digest is the hash of the bytes the tx arrived in."""
+    if len(buf) < _TX_HEAD.size:
+        raise ValueError("truncated transaction")
+    (w_task, code, w_data, data_hash, w_editor, editor_hash, w_topic, topic_id,
+     w_seq, sequence_id, w_lineage, lineage, w_payload) = _TX_HEAD.unpack_from(buf)
+    if (w_task, w_data, w_editor, w_topic, w_seq, w_lineage) != _TX_WIDTHS:
+        raise ValueError("bad transaction field width")
+    task = _TASK_BY_CODE.get(code)
+    if task is None:
         raise ValueError("unknown task code")
-    task = _TASK_BY_CODE[code[0]]
-    data_hash = r.field()
-    editor_hash = r.field()
-    topic_id = r.field()
-    sequence_id = r.u64_field()
-    lineage = r.field()
-    payload_field = r.field()
-    if not payload_field or payload_field[0] not in (0, 1):
+    if w_payload != len(buf) - _TX_HEAD.size:
+        raise ValueError("bad transaction payload length")
+    presence = buf[_TX_HEAD.size : _TX_HEAD.size + 1]
+    if presence == b"\x01":
+        inline = buf[_TX_HEAD.size + 1 :]
+    elif presence == b"\x00" and w_payload == 1:
+        inline = None
+    else:
         raise ValueError("bad payload presence byte")
-    inline = payload_field[1:] if payload_field[0] == 1 else None
-    return DbFunction(task, data_hash, editor_hash, topic_id, sequence_id, lineage, inline)
+    tx = DbFunction(task, data_hash, editor_hash, topic_id, sequence_id, lineage, inline)
+    object.__setattr__(tx, "_digest", hash_bytes(buf))
+    return tx
 
 
 def tx_digest(tx: DbFunction) -> Digest:
@@ -158,7 +171,18 @@ class Block:
     block_hash: Digest
 
     def preimage(self) -> bytes:
-        return block_preimage(self.parent, self.height, self.nonce, self.miner, self.txs)
+        # blocks that were mined or parsed here keep the bytes they were
+        # hashed from; a block built by hand is serialized afresh
+        raw = self.__dict__.get("_bytes")
+        if raw is None:
+            raw = block_preimage(self.parent, self.height, self.nonce, self.miner, self.txs)
+        return raw
+
+
+def _with_bytes(block: Block, raw: bytes) -> Block:
+    """Memoize the canonical bytes ``block`` was hashed from."""
+    object.__setattr__(block, "_bytes", raw)
+    return block
 
 
 def block_preimage(
@@ -190,7 +214,8 @@ def parse_block(buf: bytes) -> Block:
     txs = tuple(parse_tx(r.field()) for _ in range(ntx))
     if not r.done():
         raise ValueError("trailing bytes after block")
-    return Block(parent, height, nonce, miner, txs, hash_bytes(buf))
+    buf = bytes(buf)
+    return _with_bytes(Block(parent, height, nonce, miner, txs, hash_bytes(buf)), buf)
 
 
 def block_text(block: Block) -> str:
@@ -314,7 +339,7 @@ class ChainState:
             pre = block_preimage(parent, height, nonce, miner, txs)
             h = hash_bytes(pre)
             if meets_target(h, self.difficulty_bits):
-                return Block(parent, height, nonce, miner, txs, h)
+                return _with_bytes(Block(parent, height, nonce, miner, txs, h), pre)
             nonce += 1
 
     def _inline_reason(self, tx: DbFunction) -> str | None:
@@ -544,15 +569,21 @@ class ChainState:
         r = Reader(buf[8:])
         difficulty_bits = r.u64_field()
         chunk_size = r.u64_field()
+        if not 0 <= difficulty_bits <= 32:
+            raise ValueError("difficulty_bits must be in [0, 32]")
+        if r.done():
+            raise ValueError("chain file has no genesis block")
+        # Check the file's genesis before mining ours, so that a declared
+        # difficulty costs at most the file's own genesis nonce + 1 hashes.
+        genesis = parse_block(r.field())
+        shape = (genesis.parent, genesis.height, genesis.miner, genesis.txs)
+        if shape != (ZERO_DIGEST, 0, ZERO_DIGEST, ()) or not meets_target(genesis.block_hash, difficulty_bits):
+            raise ValueError("genesis mismatch")
         state = cls(difficulty_bits=difficulty_bits, chunk_size=chunk_size)
-        first = True
+        if genesis != state.genesis:
+            raise ValueError("genesis mismatch")
         while not r.done():
             blk = parse_block(r.field())
-            if first:
-                if blk != state.genesis:
-                    raise ValueError("genesis mismatch")
-                first = False
-                continue
             state.adopt_block(blk)
             if blk.block_hash not in state.blocks:
                 raise InvalidBlock(f"rejected block at height {blk.height}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import cached_property
 
 from .crypto import (
     Digest,
@@ -81,7 +82,7 @@ class PeerConfig:
         if not self.name:
             raise ValueError("peer needs a name")
 
-    @property
+    @cached_property
     def editor_hash(self) -> Digest:
         return editor_hash_for(self.name)
 

@@ -97,6 +97,7 @@ class DataRegistry:
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
+        self._by_lineage: dict[Digest, list[RegistryEntry]] = {}
         self._state: dict[Digest, tuple[int, bool]] = {}
         self.skipped = 0
 
@@ -104,7 +105,9 @@ class DataRegistry:
         return _validate(self._state, tx)
 
     def apply(self, tx: DbFunction, height: int, index: int) -> None:
-        self.entries.append(RegistryEntry(tx, lineage_of(tx), height, index))
+        entry = RegistryEntry(tx, lineage_of(tx), height, index)
+        self.entries.append(entry)
+        self._by_lineage.setdefault(entry.lineage, []).append(entry)
         _apply(self._state, tx)
 
     def latest(self, lineage: Digest) -> tuple[int, bool] | None:
@@ -127,7 +130,12 @@ class DataRegistry:
     def rollback_to_height(self, height: int) -> None:
         """Drop entries above a block height, undoing their state effects."""
         while self.entries and self.entries[-1].height > height:
-            _undo(self._state, self.entries.pop())
+            entry = self.entries.pop()
+            _undo(self._state, entry)
+            same_lineage = self._by_lineage[entry.lineage]
+            same_lineage.pop()
+            if not same_lineage:
+                del self._by_lineage[entry.lineage]
 
     @classmethod
     def rebuild(cls, chain) -> "DataRegistry":
@@ -151,7 +159,7 @@ class DataRegistry:
         return [e.tx for e in self.entries if e.tx.editor_hash == editor]
 
     def query_by_lineage(self, lineage: Digest) -> list[RegistryEntry]:
-        return [e for e in self.entries if e.lineage == lineage]
+        return list(self._by_lineage.get(lineage, ()))
 
     def dump_text(self) -> str:
         """Line-oriented rendering (dump-registry format): one accepted entry

@@ -234,22 +234,30 @@ class Simulation:
             return True
         return self.partition.get(a) == self.partition.get(b)
 
-    def send(self, src: Peer, dst: str, msg) -> None:
+    def send(self, src: Peer, dst: str, msg, raw: bytes | None = None) -> bytes | None:
+        """Queue ``msg`` for ``dst`` unless the network drops it.
+
+        ``raw`` is the message's encoding if the caller already has one.
+        Returns ``raw``, or the encoding made here if a copy was queued
+        without one."""
         if dst not in self.peers:
             self.note(src, f"send to unknown peer {dst}")
-            return
+            return raw
         if not src.online:
-            return
+            return raw
         if not self._allowed(src.name, dst):
             self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} partitioned {describe(msg)}")
-            return
+            return raw
         if not self.peers[dst].online:
             self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} offline {describe(msg)}")
-            return
+            return raw
         lo, hi = self.scenario.latency
         delay = self.rng.randint(lo, hi)
         # messages cross the simulated wire in canonical serialized form
-        self._push(self.clock + delay, EventKind.DELIVER, dst, {"from": src.name, "raw": encode_message(msg)})
+        if raw is None:
+            raw = encode_message(msg)
+        self._push(self.clock + delay, EventKind.DELIVER, dst, {"from": src.name, "raw": raw})
+        return raw
 
     def send_batch(self, src: Peer, dst: str, msgs) -> None:
         """One latency draw for a multi-message response, preserving order."""
@@ -264,9 +272,12 @@ class Simulation:
             self._push(self.clock + delay, EventKind.DELIVER, dst, {"from": src.name, "raw": encode_message(msg)})
 
     def broadcast(self, src: Peer, msg) -> None:
+        # encoded once, at the first copy the network does not drop; every
+        # recipient then parses its own copy of the same bytes
+        raw = None
         for name in self.peers:
             if name != src.name:
-                self.send(src, name, msg)
+                raw = self.send(src, name, msg, raw)
 
     # -- scheduling hooks -----------------------------------------------------
 

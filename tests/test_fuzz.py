@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from conftest import TOPIC_T, TOPIC_U, build_convergence_scenario, make_add, make_delete, make_edit, raw_block
+from conftest import EDITOR_A, TOPIC_T, TOPIC_U, build_convergence_scenario, make_add, make_delete, make_edit, raw_block
 from ethercouch.crypto import chunk_payload, hash_bytes, merkle_prove
 from ethercouch.docstore import StoreState
-from ethercouch.ledger import ChainState, parse_block, parse_tx, serialize_block, serialize_tx
+from ethercouch.ledger import ChainState, lineage_of, parse_block, parse_tx, serialize_block, serialize_tx
 from ethercouch.simnet import deterministic_bytes, run_scenario
 from ethercouch.wire import (
     BlockAnnounce,
@@ -95,3 +95,22 @@ def test_parser_mutants_raise_only_value_error(value, encode, parse, seed):
     buf = encode(value)
     assert parse(buf) == value
     assert rejected_share(parse, buf, seed) > 0.5
+
+
+def test_chain_file_mutants_raise_only_value_error(tmp_path):
+    state = ChainState(difficulty_bits=4)
+    add = make_add(b"on chain", inline=True)
+    for txs in ([add, make_add(b"b")], [make_edit(lineage_of(add), 2, b"v2", inline=True)], [make_delete(lineage_of(add), 3)]):
+        for tx in txs:
+            state.submit_tx(tx)
+        state.adopt_block(state.mine_block(EDITOR_A))
+    path = tmp_path / "chain.bin"
+    state.save(path)
+    buf = path.read_bytes()
+    assert ChainState.load(path).dump_text() == state.dump_text()
+
+    def load(mutant: bytes):
+        path.write_bytes(mutant)
+        return ChainState.load(path)
+
+    assert rejected_share(load, buf, seed=10) > 0.5

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import EDITOR_A, EDITOR_B, make_add, make_delete, make_edit, random_mutation_batch, raw_block
-from ethercouch.crypto import ZERO_DIGEST, hash_bytes
+from ethercouch.codec import lp
+from ethercouch.crypto import ZERO_DIGEST, hash_bytes, payload_root
 from ethercouch.ledger import (
     Block,
     ChainState,
@@ -70,6 +71,68 @@ def test_inline_payload_absent_vs_empty():
         inline_payload=b"",
     )
     assert parse_tx(serialize_tx(present)).inline_payload == b""
+
+
+def random_txs(rng: random.Random, n: int) -> list[DbFunction]:
+    """Valid chained mutations; about a third of adds and edits carry their
+    payload inline, some of them empty."""
+    txs = []
+    for tx in random_mutation_batch(rng, n)[0]:
+        if tx.task is not Task.DELETE and rng.random() < 0.35:
+            payload = rng.randbytes(rng.choice((0, 1, 40, 300)))
+            tx = DbFunction(tx.task, payload_root(payload), tx.editor_hash, tx.topic_id, tx.sequence_id, tx.lineage, payload)
+        txs.append(tx)
+    return txs
+
+
+def test_canonical_bytes_are_the_only_encoding():
+    rng = random.Random(41)
+    txs = random_txs(rng, 300)
+    for tx in txs:
+        buf = serialize_tx(tx)
+        parsed = parse_tx(buf)
+        assert serialize_tx(parsed) == buf
+        assert tx_digest(parsed) == hash_bytes(buf) == tx_digest(tx)
+    state = fresh(difficulty=4)
+    for start in range(0, len(txs), 40):
+        blocks = [
+            raw_block(state, hash_bytes(b"%d" % start), start, txs[start : start + rng.randint(0, 40)]),
+            state._mine_raw(hash_bytes(b"p"), start + 1, EDITOR_B, tuple(txs[start : start + 7])),
+        ]
+        for blk in blocks:
+            buf = serialize_block(blk)
+            parsed = parse_block(buf)
+            assert parsed == blk
+            assert serialize_block(parsed) == buf == blk.preimage()
+            assert parsed.block_hash == hash_bytes(buf) == blk.block_hash
+
+
+def test_absent_payload_with_trailing_bytes_is_refused():
+    tx = make_delete(hash_bytes(b"lin"), 3)
+    buf = serialize_tx(tx)
+    assert buf.endswith(b"\x00\x00\x00\x01\x00")  # the absent-payload field
+    for junk in (b"\x00", b"junk", b"\x01" + b"x" * 40):
+        with pytest.raises(ValueError):
+            parse_tx(buf[:-5] + lp(b"\x00" + junk))
+    with pytest.raises(ValueError):
+        parse_tx(buf[:-5] + lp(b"\x02"))
+
+
+def test_mined_and_parsed_blocks_hash_the_bytes_they_keep():
+    state = fresh(difficulty=8)
+    state.submit_tx(make_add(b"kept", inline=True))
+    block = state.mine_block(EDITOR_A)
+    assert block.preimage() is block.preimage()
+    assert hash_bytes(block.preimage()) == block.block_hash
+    buf = bytes(bytearray(serialize_block(block)))  # a copy of its own
+    parsed = parse_block(buf)
+    assert parsed.preimage() is buf
+    assert state.validate_block(parsed) == (True, "ok")
+    # a hand-built copy keeps no bytes and is serialized afresh on each call
+    rebuilt = Block(block.parent, block.height, block.nonce, block.miner, block.txs, block.block_hash)
+    assert rebuilt.preimage() is not rebuilt.preimage()
+    assert rebuilt.preimage() == block.preimage()
+    assert state.validate_block(rebuilt) == (True, "ok")
 
 
 # -- submission ---------------------------------------------------------
@@ -491,3 +554,26 @@ def test_genesis_shared_across_instances():
     assert fresh().genesis == fresh().genesis
     assert ChainState(difficulty_bits=8).genesis == ChainState(difficulty_bits=8).genesis
     assert meets_target(ChainState(difficulty_bits=8).genesis.block_hash, 8)
+
+
+def test_load_checks_the_file_genesis_before_mining_one(tmp_path, monkeypatch):
+    state = ChainState(difficulty_bits=12)
+    path = tmp_path / "chain.bin"
+    state.save(path)
+    buf = path.read_bytes()
+    declared = lp(lp(b"\x00" * 7 + bytes([12])))[4:]
+    assert buf[8 : 8 + len(declared)] == declared
+    # the same chain declaring 20 bits: its genesis misses that target
+    assert not meets_target(state.genesis.block_hash, 20)
+    path.write_bytes(buf[:8] + lp(bytes(7) + bytes([20])) + buf[8 + len(declared) :])
+
+    def no_mining(*_args):
+        raise AssertionError("mined a genesis for a file that cannot match it")
+
+    monkeypatch.setattr(ChainState, "_mine_raw", no_mining)
+    with pytest.raises(ValueError, match="genesis mismatch"):
+        ChainState.load(path)
+    for bad_header in (lp(bytes(7) + bytes([33])), b""):
+        path.write_bytes(buf[:8] + bad_header)
+        with pytest.raises(ValueError):
+            ChainState.load(path)

@@ -4,7 +4,7 @@ import pytest
 
 from ethercouch.crypto import chunk_payload, payload_root, verify_chunk
 from ethercouch.ledger import Task, TxRejected, lineage_of
-from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, topic_hash
+from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, editor_hash_for, topic_hash
 from ethercouch.registry import LocationRegistry
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
 from ethercouch.wire import Refusal, Request, Response
@@ -52,6 +52,13 @@ def make_peer(name="alice", env=None, location=None, **cfg):
     location = location or LocationRegistry()
     peer = Peer(PeerConfig(name=name, **cfg), env=env, location=location)
     return peer, env
+
+
+def test_config_derives_its_editor_hash_once():
+    cfg = PeerConfig(name="alice")
+    assert cfg.editor_hash == editor_hash_for("alice")
+    assert cfg.editor_hash is cfg.editor_hash
+    assert cfg == PeerConfig(name="alice") and hash(cfg) == hash(PeerConfig(name="alice"))
 
 
 # -- publishing ----------------------------------------------------------

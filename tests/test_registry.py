@@ -175,6 +175,28 @@ def test_query_by_editor():
     assert reg.query_by_editor(EDITOR_B) == [b]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_query_by_lineage_matches_a_scan_across_rollbacks(seed):
+    rng = random.Random(seed)
+    reg = DataRegistry()
+    seen = set()
+    height = 0
+    for _ in range(60):
+        if reg.entries and rng.random() < 0.3:
+            height = rng.randint(0, height)
+            reg.rollback_to_height(height)
+        else:
+            height += 1
+            for index in range(rng.randint(1, 6)):
+                tx = _random_op(rng, reg)
+                if reg.validate(tx) == OK:
+                    reg.apply(tx, height, index)
+                    seen.add(lineage_of(tx))
+        for lineage in seen | {hash_bytes(b"never seen")}:
+            assert reg.query_by_lineage(lineage) == [e for e in reg.entries if e.lineage == lineage]
+    assert any(not reg.query_by_lineage(lineage) for lineage in seen)  # some were rolled away
+
+
 # -- location registry --------------------------------------------------
 
 

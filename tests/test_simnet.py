@@ -12,7 +12,7 @@ from ethercouch.simnet import (
     scenario_from_json,
     scenario_to_json,
 )
-from ethercouch.wire import BlockRequest
+from ethercouch.wire import BlockRequest, encode_message
 
 
 def three_peer_scenario(seed=1, **kw):
@@ -88,6 +88,29 @@ def test_offline_recipient_drops_no_replay():
     sim.send(sim.peers["a"], "b", BlockRequest(0))
     assert not any(e.kind.name == "DELIVER" for e in sim._heap)
     assert any("offline" in line and "drop" in line for line in sim.trace.lines)
+
+
+@pytest.mark.parametrize("offline, encodes", [((), 1), (("p1",), 1), (("p1", "p2"), 1), (("p1", "p2", "p3"), 0)])
+def test_broadcast_encodes_once_for_all_reachable_recipients(monkeypatch, offline, encodes):
+    import ethercouch.simnet as simnet
+
+    calls = []
+
+    def counting_encode(msg):
+        calls.append(msg)
+        return encode_message(msg)
+
+    monkeypatch.setattr(simnet, "encode_message", counting_encode)
+    sim = Simulation(Scenario(seed=4, peers=[PeerConfig(name=f"p{i}") for i in range(4)]))
+    for name in offline:
+        sim.peers[name].online = False
+    msg = BlockRequest(3)
+    sim.broadcast(sim.peers["p0"], msg)
+    deliveries = [e for e in sim._heap if e.kind.name == "DELIVER"]
+    assert len(calls) == encodes
+    assert sorted(e.target for e in deliveries) == [f"p{i}" for i in range(1, 4) if f"p{i}" not in offline]
+    assert all(e.payload["raw"] is deliveries[0].payload["raw"] == encode_message(msg) for e in deliveries)
+    assert sum(" drop " in line for line in sim.trace.lines) == len(offline)
 
 
 def test_trace_times_non_decreasing():
