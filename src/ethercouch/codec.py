@@ -20,9 +20,9 @@ def u64(n: int) -> bytes:
 class Reader:
     """Cursor over length-prefixed fields."""
 
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, pos: int = 0):
         self.buf = buf
-        self.pos = 0
+        self.pos = pos
 
     def field(self) -> bytes:
         if self.pos + 4 > len(self.buf):

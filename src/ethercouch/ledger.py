@@ -204,13 +204,20 @@ def serialize_block(block: Block) -> bytes:
     return block.preimage()
 
 
+# the fixed head of a canonical block: the width-prefixed parent, height,
+# nonce, miner and tx count; the width-prefixed txs follow
+_BLOCK_HEAD = struct.Struct(">I32sIQIQI32sIQ")
+_BLOCK_WIDTHS = (DIGEST_SIZE, 8, 8, DIGEST_SIZE, 8)
+
+
 def parse_block(buf: bytes) -> Block:
-    r = Reader(buf)
-    parent = r.field()
-    height = r.u64_field()
-    nonce = r.u64_field()
-    miner = r.field()
-    ntx = r.u64_field()
+    if len(buf) < _BLOCK_HEAD.size:
+        raise ValueError("truncated block")
+    (w_parent, parent, w_height, height, w_nonce, nonce,
+     w_miner, miner, w_ntx, ntx) = _BLOCK_HEAD.unpack_from(buf)
+    if (w_parent, w_height, w_nonce, w_miner, w_ntx) != _BLOCK_WIDTHS:
+        raise ValueError("bad block field width")
+    r = Reader(buf, _BLOCK_HEAD.size)
     txs = tuple(parse_tx(r.field()) for _ in range(ntx))
     if not r.done():
         raise ValueError("trailing bytes after block")

@@ -118,10 +118,12 @@ ROLLBACK_ALL_OF_HEIGHT = 1 << 62  # tx index bound: keep everything in a block
 class Peer:
     """One network participant. Single-threaded; driven by its environment.
 
-    The environment must provide: ``now()``, ``send(src, dst_name, msg)``,
-    ``send_batch(src, dst_name, msgs)``, ``broadcast(src, msg)``,
-    ``note(src, text)``, ``arm_mining(peer)``, ``request_poll(peer)`` and
-    the ints ``poll_interval`` and ``fetch_timeout``.
+    The environment must provide: ``now()``, ``send(src, dst_name, msg,
+    raw=None)``, ``send_batch(src, dst_name, msgs)``, ``broadcast(src,
+    msg)``, ``note(src, text)``, ``arm_mining(peer)``, ``request_poll(peer)``
+    and the ints ``poll_interval`` and ``fetch_timeout``. ``send`` returns a
+    handle on the queued copy (or None) that a further ``send`` of the same
+    message may pass back as ``raw``, so all copies share one encoding.
     """
 
     def __init__(
@@ -421,10 +423,10 @@ class Peer:
         self.env.arm_mining(self)
 
     def _on_block_request(self, msg: BlockRequest, sender: str) -> None:
-        blocks = self.chain.canonical_blocks()[msg.from_height :]
-        if not blocks:
-            blocks = [self.chain.tip_block]  # fence: tells the asker we have nothing newer
-        self.env.send_batch(self, sender, [BlockAnnounce(b) for b in blocks])
+        hashes = self.chain.canonical_hashes[msg.from_height :]
+        if not hashes:
+            hashes = [self.chain.tip]  # fence: tells the asker we have nothing newer
+        self.env.send_batch(self, sender, [BlockAnnounce(self.chain.blocks[h]) for h in hashes])
 
     # -- serving ------------------------------------------------------------
 
@@ -677,8 +679,9 @@ class Peer:
             tuple(chunks),
             merkle_prove(chunks, range(len(chunks))),
         )
+        raw = None
         for name in recipients:
-            self.env.send(self, name, resp)
+            raw = self.env.send(self, name, resp, raw)
 
     def _process_confirmations(self) -> None:
         tip_height = self.chain.height

@@ -24,6 +24,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .crypto import hash_bytes
 from .ledger import Task, TxRejected, lineage_of
@@ -43,13 +44,14 @@ class EventKind(Enum):
     POLL_TICK = "poll"
 
 
-@dataclass(order=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    # a plain tuple, so the heap compares events in C; ``seq`` is unique, so
+    # the fields after it are never compared
     at: int
     seq: int
-    kind: EventKind = field(compare=False)
-    target: str = field(compare=False, default="")
-    payload: dict = field(compare=False, default_factory=dict)
+    kind: EventKind
+    target: str
+    payload: dict
 
 
 @dataclass
@@ -234,12 +236,13 @@ class Simulation:
             return True
         return self.partition.get(a) == self.partition.get(b)
 
-    def send(self, src: Peer, dst: str, msg, raw: bytes | None = None) -> bytes | None:
+    def send(self, src: Peer, dst: str, msg, raw: dict | None = None) -> dict | None:
         """Queue ``msg`` for ``dst`` unless the network drops it.
 
-        ``raw`` is the message's encoding if the caller already has one.
-        Returns ``raw``, or the encoding made here if a copy was queued
-        without one."""
+        ``raw`` is the delivery record of an earlier copy of the same
+        message, if the caller has one: the sender's name and the encoded
+        bytes, plus the parsed message once a copy has arrived. Returns
+        ``raw``, or the record made here if a copy was queued without one."""
         if dst not in self.peers:
             self.note(src, f"send to unknown peer {dst}")
             return raw
@@ -255,8 +258,8 @@ class Simulation:
         delay = self.rng.randint(lo, hi)
         # messages cross the simulated wire in canonical serialized form
         if raw is None:
-            raw = encode_message(msg)
-        self._push(self.clock + delay, EventKind.DELIVER, dst, {"from": src.name, "raw": raw})
+            raw = {"from": src.name, "raw": encode_message(msg)}
+        self._push(self.clock + delay, EventKind.DELIVER, dst, raw)
         return raw
 
     def send_batch(self, src: Peer, dst: str, msgs) -> None:
@@ -273,7 +276,7 @@ class Simulation:
 
     def broadcast(self, src: Peer, msg) -> None:
         # encoded once, at the first copy the network does not drop; every
-        # recipient then parses its own copy of the same bytes
+        # recipient's delivery shares that one record
         raw = None
         for name in self.peers:
             if name != src.name:
@@ -312,12 +315,18 @@ class Simulation:
     def _process(self, ev: SimEvent) -> None:
         peer = self.peers.get(ev.target)
         if ev.kind is EventKind.DELIVER:
-            msg = decode_message(ev.payload["raw"])
+            # the first copy to arrive parses the bytes; later copies of the
+            # same record share the frozen message and its trace text
+            rec = ev.payload
+            msg = rec.get("msg")
+            if msg is None:
+                msg = rec["msg"] = decode_message(rec["raw"])
+                rec["text"] = describe(msg)
             if not peer.online:
-                self.trace.add(f"{ev.at:>7} drop  ->{ev.target} offline-at-arrival {describe(msg)}")
+                self.trace.add(f"{ev.at:>7} drop  ->{ev.target} offline-at-arrival {rec['text']}")
                 return
-            self.trace.add(f"{ev.at:>7} recv  {ev.target:<8} from {ev.payload['from']}: {describe(msg)}")
-            peer.handle_message(msg, ev.payload["from"])
+            self.trace.add(f"{ev.at:>7} recv  {ev.target:<8} from {rec['from']}: {rec['text']}")
+            peer.handle_message(msg, rec["from"])
         elif ev.kind is EventKind.MINE_COMPLETE:
             self._mine_armed[ev.target] = False
             if not peer.online:

@@ -10,14 +10,21 @@ Encoding uses the ledger's field codec (``codec``): a one-byte message
 tag, then length-prefixed fields in declaration order (4-byte big-endian
 prefixes, integers as 8-byte big-endian). Transport identity (who sent
 the message) is carried by the network layer, not the message body.
+
+The encoding is the only one accepted. Every message but a Response has
+a fixed head that is read with one struct unpack; a digest field of any
+width but 32 bytes or an integer field of any width but 8 is refused.
+Messages are frozen, so one parsed message may be handed to every
+recipient of the same bytes.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .codec import Reader, lp, u64
-from .crypto import Digest, MerkleProof
+from .crypto import DIGEST_SIZE, Digest, MerkleProof
 from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_block, serialize_tx
 
 
@@ -76,6 +83,18 @@ _TAG_BLOCK_ANNOUNCE = 4
 _TAG_BLOCK_REQUEST = 5
 _TAG_TX_ANNOUNCE = 6
 
+# Fixed heads, tag first, each field after it behind its width prefix.
+# Request: lineage, seq, chunk start, chunk count, topic count; the topics
+# follow, one width-prefixed digest each.
+_REQUEST = struct.Struct(">BI32sIQIQIQIQ")
+_REQUEST_WIDTHS = (DIGEST_SIZE, 8, 8, 8, 8)
+_TOPIC = struct.Struct(">I32s")
+# Refusal: lineage, seq, then the reason's width; the reason follows
+_REFUSAL = struct.Struct(">BI32sIQI")
+_BLOCK_REQUEST = struct.Struct(">BIQ")
+# BlockAnnounce and TxAnnounce: the width of the one body that follows
+_FRAME = struct.Struct(">BI")
+
 
 def _encode_proof(p: MerkleProof) -> bytes:
     return b"".join(
@@ -91,17 +110,21 @@ def _read_proof(r: Reader) -> MerkleProof:
     return MerkleProof(leaf_index, leaf_count, tuple(r.field() for _ in range(n)))
 
 
+def _digest(d: bytes) -> bytes:
+    # struct's "32s" would pad or cut any other width without a word
+    if len(d) != DIGEST_SIZE:
+        raise ValueError(f"digest field must be {DIGEST_SIZE} bytes")
+    return d
+
+
 def encode_message(msg: Message) -> bytes:
     if isinstance(msg, Request):
-        body = [
-            lp(msg.lineage),
-            lp(u64(msg.seq)),
-            lp(u64(msg.chunk_start)),
-            lp(u64(msg.chunk_count)),
-            lp(u64(len(msg.declared_topics))),
-        ]
-        body.extend(lp(t) for t in msg.declared_topics)
-        return bytes([_TAG_REQUEST]) + b"".join(body)
+        topics = msg.declared_topics
+        head = _REQUEST.pack(
+            _TAG_REQUEST, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq,
+            8, msg.chunk_start, 8, msg.chunk_count, 8, len(topics),
+        )
+        return head + b"".join([_TOPIC.pack(DIGEST_SIZE, _digest(t)) for t in topics])
     if isinstance(msg, Response):
         body = [
             lp(msg.lineage),
@@ -114,31 +137,43 @@ def encode_message(msg: Message) -> bytes:
         body.extend(lp(_encode_proof(p)) for p in msg.proofs)
         return bytes([_TAG_RESPONSE]) + b"".join(body)
     if isinstance(msg, Refusal):
-        return bytes([_TAG_REFUSAL]) + b"".join(
-            [lp(msg.lineage), lp(u64(msg.seq)), lp(msg.reason.encode())]
-        )
+        reason = msg.reason.encode()
+        return _REFUSAL.pack(_TAG_REFUSAL, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, len(reason)) + reason
     if isinstance(msg, BlockAnnounce):
-        return bytes([_TAG_BLOCK_ANNOUNCE]) + lp(serialize_block(msg.block))
+        body = serialize_block(msg.block)
+        return _FRAME.pack(_TAG_BLOCK_ANNOUNCE, len(body)) + body
     if isinstance(msg, BlockRequest):
-        return bytes([_TAG_BLOCK_REQUEST]) + lp(u64(msg.from_height))
+        return _BLOCK_REQUEST.pack(_TAG_BLOCK_REQUEST, 8, msg.from_height)
     if isinstance(msg, TxAnnounce):
-        return bytes([_TAG_TX_ANNOUNCE]) + lp(serialize_tx(msg.tx))
+        body = serialize_tx(msg.tx)
+        return _FRAME.pack(_TAG_TX_ANNOUNCE, len(body)) + body
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
+def _head(s: struct.Struct, buf: bytes) -> tuple:
+    if len(buf) < s.size:
+        raise ValueError("truncated message")
+    return s.unpack_from(buf)
+
+
 def decode_message(buf: bytes) -> Message:
+    """Strict inverse of ``encode_message``: only the canonical encoding
+    parses. Every failure is a ValueError."""
     if not buf:
         raise ValueError("empty message")
-    tag, r = buf[0], Reader(buf[1:])
+    tag = buf[0]
     if tag == _TAG_REQUEST:
-        lineage = r.field()
-        seq = r.u64_field()
-        start = r.u64_field()
-        count = r.u64_field()
-        ntopics = r.u64_field()
-        topics = tuple(r.field() for _ in range(ntopics))
-        msg: Message = Request(lineage, seq, start, count, topics)
-    elif tag == _TAG_RESPONSE:
+        _, w_lineage, lineage, w_seq, seq, w_start, start, w_count, count, w_n, n = _head(_REQUEST, buf)
+        if (w_lineage, w_seq, w_start, w_count, w_n) != _REQUEST_WIDTHS:
+            raise ValueError("bad request field width")
+        if len(buf) != _REQUEST.size + n * _TOPIC.size:
+            raise ValueError("bad request length")
+        topics = tuple(_TOPIC.iter_unpack(memoryview(buf)[_REQUEST.size :]))
+        if any(w != DIGEST_SIZE for w, _ in topics):
+            raise ValueError("bad topic width")
+        return Request(lineage, seq, start, count, tuple(t for _, t in topics))
+    if tag == _TAG_RESPONSE:
+        r = Reader(buf, 1)
         lineage = r.field()
         seq = r.u64_field()
         start = r.u64_field()
@@ -146,20 +181,28 @@ def decode_message(buf: bytes) -> Message:
         chunks = tuple(r.field() for _ in range(nchunks))
         nproofs = r.u64_field()
         proofs = tuple(_read_proof(Reader(r.field())) for _ in range(nproofs))
-        msg = Response(lineage, seq, start, chunks, proofs)
-    elif tag == _TAG_REFUSAL:
-        msg = Refusal(r.field(), r.u64_field(), r.field().decode())
-    elif tag == _TAG_BLOCK_ANNOUNCE:
-        msg = BlockAnnounce(parse_block(r.field()))
-    elif tag == _TAG_BLOCK_REQUEST:
-        msg = BlockRequest(r.u64_field())
-    elif tag == _TAG_TX_ANNOUNCE:
-        msg = TxAnnounce(parse_tx(r.field()))
-    else:
-        raise ValueError(f"unknown message tag {tag}")
-    if not r.done():
-        raise ValueError("trailing bytes in message")
-    return msg
+        if not r.done():
+            raise ValueError("trailing bytes in message")
+        return Response(lineage, seq, start, chunks, proofs)
+    if tag == _TAG_REFUSAL:
+        _, w_lineage, lineage, w_seq, seq, w_reason = _head(_REFUSAL, buf)
+        if (w_lineage, w_seq) != (DIGEST_SIZE, 8):
+            raise ValueError("bad refusal field width")
+        if w_reason != len(buf) - _REFUSAL.size:
+            raise ValueError("bad refusal length")
+        return Refusal(lineage, seq, buf[_REFUSAL.size :].decode())
+    if tag == _TAG_BLOCK_REQUEST:
+        _, w_height, height = _head(_BLOCK_REQUEST, buf)
+        if w_height != 8 or len(buf) != _BLOCK_REQUEST.size:
+            raise ValueError("bad block request")
+        return BlockRequest(height)
+    if tag in (_TAG_BLOCK_ANNOUNCE, _TAG_TX_ANNOUNCE):
+        _, width = _head(_FRAME, buf)
+        if width != len(buf) - _FRAME.size:
+            raise ValueError("bad message body length")
+        body = buf[_FRAME.size :]
+        return BlockAnnounce(parse_block(body)) if tag == _TAG_BLOCK_ANNOUNCE else TxAnnounce(parse_tx(body))
+    raise ValueError(f"unknown message tag {tag}")
 
 
 def describe(msg: Message) -> str:

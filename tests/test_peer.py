@@ -27,7 +27,7 @@ class FakeEnv:
     def now(self):
         return self.t
 
-    def send(self, src, dst, msg):
+    def send(self, src, dst, msg, raw=None):
         self.sent.append((src.name, dst, msg))
 
     def send_batch(self, src, dst, msgs):

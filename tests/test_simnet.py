@@ -2,7 +2,8 @@
 
 import pytest
 
-from ethercouch.peer import Mode, PeerConfig
+from ethercouch.crypto import hash_bytes
+from ethercouch.peer import Mode, PeerConfig, topic_hash
 from ethercouch.simnet import (
     Scenario,
     ScriptAction,
@@ -12,7 +13,7 @@ from ethercouch.simnet import (
     scenario_from_json,
     scenario_to_json,
 )
-from ethercouch.wire import BlockRequest, encode_message
+from ethercouch.wire import BlockRequest, Refusal, Response, decode_message, describe, encode_message
 
 
 def three_peer_scenario(seed=1, **kw):
@@ -111,6 +112,76 @@ def test_broadcast_encodes_once_for_all_reachable_recipients(monkeypatch, offlin
     assert sorted(e.target for e in deliveries) == [f"p{i}" for i in range(1, 4) if f"p{i}" not in offline]
     assert all(e.payload["raw"] is deliveries[0].payload["raw"] == encode_message(msg) for e in deliveries)
     assert sum(" drop " in line for line in sim.trace.lines) == len(offline)
+
+
+def count_codec_calls(monkeypatch):
+    """Count the simulator's encodes and decodes; returns the two lists."""
+    import ethercouch.simnet as simnet
+
+    encoded, decoded = [], []
+
+    def counting_encode(msg):
+        encoded.append(msg)
+        return encode_message(msg)
+
+    def counting_decode(raw):
+        decoded.append(raw)
+        return decode_message(raw)
+
+    monkeypatch.setattr(simnet, "encode_message", counting_encode)
+    monkeypatch.setattr(simnet, "decode_message", counting_decode)
+    return encoded, decoded
+
+
+def record_deliveries(monkeypatch, sim):
+    """Replace every peer's message handler; returns the (peer, msg) list."""
+    got = []
+    for name, peer in sim.peers.items():
+        monkeypatch.setattr(peer, "handle_message", lambda msg, sender, name=name: got.append((name, msg)))
+    return got
+
+
+@pytest.mark.parametrize("offline_at_arrival", [(), ("p3",)])
+def test_broadcast_is_parsed_once_for_all_recipients(monkeypatch, offline_at_arrival):
+    encoded, decoded = count_codec_calls(monkeypatch)
+    sim = Simulation(Scenario(seed=4, peers=[PeerConfig(name=f"p{i}") for i in range(4)]))
+    got = record_deliveries(monkeypatch, sim)
+    msg = Refusal(hash_bytes(b"lin"), 2, "not-held")
+    sim.broadcast(sim.peers["p0"], msg)
+    for name in offline_at_arrival:
+        sim.peers[name].online = False
+    sim.run()
+    recv = [line.split(": ", 1)[1] for line in sim.trace.lines if " recv " in line]
+    dropped = [line.split("offline-at-arrival ", 1)[1] for line in sim.trace.lines if "offline-at-arrival" in line]
+    assert len(encoded) == 1 and len(decoded) == 1
+    assert recv == [describe(msg)] * (3 - len(offline_at_arrival))
+    assert dropped == [describe(msg)] * len(offline_at_arrival)
+    assert sorted(name for name, _ in got) == [f"p{i}" for i in range(1, 4) if f"p{i}" not in offline_at_arrival]
+    # recipients share one message parsed from the wire bytes, never the sender's object
+    fresh = decode_message(decoded[0])
+    assert all(m is got[0][1] and m is not msg and m == fresh == msg for _, m in got)
+
+
+def test_push_payload_is_encoded_and_parsed_once_for_all_up_to_date_peers(monkeypatch):
+    sim = Simulation(Scenario(seed=4, peers=[PeerConfig(name=f"p{i}") for i in range(4)], chunk_size=1024))
+    alice = sim.peers["p0"]
+    payload = deterministic_bytes("push", 5000)
+    tx = alice.build_add_tx(payload, topic_hash("news"))
+    alice.staging[tx.data_hash] = payload
+    for name in ("p1", "p2"):
+        sim.location.mark_up_to_date(sim.peers[name].editor_hash, alice.chain.tip)
+    encoded, decoded = count_codec_calls(monkeypatch)
+    got = record_deliveries(monkeypatch, sim)
+    alice._push_payload(tx)
+    deliveries = [e for e in sim._heap if e.kind.name == "DELIVER"]
+    assert sorted(e.target for e in deliveries) == ["p1", "p2"]
+    assert deliveries[0].payload is deliveries[1].payload
+    sim.run()
+    assert len(encoded) == 1 and len(decoded) == 1
+    assert sorted(name for name, _ in got) == ["p1", "p2"]
+    fresh = decode_message(decoded[0])
+    assert isinstance(fresh, Response) and len(fresh.chunks) == 5
+    assert all(m is got[0][1] and m == fresh for _, m in got)
 
 
 def test_trace_times_non_decreasing():

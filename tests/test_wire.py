@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import EDITOR_A, make_add
+from conftest import EDITOR_A, TOPIC_T, make_add, make_edit
+from ethercouch.codec import lp, u64
 from ethercouch.crypto import chunk_payload, hash_bytes, merkle_prove
-from ethercouch.ledger import ChainState
+from ethercouch.ledger import ChainState, lineage_of, serialize_block
 from ethercouch.wire import (
     BlockAnnounce,
     BlockRequest,
@@ -19,8 +20,10 @@ from ethercouch.wire import (
 
 
 def roundtrip(msg):
-    out = decode_message(encode_message(msg))
+    buf = encode_message(msg)
+    out = decode_message(buf)
     assert out == msg
+    assert encode_message(out) == buf  # the canonical encoding is the only one
     assert describe(out)
     return out
 
@@ -53,6 +56,7 @@ def test_block_announce_roundtrip():
 def test_block_request_and_tx_announce_roundtrip():
     roundtrip(BlockRequest(17))
     roundtrip(TxAnnounce(make_add(b"doc", inline=True)))
+    roundtrip(TxAnnounce(make_add(b"doc")))
 
 
 def test_garbage_rejected():
@@ -63,3 +67,61 @@ def test_garbage_rejected():
     good = encode_message(BlockRequest(1))
     with pytest.raises(ValueError):
         decode_message(good + b"extra")
+
+
+def mined_block():
+    state = ChainState(difficulty_bits=0)
+    add = make_add(b"doc")
+    state.submit_tx(add)
+    state.submit_tx(make_edit(lineage_of(add), 2, b"inline v2", inline=True))
+    return state.mine_block(EDITOR_A)
+
+
+LINEAGE = hash_bytes(b"lin")
+SEQ = lp(u64(4))
+NO_TOPICS = lp(u64(0))
+
+
+def request_bytes(lineage=LINEAGE, seq=SEQ, topics=NO_TOPICS) -> bytes:
+    return b"\x01" + lp(lineage) + seq + SEQ + SEQ + topics
+
+
+def refusal_bytes(lineage=LINEAGE, seq=SEQ) -> bytes:
+    return b"\x03" + lp(lineage) + seq + lp(b"not-held")
+
+
+def block_with_parent(width: int) -> bytes:
+    buf = serialize_block(mined_block())
+    return lp(bytes(width)) + buf[4 + 32 :]
+
+
+def test_hand_built_canonical_bytes_parse():
+    assert decode_message(request_bytes()) == Request(LINEAGE, 4, 4, 4, ())
+    assert decode_message(request_bytes(topics=lp(u64(1)) + lp(TOPIC_T))) == Request(LINEAGE, 4, 4, 4, (TOPIC_T,))
+    assert decode_message(refusal_bytes()) == Refusal(LINEAGE, 4, "not-held")
+    assert decode_message(b"\x04" + lp(block_with_parent(32))).block.parent == bytes(32)
+
+
+@pytest.mark.parametrize(
+    "buf",
+    [
+        pytest.param(request_bytes(lineage=LINEAGE[:31]), id="request-31-byte-lineage"),
+        pytest.param(request_bytes(seq=lp(u64(4)[1:])), id="request-7-byte-seq"),
+        pytest.param(request_bytes(topics=lp(u64(1)) + lp(TOPIC_T[:31])), id="request-31-byte-topic"),
+        pytest.param(refusal_bytes(lineage=LINEAGE[:31]), id="refusal-31-byte-lineage"),
+        pytest.param(refusal_bytes(seq=lp(u64(4)[1:])), id="refusal-7-byte-seq"),
+        pytest.param(b"\x04" + lp(block_with_parent(31)), id="block-31-byte-parent"),
+        pytest.param(b"\x04" + lp(block_with_parent(33)), id="block-33-byte-parent"),
+        pytest.param(b"\x05" + lp(u64(17)[1:]), id="blockreq-7-byte-height"),
+    ],
+)
+def test_non_canonical_widths_are_refused(buf):
+    with pytest.raises(ValueError):
+        decode_message(buf)
+
+
+def test_encode_refuses_a_digest_that_is_not_32_bytes():
+    with pytest.raises(ValueError):
+        encode_message(Request(LINEAGE[:31], 1))
+    with pytest.raises(ValueError):
+        encode_message(Refusal(LINEAGE + b"x", 1, "not-held"))
