@@ -96,6 +96,11 @@ class StoreState:
     it is carried here so serialized stores are self-describing for
     verification. ``applied_upto`` is the chain coordinate below which this
     store is complete; the owner advances it as mutations land in order.
+
+    Payloads the peer publishes are staged here by their merkle root, so
+    they can be served before they apply and applied without a second
+    hash. Every other payload is hashed before it lands. Staged payloads
+    stay until the peer unstages them and are not part of a snapshot.
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -109,10 +114,32 @@ class StoreState:
         self._pending: dict[Digest, dict[int, tuple[DbFunction, bytes | None, Origin]]] = {}
         # payloads of rolled-back revisions, kept for cheap re-application
         self._retained: dict[Digest, bytes] = {}
+        # payloads this peer published, by the root ``stage`` computed
+        self._staged: dict[Digest, bytes] = {}
+
+    # -- publisher staging ------------------------------------------------
+
+    def stage(self, payload: bytes) -> Digest:
+        """Hash a payload the peer publishes and keep it under its root."""
+        root = payload_root(payload, self.chunk_size)
+        self._staged[root] = payload
+        return root
+
+    def staged_payload(self, data_hash: Digest) -> bytes | None:
+        return self._staged.get(data_hash)
+
+    def staged_count(self) -> int:
+        return len(self._staged)
+
+    def unstage(self, data_hash: Digest) -> None:
+        self._staged.pop(data_hash, None)
 
     # -- mutation -------------------------------------------------------
 
     def _verify(self, payload: bytes, data_hash: Digest) -> None:
+        # bytes equal to ones this store hashed to that root need no hash
+        if payload == self._staged.get(data_hash):
+            return
         if payload_root(payload, self.chunk_size) != data_hash:
             raise IntegrityError(digest_hex(data_hash))
 
@@ -385,9 +412,10 @@ class StoreState:
     def snapshot_bytes(self) -> bytes:
         """Length-prefixed binary snapshot of the durable store state.
 
-        Transient repair buffers are not part of the snapshot: the layout is
-        magic, chunk size, sorted topic filter, applied-upto mark, then each
-        document (sorted by lineage) with its revisions in order.
+        Staged payloads and transient repair buffers are not part of the
+        snapshot: the layout is magic, chunk size, sorted topic filter,
+        applied-upto mark, then each document (sorted by lineage) with its
+        revisions in order.
         """
         out = [self.SNAPSHOT_MAGIC]
         out.append(lp(u64(self.chunk_size)))

@@ -6,7 +6,11 @@ transaction is mined to the configured confirmation depth, in chain order
 per document. Payloads for hash-anchored mutations are pulled off-chain
 from whoever holds them (the editor first, then the first up-to-date peer
 from the directory, then everyone else registered) and every chunk is
-checked against the on-chain merkle root before a byte is stored.
+checked against the on-chain merkle root before a byte is stored. Bytes
+the peer already holds (payloads it published, which its store stages,
+payloads retained across a rollback, and pushes cached ahead of their
+block) go to the store unchecked: the store's hash on apply is the one
+check, and it skips the hash only for bytes it staged under that root.
 
 The peer is a deterministic event-driven machine: the surrounding
 environment (a simulator here) feeds it messages, mining completions,
@@ -148,7 +152,6 @@ class Peer:
         )
         self.store = StoreState(chunk_size=chunk_size, topics=config.topics)
         self.online = True
-        self.staging: dict[Digest, bytes] = {}  # published payloads, served pre-apply
         self.pending: dict[tuple[Digest, int], PendingFetch] = {}
         # keys of pending entries that still need work; APPLIED entries leave
         # this index so chain-event scans stay proportional to open work
@@ -201,18 +204,6 @@ class Peer:
 
     # -- publishing -------------------------------------------------------
 
-    def build_add_tx(self, payload: bytes, topic: Digest) -> DbFunction:
-        inline = payload if self.config.mode is Mode.CHAIN_ONLY else None
-        return DbFunction(
-            task=Task.ADD,
-            data_hash=payload_root(payload, self.chunk_size),
-            editor_hash=self.editor_hash,
-            topic_id=topic,
-            sequence_id=1,
-            lineage=ZERO_DIGEST,
-            inline_payload=inline,
-        )
-
     def publish(
         self,
         task: Task,
@@ -223,42 +214,40 @@ class Peer:
         """Create, validate and queue one mutation; returns the transaction.
 
         Plain mode writes straight to the store and returns None. For edits
-        and deletes the peer must hold the document's latest revision.
+        and deletes the peer must hold the document's latest revision. In
+        ethercouch mode the store stages the payload and gives its root.
         """
         if self.config.mode is Mode.PLAIN:
             self._plain_publish(task, topic, payload, lineage)
             return None
         if task is Task.ADD:
-            tx = self.build_add_tx(payload, topic)
+            seq, lineage = 1, ZERO_DIGEST
         else:
             latest = self.chain.speculative_latest(lineage)
             if latest is None:
                 raise TxRejected("unknown-lineage")
-            seq, deleted = latest
-            if deleted:
+            if latest[1]:
                 raise TxRejected("already-deleted")
-            if task is Task.EDIT:
-                tx = DbFunction(
-                    task=Task.EDIT,
-                    data_hash=payload_root(payload, self.chunk_size),
-                    editor_hash=self.editor_hash,
-                    topic_id=topic,
-                    sequence_id=seq + 1,
-                    lineage=lineage,
-                    inline_payload=payload if self.config.mode is Mode.CHAIN_ONLY else None,
-                )
-            else:
-                tx = DbFunction(
-                    task=Task.DELETE,
-                    data_hash=ZERO_DIGEST,
-                    editor_hash=self.editor_hash,
-                    topic_id=topic,
-                    sequence_id=seq + 1,
-                    lineage=lineage,
-                )
-        self.chain.submit_tx(tx)
-        if payload is not None and self.config.mode is Mode.ETHERCOUCH:
-            self.staging[tx.data_hash] = payload
+            seq = latest[0] + 1
+        newly_staged = False
+        if task is Task.DELETE:
+            data_hash = ZERO_DIGEST
+        elif self.config.mode is Mode.ETHERCOUCH:
+            before = self.store.staged_count()
+            data_hash = self.store.stage(payload)
+            newly_staged = self.store.staged_count() > before
+        else:
+            data_hash = payload_root(payload, self.chunk_size)
+        inline = payload if self.config.mode is Mode.CHAIN_ONLY and task is not Task.DELETE else None
+        tx = DbFunction(task, data_hash, self.editor_hash, topic, seq, lineage, inline)
+        try:
+            self.chain.submit_tx(tx)
+        except TxRejected:
+            # only a byte-identical add is refused here: it must not bring
+            # back bytes that a confirmed delete unstaged
+            if newly_staged:
+                self.store.unstage(data_hash)
+            raise
         self.own_unconfirmed[tx_digest(tx)] = tx
         if self.online:
             self.env.broadcast(self, TxAnnounce(tx))
@@ -447,7 +436,7 @@ class Peer:
             for entry in self.chain.registry.query_by_lineage(req.lineage):
                 if entry.tx.sequence_id == req.seq:
                     topic = entry.tx.topic_id
-                    payload = self.staging.get(entry.tx.data_hash)
+                    payload = self.store.staged_payload(entry.tx.data_hash)
                     break
         if topic is None:
             return Refusal(req.lineage, req.seq, "not-held")
@@ -612,9 +601,9 @@ class Peer:
         if result.buffered:
             self._set_state(pf, FetchState.BUFFERED)
         self._mark_applied(result.applied)
-        # deletion reaches the publisher cache and push buffers too
+        # deletion reaches the staged payloads and push buffers too
         for entry in self.chain.registry.query_by_lineage(pf.lineage):
-            self.staging.pop(entry.tx.data_hash, None)
+            self.store.unstage(entry.tx.data_hash)
         for key in [k for k in self.push_cache if k[0] == pf.lineage]:
             del self.push_cache[key]
 
@@ -668,7 +657,7 @@ class Peer:
         recipients = [loc.location for loc in self.location.up_to_date_peers() if loc.location != self.name]
         if not recipients:
             return
-        payload = self.staging.get(tx.data_hash)
+        payload = self.store.staged_payload(tx.data_hash)
         if payload is None:
             return
         chunks = chunk_payload(payload, self.chunk_size)
@@ -718,13 +707,13 @@ class Peer:
         self._start_fetch(pf)
 
     def _local_payload(self, pf: PendingFetch) -> bytes | None:
-        payload = self.staging.get(pf.tx.data_hash)
+        """Staged, retained or pushed bytes for ``pf``, unchecked: the
+        store's hash check on apply is the one check."""
+        payload = self.store.staged_payload(pf.tx.data_hash)
         if payload is None:
             payload = self.store.retained_payload(pf.tx.data_hash)
         if payload is None:
-            cached = self.push_cache.pop((pf.lineage, pf.tx.sequence_id), None)
-            if cached is not None and payload_root(cached, self.chunk_size) == pf.tx.data_hash:
-                payload = cached
+            payload = self.push_cache.pop((pf.lineage, pf.tx.sequence_id), None)
         return payload
 
     def _queue_missing_refills(self) -> None:

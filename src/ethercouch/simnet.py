@@ -99,6 +99,10 @@ class Scenario:
             raise ValueError("mean_block_interval must be >= 1")
         if self.poll_interval < 1:
             raise ValueError("poll_interval must be >= 1")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        if self.max_txs_per_block < 1:
+            raise ValueError("max_txs_per_block must be >= 1")
         last = 0
         known = set(names)
         for i, act in enumerate(self.script):
@@ -445,41 +449,84 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(doc, indent=2)
 
 
+_REQUIRED = object()
+_JSON_KIND = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list", dict: "an object"}
+# script-entry arguments the simulator reads, and their JSON kinds
+_SCRIPT_ARGS = {"doc": str, "topic": str, "data": str, "size": int, "groups": list}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it has JSON kind ``kind``, else ValueError naming
+    ``what``. An integer passes as a number; only booleans pass as bool."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ValueError(f"{what} must be {_JSON_KIND[kind]}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} needs {key!r}")
+        return default
+    return _typed(obj[key], kind, f"{where} {key!r}")
+
+
 def scenario_from_json(text: str) -> Scenario:
-    doc = json.loads(text)
+    """Parse a scenario file. A malformed one (bad JSON, a missing field, a
+    field of the wrong kind) raises ValueError naming the field."""
+    doc = _typed(json.loads(text), dict, "scenario")
     peers = []
-    for p in doc["peers"]:
-        topics = frozenset(
-            bytes.fromhex(t) if len(t) == 64 and _is_hex(t) else topic_hash(t)
-            for t in p.get("topics", [])
-        )
+    for i, p in enumerate(_field(doc, "peers", list, "scenario")):
+        where = f"peer {i}"
+        p = _typed(p, dict, where)
+        topics = [_typed(t, str, f"{where} topic") for t in _field(p, "topics", list, where, [])]
+        mode = _field(p, "mode", str, where, "ethercouch")
+        if mode not in {m.value for m in Mode}:
+            raise ValueError(f"{where} 'mode' must be one of {', '.join(m.value for m in Mode)}")
         peers.append(
             PeerConfig(
-                name=p["name"],
-                topics=topics,
-                confirmation_depth=int(p.get("confirmation_depth", 1)),
-                mode=Mode(p.get("mode", "ethercouch")),
+                name=_field(p, "name", str, where),
+                topics=frozenset(bytes.fromhex(t) if len(t) == 64 and _is_hex(t) else topic_hash(t) for t in topics),
+                confirmation_depth=_field(p, "confirmation_depth", int, where, 1),
+                mode=Mode(mode),
             )
         )
     script = []
-    for entry in doc.get("script", []):
-        entry = dict(entry)
-        at = int(entry.pop("at"))
-        action = entry.pop("action")
-        peer = entry.pop("peer", "")
-        script.append(ScriptAction(at=at, action=action, peer=peer, args=entry))
+    for i, entry in enumerate(_field(doc, "script", list, "scenario", [])):
+        where = f"script entry {i}"
+        args = dict(_typed(entry, dict, where))
+        at = _field(args, "at", int, where)
+        action = _field(args, "action", str, where)
+        peer = _field(args, "peer", str, where, "")
+        for key in ("at", "action", "peer"):
+            args.pop(key, None)
+        for key, kind in _SCRIPT_ARGS.items():
+            if key in args:
+                _typed(args[key], kind, f"{where} {key!r}")
+        for group in args.get("groups", ()):
+            for name in _typed(group, list, f"{where} group"):
+                _typed(name, str, f"{where} group member")
+        script.append(ScriptAction(at=at, action=action, peer=peer, args=args))
+    latency = _field(doc, "latency", list, "scenario", [1, 10])
+    if len(latency) != 2:
+        raise ValueError("scenario 'latency' must be [min, max]")
+    mining_power = _field(doc, "mining_power", dict, "scenario", {})
     return Scenario(
-        seed=int(doc["seed"]),
+        seed=_field(doc, "seed", int, "scenario"),
         peers=peers,
-        mining_power={k: float(v) for k, v in doc.get("mining_power", {}).items()},
+        mining_power={k: float(_typed(v, float, f"scenario mining power of {k!r}")) for k, v in mining_power.items()},
         script=script,
-        latency=tuple(doc.get("latency", (1, 10))),
-        mean_block_interval=int(doc.get("mean_block_interval", 100)),
-        poll_interval=int(doc.get("poll_interval", 25)),
-        difficulty_bits=int(doc.get("difficulty_bits", 0)),
-        chunk_size=int(doc.get("chunk_size", 4096)),
-        allow_empty_blocks=bool(doc.get("allow_empty_blocks", False)),
-        max_txs_per_block=int(doc.get("max_txs_per_block", 100)),
+        latency=tuple(_typed(v, int, "scenario 'latency' bound") for v in latency),
+        mean_block_interval=_field(doc, "mean_block_interval", int, "scenario", 100),
+        poll_interval=_field(doc, "poll_interval", int, "scenario", 25),
+        difficulty_bits=_field(doc, "difficulty_bits", int, "scenario", 0),
+        chunk_size=_field(doc, "chunk_size", int, "scenario", 4096),
+        allow_empty_blocks=_field(doc, "allow_empty_blocks", bool, "scenario", False),
+        max_txs_per_block=_field(doc, "max_txs_per_block", int, "scenario", 100),
     )
 
 

@@ -207,6 +207,34 @@ def test_cli_missing_file_errors(tmp_path):
     assert main(["dump-chain", str(tmp_path / "nope.chain")]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        pytest.param('{"peers": [{"name": "p0"}]}', "'seed'", id="no-seed"),
+        pytest.param('{"seed": 1, "peers": [{"topics": []}]}', "'name'", id="peer-without-name"),
+        pytest.param('{"seed": 1, "peers": [{"name": "p0"}], "script": [{"action": "heal"}]}', "'at'", id="entry-without-at"),
+        pytest.param('[{"seed": 1}]', "scenario", id="top-level-array"),
+    ],
+)
+def test_cli_run_refuses_a_malformed_scenario_without_a_traceback(tmp_path, text, field):
+    import os
+
+    root = Path(__file__).resolve().parent.parent
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ethercouch", "run", str(scenario), "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": str(root / "src")},
+        cwd=str(root),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ethercouch", "bench", "--mode", "plain", "--counts", "5", "--reps", "1"],

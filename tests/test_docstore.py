@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import CHUNK, make_add, make_delete, make_edit
-from ethercouch.crypto import hash_bytes
+from ethercouch.crypto import hash_bytes, payload_root
 from ethercouch.docstore import (
     DuplicateDocument,
     IntegrityError,
@@ -286,3 +286,86 @@ def test_add_doc_respects_chunked_payloads():
     tx = make_add(payload, chunk=8)
     store.apply_add(tx, payload, (1, 0), lineage_of(tx))
     assert store.get_active(lineage_of(tx)) == payload
+
+
+# -- publisher staging ---------------------------------------------------
+
+
+def count_store_hashes(monkeypatch):
+    """Count the store's payload_root calls; returns the list of payloads."""
+    import ethercouch.docstore as docstore
+
+    hashed = []
+    real = docstore.payload_root
+
+    def counting(payload, chunk_size):
+        hashed.append(payload)
+        return real(payload, chunk_size)
+
+    monkeypatch.setattr(docstore, "payload_root", counting)
+    return hashed
+
+
+def test_stage_returns_the_payload_root():
+    store = StoreState(chunk_size=8)
+    payload = bytes(range(100))  # 13 chunks
+    assert store.stage(payload) == payload_root(payload, 8)
+    assert store.staged_payload(payload_root(payload, 8)) == payload
+
+
+def test_applying_staged_bytes_skips_the_hash(monkeypatch):
+    store = StoreState(chunk_size=8)
+    v1, v2, v3 = bytes(range(40)), bytes(range(1, 41)), bytes(range(2, 42))
+    roots = [store.stage(p) for p in (v1, v2, v3)]
+    hashed = count_store_hashes(monkeypatch)
+    add = make_add(v1, chunk=8)
+    lineage = lineage_of(add)
+    assert add.data_hash == roots[0]
+    store.apply_add(add, v1, (1, 0), lineage)
+    store.apply_edit(make_edit(lineage, 2, v2, chunk=8), bytes(bytearray(v2)), (2, 0))  # equal, not identical
+    # a payload-less revision, as after a rollback past its delete
+    store.apply_erased(make_edit(lineage, 3, v3, chunk=8), (3, 0), lineage)
+    store.fill_payload(lineage, 3, v3)
+    assert hashed == []
+    assert [r.payload for r in store.history(lineage)] == [v1, v2, v3]
+
+
+def test_bytes_that_differ_from_the_staged_ones_are_hashed_and_refused(monkeypatch):
+    store = StoreState(chunk_size=8)
+    payload = bytes(range(40))
+    store.stage(payload)
+    hashed = count_store_hashes(monkeypatch)
+    tx = make_add(payload, chunk=8)
+    bad = bytes([payload[0] ^ 1]) + payload[1:]
+    with pytest.raises(IntegrityError):
+        store.apply_add(tx, bad, (1, 0), lineage_of(tx))
+    assert hashed == [bad]
+    assert not store.has_document(lineage_of(tx))
+    # staged bytes offered for another root are checked against that root
+    other = make_add(bytes(range(3, 43)), chunk=8)
+    with pytest.raises(IntegrityError):
+        store.apply_add(other, payload, (1, 1), lineage_of(other))
+    assert hashed == [bad, payload]
+
+
+def test_unstaged_payload_is_hashed_once(monkeypatch):
+    store = StoreState(chunk_size=8)
+    never, dropped = bytes(range(40)), bytes(range(1, 41))
+    store.stage(dropped)
+    store.unstage(payload_root(dropped, 8))
+    hashed = count_store_hashes(monkeypatch)
+    for i, payload in enumerate((never, dropped)):
+        tx = make_add(payload, chunk=8)
+        store.apply_add(tx, payload, (1, i), lineage_of(tx))
+        assert store.get_active(lineage_of(tx)) == payload
+    assert hashed == [never, dropped]
+
+
+def test_staged_payloads_stay_out_of_snapshots_and_dumps():
+    store = StoreState(chunk_size=CHUNK)
+    _, lineage = add_doc(store, b"applied")
+    before = (store.snapshot_bytes(), store.dump_text(), store.payload_bytes())
+    secret = b"staged but not yet applied"
+    store.stage(secret)
+    assert (store.snapshot_bytes(), store.dump_text(), store.payload_bytes()) == before
+    assert StoreState.from_snapshot(store.snapshot_bytes()).staged_payload(payload_root(secret, CHUNK)) is None

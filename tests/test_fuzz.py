@@ -3,9 +3,12 @@
 Each test mutates one real, valid encoding thousands of times (truncate,
 flip one bit, delete one byte) and parses every mutant. A mutant may still
 parse, but the only exception allowed to escape is ValueError; anything
-else would reach the CLI as a traceback or crash a peer.
+else would reach the CLI as a traceback or crash a peer. Scenario files
+are mutated at the JSON level instead: a dropped key, a value of another
+kind, or another top level.
 """
 
+import json
 import random
 
 import pytest
@@ -14,7 +17,7 @@ from conftest import EDITOR_A, TOPIC_T, TOPIC_U, build_convergence_scenario, mak
 from ethercouch.crypto import chunk_payload, hash_bytes, merkle_prove
 from ethercouch.docstore import StoreState
 from ethercouch.ledger import ChainState, lineage_of, parse_block, parse_tx, serialize_block, serialize_tx
-from ethercouch.simnet import deterministic_bytes, run_scenario
+from ethercouch.simnet import deterministic_bytes, run_scenario, scenario_from_json
 from ethercouch.wire import (
     BlockAnnounce,
     BlockRequest,
@@ -114,3 +117,76 @@ def test_chain_file_mutants_raise_only_value_error(tmp_path):
         return ChainState.load(path)
 
     assert rejected_share(load, buf, seed=10) > 0.5
+
+
+SCENARIO = {
+    "seed": 5,
+    "peers": [
+        {"name": "p0", "mode": "ethercouch", "topics": [], "confirmation_depth": 1},
+        {"name": "p1", "topics": ["news"], "confirmation_depth": 2},
+        {"name": "p2"},
+    ],
+    "mining_power": {"p0": 1.0, "p1": 2},
+    "latency": [1, 4],
+    "mean_block_interval": 30,
+    "poll_interval": 25,
+    "difficulty_bits": 0,
+    "chunk_size": 64,
+    "allow_empty_blocks": False,
+    "max_txs_per_block": 10,
+    "script": [
+        {"at": 5, "action": "publish", "peer": "p0", "doc": "a", "topic": "news", "size": 200},
+        {"at": 9, "action": "publish", "peer": "p2", "doc": "b", "topic": "ops", "data": "hello"},
+        {"at": 40, "action": "partition", "groups": [["p0"], ["p1", "p2"]]},
+        {"at": 60, "action": "edit", "peer": "p1", "doc": "a", "size": 90},
+        {"at": 90, "action": "heal"},
+        {"at": 120, "action": "delete", "peer": "p0", "doc": "b"},
+    ],
+}
+# one value of each JSON kind; a swap picks one of another kind
+KINDS = (None, True, 7, 1.5, "x", [1], {"k": 1})
+
+
+def scenario_mutants(seed: int, count: int):
+    """Drop one key, swap one value for one of another JSON kind, or
+    replace the top level; yields the mutant's JSON text."""
+    rng = random.Random(seed)
+    slots = []  # (container path, key or index) of every value in SCENARIO
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            slots.append((path, key))
+            walk(child, path + (key,))
+
+    walk(SCENARIO, ())
+    keyed = [s for s in slots if isinstance(s[1], str)]
+    for _ in range(count):
+        doc = json.loads(json.dumps(SCENARIO))
+        op = rng.randrange(3)
+        if op == 2:
+            doc = rng.choice([k for k in KINDS if not isinstance(k, dict)])
+        else:
+            path, key = rng.choice(keyed if op == 0 else slots)
+            parent = doc
+            for step in path:
+                parent = parent[step]
+            if op == 0:
+                del parent[key]
+            else:
+                parent[key] = rng.choice([k for k in KINDS if type(k) is not type(parent[key])])
+        yield json.dumps(doc)
+
+
+def test_scenario_mutants_raise_only_value_error():
+    assert run_scenario(scenario_from_json(json.dumps(SCENARIO)), until=3000).peer("p1").store.docs
+    rejected = total = 0
+    for text in scenario_mutants(seed=11, count=400):
+        total += 1
+        try:
+            # what parses must also run: the parser checks every field the
+            # simulator reads
+            run_scenario(scenario_from_json(text), until=3000)
+        except ValueError:
+            rejected += 1
+    assert 0.5 < rejected / total < 1

@@ -98,7 +98,7 @@ def test_publish_delete_carries_no_payload():
 def test_publish_edit_unknown_lineage_rejected():
     peer, _ = make_peer()
     with pytest.raises(TxRejected):
-        peer.publish(Task.EDIT, NEWS, b"x", lineage_of(peer.build_add_tx(b"ghost", NEWS)))
+        peer.publish(Task.EDIT, NEWS, b"x", topic_hash("ghost-lineage"))
 
 
 def test_chain_only_mode_embeds_payload():
@@ -337,6 +337,83 @@ def test_confirmation_depth_two_delays_application():
     peer.publish(Task.ADD, NEWS, b"filler block content")
     peer.on_mine_complete()  # depth 2 reached for the first add
     assert peer.store.get_active(lineage) == b"needs depth two"
+
+
+def test_corrupt_unsolicited_push_is_refused_by_the_store_then_fetched():
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice = Peer(PeerConfig(name="alice"), env=env, location=location)
+    bob = Peer(PeerConfig(name="bob"), env=env, location=location)
+    payload = bytes(range(250)) * 40  # 3 chunks
+    tx = alice.publish(Task.ADD, NEWS, payload)
+    alice.on_mine_complete()
+    key = (lineage_of(tx), 1)
+    honest = alice.serve_request(Request(*key, 0, 0, ()), "bob")
+    bad_chunk = bytearray(honest.chunks[1])
+    bad_chunk[7] ^= 1
+    corrupt = Response(key[0], 1, 0, (honest.chunks[0], bytes(bad_chunk), honest.chunks[2]), honest.proofs)
+    bob.handle_message(corrupt, "alice")  # ahead of the block: cached unchecked
+    assert key in bob.push_cache
+    announce = [m for (_, dst, m) in env.sent if dst == "*"][-1]
+    env.sent.clear()
+    bob.handle_message(announce, "alice")
+    # the store refused the cached bytes; the peer asks the editor instead
+    assert not bob.store.has_document(key[0])
+    assert not bob.push_cache
+    assert bob.pending[key].state is FetchState.FETCHING
+    assert [(src, dst, m) for (src, dst, m) in env.sent if isinstance(m, Request)] == [
+        ("bob", "alice", Request(*key, 0, 0, ()))
+    ]
+    bob.handle_message(honest, "alice")
+    assert bob.pending[key].state is FetchState.APPLIED
+    assert bob.store.get_active(key[0]) == payload
+
+
+def test_confirmed_delete_unstages_every_revision_of_the_lineage():
+    peer, _ = make_peer()
+    tx = peer.publish(Task.ADD, NEWS, b"v1")
+    peer.on_mine_complete()
+    lineage = lineage_of(tx)
+    edit = peer.publish(Task.EDIT, NEWS, b"v2", lineage)
+    peer.on_mine_complete()
+    roots = [tx.data_hash, edit.data_hash]
+    assert [peer.store.staged_payload(r) for r in roots] == [b"v1", b"v2"]
+    peer.publish(Task.DELETE, NEWS, None, lineage)
+    peer.on_mine_complete()
+    assert [peer.store.staged_payload(r) for r in roots] == [None, None]
+    for seq in (1, 2):
+        assert peer.serve_request(Request(lineage, seq, 0, 0, ()), "bob") == Refusal(lineage, seq, "not-held")
+
+
+def test_rejected_duplicate_add_does_not_restage_deleted_bytes():
+    peer, _ = make_peer()
+    tx = peer.publish(Task.ADD, NEWS, b"gone for good")
+    peer.on_mine_complete()
+    peer.publish(Task.DELETE, NEWS, None, lineage_of(tx))
+    peer.on_mine_complete()
+    with pytest.raises(TxRejected):
+        peer.publish(Task.ADD, NEWS, b"gone for good")
+    assert peer.store.staged_payload(tx.data_hash) is None
+    assert peer.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), "bob") == Refusal(lineage_of(tx), 1, "not-held")
+
+
+def test_publishing_and_applying_hashes_each_payload_once(monkeypatch):
+    import ethercouch.docstore as docstore
+    import ethercouch.peer as peer_module
+
+    hashed = []
+    for module in (docstore, peer_module):
+        real = module.payload_root
+        monkeypatch.setattr(
+            module, "payload_root", lambda payload, chunk_size, real=real: hashed.append(payload) or real(payload, chunk_size)
+        )
+    n = 50
+    script = [ScriptAction(1 + i, "publish", "p0", {"doc": f"d{i}", "topic": "news", "size": 5000}) for i in range(n)]
+    result = run_scenario(Scenario(seed=3, peers=[PeerConfig(name="p0")], script=script, mean_block_interval=20))
+    store = result.peer("p0").store
+    assert len(store.docs) == n
+    assert set(hashed) == {doc.revisions[0].payload for doc in store.docs.values()}
+    assert len(hashed) == n
 
 
 # -- read locality --------------------------------------------------------------

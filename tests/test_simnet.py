@@ -3,6 +3,7 @@
 import pytest
 
 from ethercouch.crypto import hash_bytes
+from ethercouch.ledger import DbFunction, Task
 from ethercouch.peer import Mode, PeerConfig, topic_hash
 from ethercouch.simnet import (
     Scenario,
@@ -166,8 +167,7 @@ def test_push_payload_is_encoded_and_parsed_once_for_all_up_to_date_peers(monkey
     sim = Simulation(Scenario(seed=4, peers=[PeerConfig(name=f"p{i}") for i in range(4)], chunk_size=1024))
     alice = sim.peers["p0"]
     payload = deterministic_bytes("push", 5000)
-    tx = alice.build_add_tx(payload, topic_hash("news"))
-    alice.staging[tx.data_hash] = payload
+    tx = DbFunction(Task.ADD, alice.store.stage(payload), alice.editor_hash, topic_hash("news"), 1)
     for name in ("p1", "p2"):
         sim.location.mark_up_to_date(sim.peers[name].editor_hash, alice.chain.tip)
     encoded, decoded = count_codec_calls(monkeypatch)
@@ -256,6 +256,14 @@ def test_scenario_validation_rejects_malformed():
 def test_malformed_scenario_fails_before_any_event():
     scenario = Scenario(seed=1, peers=[])
     with pytest.raises(ValueError):
+        Simulation(scenario)
+
+
+@pytest.mark.parametrize("field", ["chunk_size", "max_txs_per_block"])
+def test_scenario_refuses_a_zero_size(field):
+    # a zero block capacity would mine empty blocks forever
+    scenario = Scenario(seed=1, peers=[PeerConfig(name="p0")], **{field: 0})
+    with pytest.raises(ValueError, match=field):
         Simulation(scenario)
 
 
