@@ -3,7 +3,8 @@
 Every digest in the system is SHA-256 (32 bytes). Payloads travel between
 peers as fixed-size chunks; a binary merkle tree over the chunk hashes lets
 a receiver verify each chunk against the single 32-byte root recorded on
-chain, without holding the whole payload first.
+chain, without holding the whole payload first, or check the proofs of a
+whole payload against one tree (``verify_proofs``).
 
 Wire contract (must match across implementations):
 - leaf(i)   = sha256(chunk_i)
@@ -118,14 +119,39 @@ def merkle_prove(chunks: list[bytes], index: int | range) -> MerkleProof | tuple
 
     Raises IndexError if an index is out of range, ValueError on empty input.
     """
-    levels = _tree(chunks)[:-1]
+    levels = _tree(chunks)
     indices = range(index, index + 1) if isinstance(index, int) else index
     # every index of a range lies between its first and its last
     if indices and not (0 <= indices[0] < len(chunks) and 0 <= indices[-1] < len(chunks)):
         raise IndexError(f"chunk index {index} out of range for {len(chunks)} chunks")
-    # lists, not generators: most payloads are one chunk, and this is their hot path
-    proofs = tuple([MerkleProof(i, len(chunks), tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(levels)])) for i in indices])
+    proofs = _cut(levels, len(chunks), indices)
     return proofs[0] if isinstance(index, int) else proofs
+
+
+def _cut(levels: list[list[Digest]], n: int, indices: range) -> tuple[MerkleProof, ...]:
+    """The proofs of ``indices`` in the tree of n leaves ``_tree`` built."""
+    below_root = levels[:-1]
+    # lists, not generators: most payloads are one chunk, and this is their hot path
+    return tuple([MerkleProof(i, n, tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(below_root)])) for i in indices])
+
+
+def verify_proofs(chunks: list[bytes], proofs: tuple[MerkleProof, ...], root: Digest) -> bool:
+    """True iff ``proofs`` are exactly the proofs of every chunk, in order,
+    and the tree over ``chunks`` has ``root``: the whole-set counterpart of
+    ``merkle_prove(chunks, range(len(chunks)))``.
+
+    One tree costs 2n-1 hashes where checking each proof with
+    ``verify_chunk`` costs n(ceil(log2 n)+1). It accepts whatever that loop
+    accepts with leaf_index i and leaf_count n for chunk i, and is stricter
+    in one place: the loop never looks at the copy an odd last node is
+    paired with, so it takes the first chunks of a longer payload under that
+    payload's root. An empty chunk list or a length mismatch gives False.
+    """
+    n = len(chunks)
+    if not n or len(proofs) != n:
+        return False
+    levels = _tree(chunks)
+    return levels[-1][0] == root and tuple(proofs) == _cut(levels, n, range(n))
 
 
 def verify_chunk(chunk: bytes, proof: MerkleProof, root: Digest) -> bool:

@@ -22,8 +22,10 @@ from .codec import Reader, lp, u64
 from .crypto import (
     DEFAULT_CHUNK_SIZE,
     Digest,
+    MerkleProof,
     digest_hex,
     payload_root,
+    verify_proofs,
 )
 from .ledger import DbFunction, Task
 
@@ -99,8 +101,10 @@ class StoreState:
 
     Payloads the peer publishes are staged here by their merkle root, so
     they can be served before they apply and applied without a second
-    hash. Every other payload is hashed before it lands. Staged payloads
-    stay until the peer unstages them and are not part of a snapshot.
+    hash. Staged payloads stay until the peer unstages them and are not
+    part of a snapshot. A fetched payload is checked here too, against
+    one tree (``check_transfer``), and is not hashed again when that very
+    object applies. Every other payload is hashed before it lands.
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -116,6 +120,8 @@ class StoreState:
         self._retained: dict[Digest, bytes] = {}
         # payloads this peer published, by the root ``stage`` computed
         self._staged: dict[Digest, bytes] = {}
+        # (root, joined bytes) of the last canonical transfer that checked
+        self._checked: tuple[Digest, bytes] | None = None
 
     # -- publisher staging ------------------------------------------------
 
@@ -128,16 +134,39 @@ class StoreState:
     def staged_payload(self, data_hash: Digest) -> bytes | None:
         return self._staged.get(data_hash)
 
-    def staged_count(self) -> int:
-        return len(self._staged)
-
     def unstage(self, data_hash: Digest) -> None:
         self._staged.pop(data_hash, None)
+
+    # -- fetched payloads -------------------------------------------------
+
+    def check_transfer(self, chunks: tuple[bytes, ...], proofs: tuple[MerkleProof, ...], data_hash: Digest) -> bytes | None:
+        """The joined payload if every chunk's proof checks against
+        ``data_hash`` (one tree, ``verify_proofs``), else None.
+
+        When the chunks are the canonical chunking of their join, that tree
+        is the one ``payload_root`` builds for the joined bytes, so the
+        store remembers the joined object and applying that very object
+        under that root skips the hash. Any other split, which a hostile
+        publisher can anchor on chain, is hashed on apply and refused.
+        """
+        if not verify_proofs(chunks, proofs, data_hash):
+            return None
+        payload = b"".join(chunks)
+        size, last = self.chunk_size, chunks[-1]
+        # the split payload_root makes: full chunks, then a last chunk that
+        # is short or full, and empty only when it is the only chunk
+        if all(len(c) == size for c in chunks[:-1]) and len(last) <= size and (last or len(chunks) == 1):
+            self._checked = (data_hash, payload)
+        return payload
 
     # -- mutation -------------------------------------------------------
 
     def _verify(self, payload: bytes, data_hash: Digest) -> None:
-        # bytes equal to ones this store hashed to that root need no hash
+        # bytes this store hashed to that root need no hash: the very object
+        # of the last canonical transfer check, or bytes equal to staged ones
+        checked = self._checked
+        if checked is not None and payload is checked[1] and data_hash == checked[0]:
+            return
         if payload == self._staged.get(data_hash):
             return
         if payload_root(payload, self.chunk_size) != data_hash:

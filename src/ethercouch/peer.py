@@ -5,12 +5,16 @@ one-to-one relationship: a mutation lands in the store only once its
 transaction is mined to the configured confirmation depth, in chain order
 per document. Payloads for hash-anchored mutations are pulled off-chain
 from whoever holds them (the editor first, then the first up-to-date peer
-from the directory, then everyone else registered) and every chunk is
-checked against the on-chain merkle root before a byte is stored. Bytes
-the peer already holds (payloads it published, which its store stages,
-payloads retained across a rollback, and pushes cached ahead of their
-block) go to the store unchecked: the store's hash on apply is the one
-check, and it skips the hash only for bytes it staged under that root.
+from the directory, then everyone else registered), and the store checks
+every chunk's proof against the on-chain merkle root, with one tree for
+the whole Response, before a byte is stored. A fetched payload is hashed
+once: the store does not hash the bytes it just checked again when they
+apply, unless they were split other than its own chunking would split
+them. Bytes the peer already holds (payloads it published, which its
+store stages, payloads retained across a rollback, and pushes cached
+ahead of their block) go to the store unchecked: the store's hash on
+apply is the one check, and it skips the hash only for bytes it staged
+or checked under that root.
 
 The peer is a deterministic event-driven machine: the surrounding
 environment (a simulator here) feeds it messages, mining completions,
@@ -36,7 +40,6 @@ from .crypto import (
     hash_bytes,
     merkle_prove,
     payload_root,
-    verify_chunk,
 )
 from .docstore import (
     DuplicateDocument,
@@ -159,6 +162,10 @@ class Peer:
         self.push_cache: dict[tuple[Digest, int], bytes] = {}  # pushed, not yet usable
         self.own_unconfirmed: dict[Digest, DbFunction] = {}  # published, not yet mined
         self.own_mined: dict[Digest, tuple[DbFunction, int]] = {}  # mined, short of depth k
+        # staged root -> the lineages this peer published those bytes under
+        # whose delete has not confirmed; the bytes stay while one is left
+        # (a tuple: nearly always one lineage, and a publisher keeps many)
+        self._staged_by: dict[Digest, tuple[Digest, ...]] = {}
         self._next_reannounce: dict[Digest, int] = {}
         self.deferred: list[dict] = []
         self._resync: dict | None = None
@@ -229,13 +236,11 @@ class Peer:
             if latest[1]:
                 raise TxRejected("already-deleted")
             seq = latest[0] + 1
-        newly_staged = False
+        staged = task is not Task.DELETE and self.config.mode is Mode.ETHERCOUCH
         if task is Task.DELETE:
             data_hash = ZERO_DIGEST
-        elif self.config.mode is Mode.ETHERCOUCH:
-            before = self.store.staged_count()
+        elif staged:
             data_hash = self.store.stage(payload)
-            newly_staged = self.store.staged_count() > before
         else:
             data_hash = payload_root(payload, self.chunk_size)
         inline = payload if self.config.mode is Mode.CHAIN_ONLY and task is not Task.DELETE else None
@@ -245,9 +250,13 @@ class Peer:
         except TxRejected:
             # only a byte-identical add is refused here: it must not bring
             # back bytes that a confirmed delete unstaged
-            if newly_staged:
+            if staged and data_hash not in self._staged_by:
                 self.store.unstage(data_hash)
             raise
+        if staged:
+            holders, lineage = self._staged_by.get(data_hash, ()), lineage_of(tx)
+            if lineage not in holders:
+                self._staged_by[data_hash] = holders + (lineage,)
         self.own_unconfirmed[tx_digest(tx)] = tx
         if self.online:
             self.env.broadcast(self, TxAnnounce(tx))
@@ -501,18 +510,11 @@ class Peer:
         self.env.request_poll(self)
 
     def _assemble_response(self, resp: Response, data_hash: Digest) -> bytes | None:
-        """Verify every chunk against the on-chain root; None on any failure."""
-        if resp.chunk_start != 0 or len(resp.chunks) != len(resp.proofs) or not resp.chunks:
+        """The whole payload, checked by the store against the on-chain
+        root; None on any failure."""
+        if resp.chunk_start != 0:
             return None
-        leaf_count = resp.proofs[0].leaf_count
-        if len(resp.chunks) != leaf_count:
-            return None
-        for i, (chunk, proof) in enumerate(zip(resp.chunks, resp.proofs)):
-            if proof.leaf_index != i or proof.leaf_count != leaf_count:
-                return None
-            if not verify_chunk(chunk, proof, data_hash):
-                return None
-        return b"".join(resp.chunks)
+        return self.store.check_transfer(resp.chunks, resp.proofs, data_hash)
 
     def _on_response(self, resp: Response, sender: str) -> None:
         key = (resp.lineage, resp.seq)
@@ -601,9 +603,19 @@ class Peer:
         if result.buffered:
             self._set_state(pf, FetchState.BUFFERED)
         self._mark_applied(result.applied)
-        # deletion reaches the staged payloads and push buffers too
+        # deletion reaches the staged payloads and push buffers too, but
+        # bytes another live lineage of ours was published with stay staged
         for entry in self.chain.registry.query_by_lineage(pf.lineage):
-            self.store.unstage(entry.tx.data_hash)
+            root = entry.tx.data_hash
+            holders = self._staged_by.get(root, ())
+            if pf.lineage not in holders:
+                continue
+            holders = tuple(h for h in holders if h != pf.lineage)
+            if holders:
+                self._staged_by[root] = holders
+            else:
+                del self._staged_by[root]
+                self.store.unstage(root)
         for key in [k for k in self.push_cache if k[0] == pf.lineage]:
             del self.push_cache[key]
 

@@ -6,14 +6,16 @@ blocks travel as announcements (BlockAnnounce) and catch-up requests
 (BlockRequest). TxAnnounce floods freshly published mutations so miners
 can pick them up.
 
-Encoding uses the ledger's field codec (``codec``): a one-byte message
+Encoding follows the ledger's field codec (``codec``): a one-byte message
 tag, then length-prefixed fields in declaration order (4-byte big-endian
 prefixes, integers as 8-byte big-endian). Transport identity (who sent
 the message) is carried by the network layer, not the message body.
 
-The encoding is the only one accepted. Every message but a Response has
-a fixed head that is read with one struct unpack; a digest field of any
-width but 32 bytes or an integer field of any width but 8 is refused.
+The encoding is the only one accepted. Every message has a fixed head
+that is read with one struct unpack. A Response's chunks follow its head,
+each behind its width, then its proofs, each a fixed head and a run of
+fixed-width sibling records. A digest field (lineage, topic, sibling) of
+any width but 32 bytes or an integer field of any width but 8 is refused.
 Messages are frozen, so one parsed message may be handed to every
 recipient of the same bytes.
 """
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .codec import Reader, lp, u64
 from .crypto import DIGEST_SIZE, Digest, MerkleProof
 from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_block, serialize_tx
 
@@ -94,20 +96,26 @@ _REFUSAL = struct.Struct(">BI32sIQI")
 _BLOCK_REQUEST = struct.Struct(">BIQ")
 # BlockAnnounce and TxAnnounce: the width of the one body that follows
 _FRAME = struct.Struct(">BI")
+# Response: lineage, seq, chunk start, chunk count; each chunk follows
+# behind its width, then the proof count and the proofs
+_RESPONSE = struct.Struct(">BI32sIQIQIQ")
+_RESPONSE_WIDTHS = (DIGEST_SIZE, 8, 8, 8)
+_WIDTH = struct.Struct(">I")
+_COUNT = struct.Struct(">IQ")
+# a proof: its width, then leaf index, leaf count and sibling count, then
+# one width-prefixed digest per sibling
+_PROOF = struct.Struct(">IIQIQIQ")
+_SIBLING_SIZE = 4 + DIGEST_SIZE
+_SIBLING_WIDTH = struct.pack(">I", DIGEST_SIZE)
 
 
-def _encode_proof(p: MerkleProof) -> bytes:
-    return b"".join(
-        [lp(u64(p.leaf_index)), lp(u64(p.leaf_count)), lp(u64(len(p.siblings)))]
-        + [lp(s) for s in p.siblings]
-    )
+def _proof_width(k: int) -> int:
+    return _PROOF.size - _WIDTH.size + _SIBLING_SIZE * k
 
 
-def _read_proof(r: Reader) -> MerkleProof:
-    leaf_index = r.u64_field()
-    leaf_count = r.u64_field()
-    n = r.u64_field()
-    return MerkleProof(leaf_index, leaf_count, tuple(r.field() for _ in range(n)))
+@lru_cache(maxsize=64)
+def _siblings(k: int) -> struct.Struct:
+    return struct.Struct(">" + "I32s" * k)
 
 
 def _digest(d: bytes) -> bytes:
@@ -126,16 +134,18 @@ def encode_message(msg: Message) -> bytes:
         )
         return head + b"".join([_TOPIC.pack(DIGEST_SIZE, _digest(t)) for t in topics])
     if isinstance(msg, Response):
-        body = [
-            lp(msg.lineage),
-            lp(u64(msg.seq)),
-            lp(u64(msg.chunk_start)),
-            lp(u64(len(msg.chunks))),
-        ]
-        body.extend(lp(c) for c in msg.chunks)
-        body.append(lp(u64(len(msg.proofs))))
-        body.extend(lp(_encode_proof(p)) for p in msg.proofs)
-        return bytes([_TAG_RESPONSE]) + b"".join(body)
+        out = [_RESPONSE.pack(_TAG_RESPONSE, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, 8, msg.chunk_start, 8, len(msg.chunks))]
+        for c in msg.chunks:
+            out += (_WIDTH.pack(len(c)), c)
+        out.append(_COUNT.pack(8, len(msg.proofs)))
+        for p in msg.proofs:
+            siblings = p.siblings
+            if set(map(len, siblings)) - {DIGEST_SIZE}:
+                raise ValueError(f"digest field must be {DIGEST_SIZE} bytes")
+            out.append(_PROOF.pack(_proof_width(len(siblings)), 8, p.leaf_index, 8, p.leaf_count, 8, len(siblings)))
+            if siblings:  # each sibling behind its width
+                out.append(_SIBLING_WIDTH + _SIBLING_WIDTH.join(siblings))
+        return b"".join(out)
     if isinstance(msg, Refusal):
         reason = msg.reason.encode()
         return _REFUSAL.pack(_TAG_REFUSAL, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, len(reason)) + reason
@@ -150,10 +160,10 @@ def encode_message(msg: Message) -> bytes:
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
-def _head(s: struct.Struct, buf: bytes) -> tuple:
-    if len(buf) < s.size:
+def _head(s: struct.Struct, buf: bytes, pos: int = 0) -> tuple:
+    if len(buf) < pos + s.size:
         raise ValueError("truncated message")
-    return s.unpack_from(buf)
+    return s.unpack_from(buf, pos)
 
 
 def decode_message(buf: bytes) -> Message:
@@ -173,17 +183,7 @@ def decode_message(buf: bytes) -> Message:
             raise ValueError("bad topic width")
         return Request(lineage, seq, start, count, tuple(t for _, t in topics))
     if tag == _TAG_RESPONSE:
-        r = Reader(buf, 1)
-        lineage = r.field()
-        seq = r.u64_field()
-        start = r.u64_field()
-        nchunks = r.u64_field()
-        chunks = tuple(r.field() for _ in range(nchunks))
-        nproofs = r.u64_field()
-        proofs = tuple(_read_proof(Reader(r.field())) for _ in range(nproofs))
-        if not r.done():
-            raise ValueError("trailing bytes in message")
-        return Response(lineage, seq, start, chunks, proofs)
+        return _decode_response(buf)
     if tag == _TAG_REFUSAL:
         _, w_lineage, lineage, w_seq, seq, w_reason = _head(_REFUSAL, buf)
         if (w_lineage, w_seq) != (DIGEST_SIZE, 8):
@@ -203,6 +203,40 @@ def decode_message(buf: bytes) -> Message:
         body = buf[_FRAME.size :]
         return BlockAnnounce(parse_block(body)) if tag == _TAG_BLOCK_ANNOUNCE else TxAnnounce(parse_tx(body))
     raise ValueError(f"unknown message tag {tag}")
+
+
+def _decode_response(buf: bytes) -> Response:
+    _, w_lineage, lineage, w_seq, seq, w_start, start, w_n, n = _head(_RESPONSE, buf)
+    if (w_lineage, w_seq, w_start, w_n) != _RESPONSE_WIDTHS:
+        raise ValueError("bad response field width")
+    pos = _RESPONSE.size
+    chunks = []
+    for _ in range(n):
+        (w,) = _head(_WIDTH, buf, pos)
+        pos += _WIDTH.size + w
+        if pos > len(buf):
+            raise ValueError("truncated message")
+        chunks.append(buf[pos - w : pos])
+    w_m, m = _head(_COUNT, buf, pos)
+    if w_m != 8:
+        raise ValueError("bad response field width")
+    pos += _COUNT.size
+    proofs = []
+    for _ in range(m):
+        width, w_index, index, w_count, count, w_k, k = _head(_PROOF, buf, pos)
+        if (w_index, w_count, w_k) != (8, 8, 8) or width != _proof_width(k):
+            raise ValueError("bad proof width")
+        # the sibling count is checked against the bytes before it sizes a struct
+        if pos + _WIDTH.size + width > len(buf):
+            raise ValueError("truncated message")
+        fields = _siblings(k).unpack_from(buf, pos + _PROOF.size)
+        if fields[0::2].count(DIGEST_SIZE) != k:
+            raise ValueError("bad sibling width")
+        proofs.append(MerkleProof(index, count, fields[1::2]))
+        pos += _WIDTH.size + width
+    if pos != len(buf):
+        raise ValueError("trailing bytes in message")
+    return Response(lineage, seq, start, tuple(chunks), tuple(proofs))
 
 
 def describe(msg: Message) -> str:

@@ -15,6 +15,7 @@ from ethercouch.crypto import (
     merkle_root,
     payload_root,
     verify_chunk,
+    verify_proofs,
 )
 
 # Published SHA-256 test vector for the empty string.
@@ -238,3 +239,119 @@ def test_chunking():
 def test_payload_root_consistent_with_manual_chunking():
     payload = bytes(range(256)) * 20
     assert payload_root(payload, 512) == merkle_root(chunk_payload(payload, 512))
+
+
+# -- whole-set proof check ------------------------------------------------------
+
+
+def per_chunk_check(chunks, proofs, root):
+    """Reference: chunk i must carry leaf index i and the shared leaf count,
+    and each proof must verify on its own (the receiver's check before
+    verify_proofs)."""
+    if not chunks or len(chunks) != len(proofs) or len(chunks) != proofs[0].leaf_count:
+        return False
+    n = len(chunks)
+    return all(
+        p.leaf_index == i and p.leaf_count == n and verify_chunk(c, p, root)
+        for i, (c, p) in enumerate(zip(chunks, proofs))
+    )
+
+
+def flip(b: bytes, rng) -> bytes:
+    out = bytearray(b)
+    out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    return bytes(out)
+
+
+def tampered_responses(n: int, rng):
+    """(case, chunks, proofs, root) for one seeded n-chunk payload: the
+    honest set, then every tamper the two checks must agree on."""
+    chunks = tuple(chunk_payload(rng.randbytes(64 * (n - 1) + rng.randint(1, 64)), 64))
+    assert len(chunks) == n
+    proofs = merkle_prove(list(chunks), range(n))
+    root = merkle_root(list(chunks))
+    i = rng.randrange(n)
+    p = proofs[i]
+
+    def with_proof(q):
+        return proofs[:i] + (q,) + proofs[i + 1 :]
+
+    yield "honest", chunks, proofs, root
+    yield "flipped-chunk-byte", chunks[:i] + (flip(chunks[i], rng),) + chunks[i + 1 :], proofs, root
+    if p.siblings:
+        k = rng.randrange(len(p.siblings))
+        siblings = p.siblings[:k] + (flip(p.siblings[k], rng),) + p.siblings[k + 1 :]
+        yield "flipped-sibling-byte", chunks, with_proof(MerkleProof(i, n, siblings)), root
+    if n > 1:
+        j = (i + 1 + rng.randrange(n - 1)) % n
+        swapped = list(proofs)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield "swapped-proofs", chunks, tuple(swapped), root
+    yield "wrong-leaf-index", chunks, with_proof(MerkleProof((i + 1) % n if n > 1 else 1, n, p.siblings)), root
+    yield "wrong-leaf-count", chunks, with_proof(MerkleProof(i, n + 1, p.siblings)), root
+    yield "dropped-proof", chunks, proofs[:i] + proofs[i + 1 :], root
+    yield "dropped-chunk", chunks[:i] + chunks[i + 1 :], proofs, root
+    yield "extra-chunk", chunks + (b"extra",), proofs, root
+    other = chunk_payload(rng.randbytes(64 * n), 64)
+    yield "root-of-another-payload", chunks, proofs, merkle_root(other)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 11, 64])
+def test_whole_set_check_agrees_with_the_per_chunk_loop(n):
+    rng = random.Random(n)
+    cases = list(tampered_responses(n, rng))
+    assert len(cases) == 10 - (n == 1) * 2
+    for case, chunks, proofs, root in cases:
+        expected = case == "honest"
+        assert per_chunk_check(chunks, proofs, root) is expected, case
+        assert verify_proofs(chunks, proofs, root) is expected, case
+
+
+def test_whole_set_check_refuses_what_the_loop_takes_from_a_longer_payload():
+    # the loop never reads the copy an odd last node is paired with, so it
+    # takes chunks 0..2 of a 4-chunk payload, with that payload's proofs
+    # relabelled for 3 leaves, under the 4-chunk root
+    full = [b"chunk-0", b"chunk-1", b"chunk-2", b"chunk-3"]
+    root = merkle_root(full)
+    relabelled = tuple(MerkleProof(i, 3, p.siblings) for i, p in enumerate(merkle_prove(full, range(3))))
+    assert per_chunk_check(full[:3], relabelled, root)
+    assert not verify_proofs(full[:3], relabelled, root)
+    assert payload_root(b"".join(full[:3]), 7) != root  # a store would refuse the bytes
+
+
+def test_whole_set_check_hashes_one_tree(monkeypatch):
+    from ethercouch import crypto
+
+    calls = 0
+    real = crypto.hash_bytes
+
+    def counting(payload):
+        nonlocal calls
+        calls += 1
+        return real(payload)
+
+    for n in (1, 3, 64):
+        chunks = [bytes([i]) * 5 for i in range(n)]
+        proofs = merkle_prove(chunks, range(n))
+        root = merkle_root(chunks)
+        monkeypatch.setattr(crypto, "hash_bytes", counting)
+        calls = 0
+        assert verify_proofs(chunks, proofs, root)
+        tree = calls
+        calls = 0
+        assert all(verify_chunk(c, p, root) for c, p in zip(chunks, proofs))
+        monkeypatch.setattr(crypto, "hash_bytes", real)
+        assert tree == 2 * n - 1 + (n == 3)  # 3 leaves pad one level
+        assert calls == n * (crypto._levels(n) + 1)
+    assert (tree, calls) == (127, 448)
+
+
+def test_whole_set_check_refuses_empty_and_malformed_sets():
+    chunks = [b"a", b"b", b"c"]
+    root = merkle_root(chunks)
+    proofs = merkle_prove(chunks, range(3))
+    assert verify_proofs(chunks, proofs, root)
+    assert verify_proofs(tuple(chunks), list(proofs), root)
+    assert not verify_proofs([], (), root)
+    assert not verify_proofs(chunks, proofs[:1] + (MerkleProof(1, 3, proofs[1].siblings[:1]),) + proofs[2:], root)
+    assert not verify_proofs(chunks, proofs[:1] + (MerkleProof(1, 3, (proofs[1].siblings[0][:16], proofs[1].siblings[1])),) + proofs[2:], root)

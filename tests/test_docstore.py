@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import CHUNK, make_add, make_delete, make_edit
-from ethercouch.crypto import hash_bytes, payload_root
+from conftest import CHUNK, EDITOR_A, TOPIC_T, make_add, make_delete, make_edit
+from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root
 from ethercouch.docstore import (
     DuplicateDocument,
     IntegrityError,
@@ -14,7 +14,7 @@ from ethercouch.docstore import (
     TombstoneError,
     UnknownLineage,
 )
-from ethercouch.ledger import lineage_of
+from ethercouch.ledger import DbFunction, Task, lineage_of
 
 
 def add_doc(store, payload, origin=(1, 0), **kw):
@@ -369,3 +369,86 @@ def test_staged_payloads_stay_out_of_snapshots_and_dumps():
     store.stage(secret)
     assert (store.snapshot_bytes(), store.dump_text(), store.payload_bytes()) == before
     assert StoreState.from_snapshot(store.snapshot_bytes()).staged_payload(payload_root(secret, CHUNK)) is None
+
+
+# -- fetched payloads -------------------------------------------------------
+
+
+def proofs_for(chunks):
+    """Every proof of a chunk split and its root: an honest Response's."""
+    return merkle_prove(list(chunks), range(len(chunks))), merkle_root(list(chunks))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"", b"short", bytes(range(8)), bytes(range(16)), bytes(range(20))],
+    ids=["empty", "one-short-chunk", "one-full-chunk", "two-full-chunks", "three-chunks"],
+)
+def test_checked_transfer_applies_without_a_second_hash(monkeypatch, payload):
+    store = StoreState(chunk_size=8)
+    chunks = tuple(chunk_payload(payload, 8))
+    proofs, root = proofs_for(chunks)
+    hashed = count_store_hashes(monkeypatch)
+    checked = store.check_transfer(chunks, proofs, root)
+    assert checked == payload
+    tx = make_add(payload, chunk=8)
+    store.apply_add(tx, checked, (1, 0), lineage_of(tx))
+    assert hashed == []
+    assert store.get_active(lineage_of(tx)) == payload
+
+
+def test_failed_transfer_check_returns_none():
+    store = StoreState(chunk_size=8)
+    chunks = tuple(chunk_payload(bytes(range(20)), 8))
+    proofs, root = proofs_for(chunks)
+    bad = (chunks[0], bytes([chunks[1][0] ^ 1]) + chunks[1][1:], chunks[2])
+    assert store.check_transfer(bad, proofs, root) is None
+    assert store.check_transfer(chunks, proofs[:2], root) is None
+    assert store.check_transfer(chunks, proofs, hash_bytes(b"another root")) is None
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        (b"abcd", b"efghijkl"),
+        (b"abcdefgh", b""),
+        (b"abcdefgh", b"", b"ijkl"),
+        (b"abcdefgh", b"ijklmnopq"),
+        (b"abcdefghi",),
+        (b"", b""),
+    ],
+    ids=["short-first-chunk", "empty-last-chunk", "empty-middle-chunk", "oversized-last-chunk", "oversized-only-chunk", "two-empty-chunks"],
+)
+def test_non_canonical_split_is_hashed_on_apply_and_refused(monkeypatch, chunks):
+    # a hostile publisher anchors the tree root of its own split on chain;
+    # every proof checks against it, but the store still hashes the bytes
+    store = StoreState(chunk_size=8)
+    proofs, root = proofs_for(chunks)
+    payload = store.check_transfer(chunks, proofs, root)
+    assert payload == b"".join(chunks)
+    tx = DbFunction(Task.ADD, root, EDITOR_A, TOPIC_T, 1, ZERO_DIGEST, None)
+    hashed = count_store_hashes(monkeypatch)
+    with pytest.raises(IntegrityError):
+        store.apply_add(tx, payload, (1, 0), lineage_of(tx))
+    assert hashed == [payload]
+    assert not store.has_document(lineage_of(tx))
+
+
+def test_bytes_other_than_the_checked_object_are_hashed(monkeypatch):
+    store = StoreState(chunk_size=8)
+    payload = bytes(range(20))
+    chunks = tuple(chunk_payload(payload, 8))
+    checked = store.check_transfer(chunks, *proofs_for(chunks))
+    hashed = count_store_hashes(monkeypatch)
+    tx = make_add(payload, chunk=8)
+    bad = bytes([payload[0] ^ 1]) + payload[1:]
+    with pytest.raises(IntegrityError):
+        store.apply_add(tx, bad, (1, 0), lineage_of(tx))
+    # the checked object offered for another root is checked against that root
+    other = make_add(bytes(range(1, 21)), chunk=8)
+    with pytest.raises(IntegrityError):
+        store.apply_add(other, checked, (1, 1), lineage_of(other))
+    copy = bytes(bytearray(checked))  # equal, but not the object that was checked
+    store.apply_add(tx, copy, (1, 2), lineage_of(tx))
+    assert hashed == [bad, checked, copy]
+    assert not store.has_document(lineage_of(other))

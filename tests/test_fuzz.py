@@ -92,6 +92,13 @@ BLOCK = raw_block(ChainState(difficulty_bits=0), hash_bytes(b"parent"), 7, [make
         pytest.param(BlockAnnounce(BLOCK), encode_message, decode_message, 7, id="block-announce"),
         pytest.param(BlockRequest(17), encode_message, decode_message, 8, id="block-request"),
         pytest.param(TxAnnounce(TX), encode_message, decode_message, 9, id="tx-announce"),
+        pytest.param(
+            Response(LINEAGE, 2, 0, (b"one chunk",), (merkle_prove([b"one chunk"], 0),)),
+            encode_message,
+            decode_message,
+            11,
+            id="single-chunk-response",
+        ),
     ],
 )
 def test_parser_mutants_raise_only_value_error(value, encode, parse, seed):

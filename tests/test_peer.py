@@ -2,8 +2,8 @@
 
 import pytest
 
-from ethercouch.crypto import chunk_payload, payload_root, verify_chunk
-from ethercouch.ledger import Task, TxRejected, lineage_of
+from ethercouch.crypto import ZERO_DIGEST, chunk_payload, merkle_prove, merkle_root, payload_root, verify_chunk
+from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, editor_hash_for, topic_hash
 from ethercouch.registry import LocationRegistry
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
@@ -274,6 +274,54 @@ def test_corrupt_source_triggers_failover():
     assert bob.store.get_active(key[0]) == payload
 
 
+def test_fetched_payload_costs_one_tree_and_no_hash_on_apply(monkeypatch):
+    import ethercouch.crypto as crypto
+    import ethercouch.docstore as docstore
+
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice = Peer(PeerConfig(name="alice"), env=env, location=location)
+    bob = Peer(PeerConfig(name="bob"), env=env, location=location)
+    payload = bytes(range(250)) * 40  # 3 chunks
+    tx = alice.publish(Task.ADD, NEWS, payload)
+    alice.on_mine_complete()
+    bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+    key = (lineage_of(tx), 1)
+    assert bob.pending[key].state is FetchState.FETCHING
+    honest = alice.serve_request(Request(*key, 0, 0, ()), "bob")
+    assert len(honest.chunks) == 3
+    trees, store_hashes = [], []
+    real_tree, real_root = crypto._tree, docstore.payload_root
+    monkeypatch.setattr(crypto, "_tree", lambda chunks: trees.append(len(chunks)) or real_tree(chunks))
+    monkeypatch.setattr(docstore, "payload_root", lambda p, size: store_hashes.append(p) or real_root(p, size))
+    bob.handle_message(honest, "alice")
+    assert bob.pending[key].state is FetchState.APPLIED
+    assert bob.store.get_active(key[0]) == payload
+    assert trees == [3] and store_hashes == []
+
+
+def test_non_canonical_split_under_its_own_root_is_never_stored():
+    env = FakeEnv()
+    location = LocationRegistry()
+    mallory = Peer(PeerConfig(name="mallory"), env=env, location=location)
+    bob = Peer(PeerConfig(name="bob"), env=env, location=location)
+    # every chunk but the last is short of the chunk size: not how a store
+    # chunks the joined bytes, so their payload root is another digest
+    chunks = (b"x" * 100, b"y" * 100, b"z" * 100)
+    proofs, root = merkle_prove(list(chunks), range(3)), merkle_root(list(chunks))
+    assert payload_root(b"".join(chunks), bob.chunk_size) != root
+    tx = DbFunction(Task.ADD, root, mallory.editor_hash, NEWS, 1, ZERO_DIGEST, None)
+    mallory.chain.submit_tx(tx)
+    mallory.on_mine_complete()
+    announce = [m for (_, dst, m) in env.sent if dst == "*"][-1]
+    bob.handle_message(announce, "mallory")
+    key = (lineage_of(tx), 1)
+    assert bob.pending[key].current_source == "mallory"
+    bob.handle_message(Response(key[0], 1, 0, chunks, proofs), "mallory")
+    assert not bob.store.has_document(key[0])
+    assert bob.pending[key].state is FetchState.FETCHING
+
+
 def test_refusal_advances_candidate():
     env, alice, bob, carol, tx, payload = failover_setup()
     key = (lineage_of(tx), 1)
@@ -383,6 +431,25 @@ def test_confirmed_delete_unstages_every_revision_of_the_lineage():
     assert [peer.store.staged_payload(r) for r in roots] == [None, None]
     for seq in (1, 2):
         assert peer.serve_request(Request(lineage, seq, 0, 0, ()), "bob") == Refusal(lineage, seq, "not-held")
+
+
+def test_confirmed_delete_keeps_bytes_another_live_document_was_published_with():
+    peer, _ = make_peer()
+    payload = b"the same bytes under two topics"
+    first = peer.publish(Task.ADD, NEWS, payload)
+    peer.on_mine_complete()
+    peer.publish(Task.DELETE, NEWS, None, lineage_of(first))
+    second = peer.publish(Task.ADD, OPS, payload)
+    peer.on_mine_complete()  # the delete confirms first, then the second add, in one block
+    lineage = lineage_of(second)
+    assert peer.pending[(lineage, 1)].state is FetchState.APPLIED
+    assert peer.store.get_active(lineage) == payload
+    assert peer.store.get_active(lineage_of(first)) is None
+    assert peer.store.staged_payload(second.data_hash) == payload
+    # the bytes go once no live document of this peer was published with them
+    peer.publish(Task.DELETE, OPS, None, lineage)
+    peer.on_mine_complete()
+    assert peer.store.staged_payload(second.data_hash) is None
 
 
 def test_rejected_duplicate_add_does_not_restage_deleted_bytes():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import EDITOR_A, TOPIC_T, make_add, make_edit
 from ethercouch.codec import lp, u64
-from ethercouch.crypto import chunk_payload, hash_bytes, merkle_prove
+from ethercouch.crypto import MerkleProof, chunk_payload, hash_bytes, merkle_prove
 from ethercouch.ledger import ChainState, lineage_of, serialize_block
 from ethercouch.wire import (
     BlockAnnounce,
@@ -38,6 +38,8 @@ def test_response_roundtrip():
     chunks = chunk_payload(payload, 300)
     proofs = tuple(merkle_prove(chunks, i) for i in range(len(chunks)))
     roundtrip(Response(hash_bytes(b"lin"), 2, 0, tuple(chunks), proofs))
+    roundtrip(Response(hash_bytes(b"lin"), 2, 0, (b"one",), (merkle_prove([b"one"], 0),)))
+    roundtrip(Response(hash_bytes(b"lin"), 2, 5, (), ()))
 
 
 def test_refusal_roundtrip():
@@ -90,6 +92,23 @@ def refusal_bytes(lineage=LINEAGE, seq=SEQ) -> bytes:
     return b"\x03" + lp(lineage) + seq + lp(b"not-held")
 
 
+CHUNKS = (b"two chunks: ", b"this one")
+PROOFS = merkle_prove(list(CHUNKS), range(2))
+
+
+def proof_bytes(proof, index=None, sibling_count=None, siblings=None) -> bytes:
+    siblings = proof.siblings if siblings is None else siblings
+    index = lp(u64(proof.leaf_index)) if index is None else index
+    sibling_count = lp(u64(len(siblings))) if sibling_count is None else sibling_count
+    return lp(index + lp(u64(proof.leaf_count)) + sibling_count + b"".join(lp(s) for s in siblings))
+
+
+def response_bytes(lineage=LINEAGE, seq=SEQ, first_proof=None) -> bytes:
+    proofs = [proof_bytes(PROOFS[0]) if first_proof is None else first_proof, proof_bytes(PROOFS[1])]
+    chunks = lp(u64(len(CHUNKS))) + b"".join(lp(c) for c in CHUNKS)
+    return b"\x02" + lp(lineage) + seq + lp(u64(0)) + chunks + lp(u64(len(proofs))) + b"".join(proofs)
+
+
 def block_with_parent(width: int) -> bytes:
     buf = serialize_block(mined_block())
     return lp(bytes(width)) + buf[4 + 32 :]
@@ -100,6 +119,9 @@ def test_hand_built_canonical_bytes_parse():
     assert decode_message(request_bytes(topics=lp(u64(1)) + lp(TOPIC_T))) == Request(LINEAGE, 4, 4, 4, (TOPIC_T,))
     assert decode_message(refusal_bytes()) == Refusal(LINEAGE, 4, "not-held")
     assert decode_message(b"\x04" + lp(block_with_parent(32))).block.parent == bytes(32)
+    response = Response(LINEAGE, 4, 0, CHUNKS, PROOFS)
+    assert decode_message(response_bytes()) == response
+    assert encode_message(response) == response_bytes()
 
 
 @pytest.mark.parametrize(
@@ -113,6 +135,24 @@ def test_hand_built_canonical_bytes_parse():
         pytest.param(b"\x04" + lp(block_with_parent(31)), id="block-31-byte-parent"),
         pytest.param(b"\x04" + lp(block_with_parent(33)), id="block-33-byte-parent"),
         pytest.param(b"\x05" + lp(u64(17)[1:]), id="blockreq-7-byte-height"),
+        pytest.param(response_bytes(lineage=LINEAGE[:31]), id="response-31-byte-lineage"),
+        pytest.param(response_bytes(seq=lp(u64(4)[1:])), id="response-7-byte-seq"),
+        pytest.param(
+            response_bytes(first_proof=proof_bytes(PROOFS[0], siblings=(PROOFS[0].siblings[0] + b"x",))),
+            id="response-33-byte-sibling",
+        ),
+        pytest.param(
+            # the proof's width is right for two siblings; only their widths are not
+            response_bytes(first_proof=proof_bytes(PROOFS[0], siblings=(LINEAGE[:31], LINEAGE + b"x"))),
+            id="response-31-and-33-byte-siblings",
+        ),
+        pytest.param(
+            response_bytes(first_proof=proof_bytes(PROOFS[0], index=lp(u64(0)[1:]))), id="response-7-byte-leaf-index"
+        ),
+        pytest.param(
+            response_bytes(first_proof=proof_bytes(PROOFS[0], sibling_count=lp(u64(2)))),
+            id="response-proof-width-disagrees-with-sibling-count",
+        ),
     ],
 )
 def test_non_canonical_widths_are_refused(buf):
@@ -125,3 +165,8 @@ def test_encode_refuses_a_digest_that_is_not_32_bytes():
         encode_message(Request(LINEAGE[:31], 1))
     with pytest.raises(ValueError):
         encode_message(Refusal(LINEAGE + b"x", 1, "not-held"))
+    with pytest.raises(ValueError):
+        encode_message(Response(LINEAGE[:31], 1, 0, CHUNKS, PROOFS))
+    for sibling in (PROOFS[0].siblings[0][:31], PROOFS[0].siblings[0] + b"x"):
+        with pytest.raises(ValueError):
+            encode_message(Response(LINEAGE, 1, 0, CHUNKS, (MerkleProof(0, 2, (sibling,)), PROOFS[1])))
