@@ -17,7 +17,7 @@ Wire contract (must match across implementations):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # A Digest is plain bytes, always exactly 32 of them.
 Digest = bytes
@@ -65,13 +65,13 @@ def payload_root(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Digest
     return merkle_root(chunk_payload(payload, chunk_size))
 
 
-@dataclass(frozen=True)
-class MerkleProof:
+class MerkleProof(NamedTuple):
     """Inclusion proof for one chunk.
 
     siblings are ordered from the leaf level up to just below the root.
     For a tree of n leaves the proof carries ceil(log2(n)) siblings
-    (0 for a single-leaf tree).
+    (0 for a single-leaf tree). A named tuple, so it is cheap to build and
+    compares equal to the plain tuple (leaf_index, leaf_count, siblings).
     """
 
     leaf_index: int

@@ -105,6 +105,11 @@ class StoreState:
     part of a snapshot. A fetched payload is checked here too, against
     one tree (``check_transfer``), and is not hashed again when that very
     object applies. Every other payload is hashed before it lands.
+
+    The store also keeps, per root, the proofs of all chunks of the
+    payload held under it (``proof_sets``), which the peer builds on the
+    first push or serve of that root and cuts every later one from. A set
+    goes when its root's bytes leave the store (``unstage``, a delete).
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -122,6 +127,8 @@ class StoreState:
         self._staged: dict[Digest, bytes] = {}
         # (root, joined bytes) of the last canonical transfer that checked
         self._checked: tuple[Digest, bytes] | None = None
+        # root -> (the payload, the proofs of all its chunks)
+        self.proof_sets: dict[Digest, tuple[bytes, tuple[MerkleProof, ...]]] = {}
 
     # -- publisher staging ------------------------------------------------
 
@@ -136,6 +143,7 @@ class StoreState:
 
     def unstage(self, data_hash: Digest) -> None:
         self._staged.pop(data_hash, None)
+        self.proof_sets.pop(data_hash, None)
 
     # -- fetched payloads -------------------------------------------------
 
@@ -261,8 +269,10 @@ class StoreState:
         doc.deleted = True
         doc.deleted_seq = delete_seq
         for rev in doc.revisions:
-            # side-buffer copies go too, even for revisions already emptied
+            # side-buffer copies and proof sets go too, even for revisions
+            # already emptied
             self._retained.pop(rev.data_hash, None)
+            self.proof_sets.pop(rev.data_hash, None)
             rev.payload = None
         self._pending.pop(doc.lineage, None)
 
@@ -301,13 +311,13 @@ class StoreState:
             raise UnknownLineage(digest_hex(lineage))
         return list(doc.revisions)
 
-    def revision_payload(self, lineage: Digest, seq: int) -> bytes | None:
+    def revision(self, lineage: Digest, seq: int) -> Revision | None:
         doc = self.docs.get(lineage)
         if doc is None:
             return None
         for rev in doc.revisions:
             if rev.seq == seq:
-                return rev.payload
+                return rev
         return None
 
     def has_document(self, lineage: Digest) -> bool:

@@ -210,7 +210,9 @@ _BLOCK_HEAD = struct.Struct(">I32sIQIQI32sIQ")
 _BLOCK_WIDTHS = (DIGEST_SIZE, 8, 8, DIGEST_SIZE, 8)
 
 
-def parse_block(buf: bytes) -> Block:
+def parse_block(buf: bytes, block_hash: Digest | None = None) -> Block:
+    """Strict inverse of ``serialize_block``. ``block_hash``, if given, is
+    the caller's sha256 of ``buf``, so the bytes are not hashed again."""
     if len(buf) < _BLOCK_HEAD.size:
         raise ValueError("truncated block")
     (w_parent, parent, w_height, height, w_nonce, nonce,
@@ -222,7 +224,9 @@ def parse_block(buf: bytes) -> Block:
     if not r.done():
         raise ValueError("trailing bytes after block")
     buf = bytes(buf)
-    return _with_bytes(Block(parent, height, nonce, miner, txs, hash_bytes(buf)), buf)
+    if block_hash is None:
+        block_hash = hash_bytes(buf)
+    return _with_bytes(Block(parent, height, nonce, miner, txs, block_hash), buf)
 
 
 def block_text(block: Block) -> str:

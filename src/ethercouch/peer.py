@@ -14,7 +14,9 @@ them. Bytes the peer already holds (payloads it published, which its
 store stages, payloads retained across a rollback, and pushes cached
 ahead of their block) go to the store unchecked: the store's hash on
 apply is the one check, and it skips the hash only for bytes it staged
-or checked under that root.
+or checked under that root. A holder proves each payload once: the first
+push or serve of a root builds the proofs of all its chunks from one
+tree, and the store keeps them for every later push and serve.
 
 The peer is a deterministic event-driven machine: the surrounding
 environment (a simulator here) feeds it messages, mining completions,
@@ -35,6 +37,7 @@ from functools import cached_property
 from .crypto import (
     Digest,
     ZERO_DIGEST,
+    MerkleProof,
     chunk_payload,
     digest_hex,
     hash_bytes,
@@ -440,12 +443,14 @@ class Peer:
         doc = self.store.docs.get(req.lineage)
         if doc is not None:
             topic = doc.topic_id
-            payload = self.store.revision_payload(req.lineage, req.seq)
+            rev = self.store.revision(req.lineage, req.seq)
+            if rev is not None:
+                root, payload = rev.data_hash, rev.payload
         if payload is None:
             for entry in self.chain.registry.query_by_lineage(req.lineage):
                 if entry.tx.sequence_id == req.seq:
-                    topic = entry.tx.topic_id
-                    payload = self.store.staged_payload(entry.tx.data_hash)
+                    topic, root = entry.tx.topic_id, entry.tx.data_hash
+                    payload = self.store.staged_payload(root)
                     break
         if topic is None:
             return Refusal(req.lineage, req.seq, "not-held")
@@ -453,18 +458,25 @@ class Peer:
             return Refusal(req.lineage, req.seq, "filter-refused")
         if payload is None:
             return Refusal(req.lineage, req.seq, "not-held")
-        chunks = chunk_payload(payload, self.chunk_size)
-        stop = len(chunks) if req.chunk_count == 0 else min(len(chunks), req.chunk_start + req.chunk_count)
-        indices = range(req.chunk_start, stop)
-        if not indices:
+        chunks, proofs = self._proved_chunks(root, payload)
+        start = req.chunk_start
+        stop = len(chunks) if req.chunk_count == 0 else min(len(chunks), start + req.chunk_count)
+        if not 0 <= start < stop:
             return Refusal(req.lineage, req.seq, "not-held")
-        return Response(
-            req.lineage,
-            req.seq,
-            req.chunk_start,
-            tuple(chunks[i] for i in indices),
-            merkle_prove(chunks, indices),
-        )
+        # a sub-range's proofs are cut from the same tree as the whole set
+        return Response(req.lineage, req.seq, start, tuple(chunks[start:stop]), proofs[start:stop])
+
+    def _proved_chunks(self, root: Digest, payload: bytes) -> tuple[list[bytes], tuple[MerkleProof, ...]]:
+        """The chunks of a payload held under ``root`` and the proofs of all
+        of them. The first push or serve of a root builds the proofs from
+        one tree and the store keeps them; a set serves only the bytes it
+        was built from, so payloads the store never hashed (plain-mode
+        writes, all under the zero digest) never get another's proofs."""
+        chunks = chunk_payload(payload, self.chunk_size)
+        held = self.store.proof_sets.get(root)
+        if held is None or (held[0] is not payload and held[0] != payload):
+            held = self.store.proof_sets[root] = (payload, merkle_prove(chunks, range(len(chunks))))
+        return chunks, held[1]
 
     # -- fetching -------------------------------------------------------------
 
@@ -672,14 +684,8 @@ class Peer:
         payload = self.store.staged_payload(tx.data_hash)
         if payload is None:
             return
-        chunks = chunk_payload(payload, self.chunk_size)
-        resp = Response(
-            lineage_of(tx),
-            tx.sequence_id,
-            0,
-            tuple(chunks),
-            merkle_prove(chunks, range(len(chunks))),
-        )
+        chunks, proofs = self._proved_chunks(tx.data_hash, payload)
+        resp = Response(lineage_of(tx), tx.sequence_id, 0, tuple(chunks), proofs)
         raw = None
         for name in recipients:
             raw = self.env.send(self, name, resp, raw)

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .crypto import hash_bytes
-from .ledger import Task, TxRejected, lineage_of
+from .ledger import Block, Task, TxRejected, lineage_of
 from .peer import Mode, Peer, PeerConfig, topic_hash
 from .registry import LocationRegistry
 from .wire import decode_message, describe, encode_message
@@ -187,6 +187,9 @@ class Simulation:
         self._mine_armed: dict[str, bool] = {}
         self._poll_armed: dict[str, bool] = {}
         self.peers: dict[str, Peer] = {}
+        # every block parsed off the wire in this run, by hash: a block sent
+        # again (catch-up batches mostly re-send held ones) is parsed once
+        self._blocks: dict[bytes, Block] = {}
         for cfg in scenario.peers:
             peer = Peer(
                 cfg,
@@ -324,7 +327,7 @@ class Simulation:
             rec = ev.payload
             msg = rec.get("msg")
             if msg is None:
-                msg = rec["msg"] = decode_message(rec["raw"])
+                msg = rec["msg"] = decode_message(rec["raw"], self._blocks)
                 rec["text"] = describe(msg)
             if not peer.online:
                 self.trace.add(f"{ev.at:>7} drop  ->{ev.target} offline-at-arrival {rec['text']}")

@@ -17,7 +17,9 @@ each behind its width, then its proofs, each a fixed head and a run of
 fixed-width sibling records. A digest field (lineage, topic, sibling) of
 any width but 32 bytes or an integer field of any width but 8 is refused.
 Messages are frozen, so one parsed message may be handed to every
-recipient of the same bytes.
+recipient of the same bytes, and a caller may keep a table of the blocks
+it parsed: an announced block whose bytes hash to a key of that table is
+that block (its hash is the sha256 of those very bytes).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .crypto import DIGEST_SIZE, Digest, MerkleProof
+from .crypto import DIGEST_SIZE, Digest, MerkleProof, hash_bytes
 from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_block, serialize_tx
 
 
@@ -166,9 +168,13 @@ def _head(s: struct.Struct, buf: bytes, pos: int = 0) -> tuple:
     return s.unpack_from(buf, pos)
 
 
-def decode_message(buf: bytes) -> Message:
+def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Message:
     """Strict inverse of ``encode_message``: only the canonical encoding
-    parses. Every failure is a ValueError."""
+    parses. Every failure is a ValueError.
+
+    ``blocks``, if given, maps block hashes to blocks parsed before: an
+    announced block already there is reused, and one parsed here is added.
+    """
     if not buf:
         raise ValueError("empty message")
     tag = buf[0]
@@ -201,8 +207,20 @@ def decode_message(buf: bytes) -> Message:
         if width != len(buf) - _FRAME.size:
             raise ValueError("bad message body length")
         body = buf[_FRAME.size :]
-        return BlockAnnounce(parse_block(body)) if tag == _TAG_BLOCK_ANNOUNCE else TxAnnounce(parse_tx(body))
+        if tag == _TAG_TX_ANNOUNCE:
+            return TxAnnounce(parse_tx(body))
+        return BlockAnnounce(parse_block(body) if blocks is None else _known_block(body, blocks))
     raise ValueError(f"unknown message tag {tag}")
+
+
+def _known_block(body: bytes, blocks: dict[Digest, Block]) -> Block:
+    # equal hashes mean equal canonical bytes, so the block parsed from them
+    # serves again; a body that does not parse raises and is never added
+    block_hash = hash_bytes(body)
+    block = blocks.get(block_hash)
+    if block is None:
+        block = blocks[block_hash] = parse_block(body, block_hash)
+    return block
 
 
 def _decode_response(buf: bytes) -> Response:

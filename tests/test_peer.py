@@ -300,6 +300,99 @@ def test_fetched_payload_costs_one_tree_and_no_hash_on_apply(monkeypatch):
     assert trees == [3] and store_hashes == []
 
 
+def count_trees(monkeypatch):
+    """Record the leaf count of every merkle tree built from here on."""
+    import ethercouch.crypto as crypto
+
+    trees, real_tree = [], crypto._tree
+    monkeypatch.setattr(crypto, "_tree", lambda chunks: trees.append(len(chunks)) or real_tree(chunks))
+    return trees
+
+
+def test_publisher_builds_one_tree_for_a_push_and_two_serves(monkeypatch):
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice = Peer(PeerConfig(name="alice"), env=env, location=location)
+    bob = Peer(PeerConfig(name="bob"), env=env, location=location)
+    payload = bytes(range(250)) * 40  # 3 chunks
+    tx = alice.publish(Task.ADD, NEWS, payload)
+    alice.on_mine_complete()  # nobody else is up to date yet: no push
+    key = (lineage_of(tx), 1)
+    trees = count_trees(monkeypatch)
+    location.mark_up_to_date(bob.editor_hash, alice.chain.tip)
+    env.sent.clear()
+    alice._push_payload(tx)
+    served = [alice.serve_request(Request(*key, 0, 0, ()), name) for name in ("bob", "carol")]
+    pushed = [m for (_, dst, m) in env.sent if dst == "bob"]
+    assert len(pushed) == 1 and trees == [3]
+    chunks = chunk_payload(payload, alice.chunk_size)
+    for resp in pushed + served:
+        assert resp.chunks == tuple(chunks)
+        assert resp.proofs == merkle_prove(chunks, range(3))
+
+
+def fetched_by_bob():
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice = Peer(PeerConfig(name="alice"), env=env, location=location)
+    bob = Peer(PeerConfig(name="bob"), env=env, location=location)
+    payload = bytes(range(250)) * 40  # 3 chunks
+    tx = alice.publish(Task.ADD, NEWS, payload)
+    alice.on_mine_complete()
+    bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+    key = (lineage_of(tx), 1)
+    bob.handle_message(alice.serve_request(Request(*key, 0, 0, ()), "bob"), "alice")
+    assert bob.pending[key].state is FetchState.APPLIED
+    return env, alice, bob, tx, payload
+
+
+def test_receiver_builds_one_tree_to_serve_a_fetched_payload_twice(monkeypatch):
+    _, _, bob, tx, payload = fetched_by_bob()
+    trees = count_trees(monkeypatch)
+    served = [bob.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), name) for name in ("carol", "dave")]
+    assert trees == [3]
+    chunks = chunk_payload(payload, bob.chunk_size)
+    assert all(resp.proofs == merkle_prove(chunks, range(3)) for resp in served)
+
+
+def test_proof_sets_leave_with_their_bytes():
+    env, alice, bob, tx, _ = fetched_by_bob()
+    lineage, root = lineage_of(tx), tx.data_hash
+    for peer in (alice, bob):
+        assert isinstance(peer.serve_request(Request(lineage, 1, 0, 0, ()), "carol"), Response)
+        assert root in peer.store.proof_sets
+    # a confirmed delete erases the bytes at the publisher and the receiver
+    alice.publish(Task.DELETE, NEWS, None, lineage)
+    alice.on_mine_complete()
+    bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+    for peer in (alice, bob):
+        assert root not in peer.store.proof_sets
+        assert peer.serve_request(Request(lineage, 1, 0, 0, ()), "carol") == Refusal(lineage, 1, "not-held")
+    # unstaged bytes a publisher served before they applied
+    carol, _ = make_peer("carol", confirmation_depth=3)
+    staged = carol.publish(Task.ADD, NEWS, b"served from staging")
+    carol.on_mine_complete()  # depth 1 of 3: in the registry, not in the store
+    key = (lineage_of(staged), 1)
+    assert isinstance(carol.serve_request(Request(*key, 0, 0, ()), "bob"), Response)
+    assert staged.data_hash in carol.store.proof_sets
+    carol.store.unstage(staged.data_hash)
+    assert staged.data_hash not in carol.store.proof_sets
+    assert carol.serve_request(Request(*key, 0, 0, ()), "bob") == Refusal(*key, "not-held")
+
+
+def test_plain_documents_under_the_zero_digest_keep_their_own_proofs():
+    peer, _ = make_peer(mode=Mode.PLAIN)
+    docs = {topic_hash("first"): bytes(range(250)) * 40, topic_hash("second"): bytes(range(200)) * 50}
+    for lineage, payload in docs.items():
+        peer.publish(Task.ADD, NEWS, payload, lineage)
+        assert peer.store.history(lineage)[-1].data_hash == ZERO_DIGEST
+    for lineage in list(docs) * 2:
+        chunks = chunk_payload(docs[lineage], peer.chunk_size)
+        resp = peer.serve_request(Request(lineage, 1, 0, 0, ()), "bob")
+        assert resp.chunks == tuple(chunks)
+        assert resp.proofs == merkle_prove(chunks, range(len(chunks)))
+
+
 def test_non_canonical_split_under_its_own_root_is_never_stored():
     env = FakeEnv()
     location = LocationRegistry()

@@ -14,7 +14,7 @@ from ethercouch.simnet import (
     scenario_from_json,
     scenario_to_json,
 )
-from ethercouch.wire import BlockRequest, Refusal, Response, decode_message, describe, encode_message
+from ethercouch.wire import BlockAnnounce, BlockRequest, Refusal, Response, decode_message, describe, encode_message
 
 
 def three_peer_scenario(seed=1, **kw):
@@ -125,9 +125,9 @@ def count_codec_calls(monkeypatch):
         encoded.append(msg)
         return encode_message(msg)
 
-    def counting_decode(raw):
+    def counting_decode(raw, *blocks):
         decoded.append(raw)
-        return decode_message(raw)
+        return decode_message(raw, *blocks)
 
     monkeypatch.setattr(simnet, "encode_message", counting_encode)
     monkeypatch.setattr(simnet, "decode_message", counting_decode)
@@ -182,6 +182,41 @@ def test_push_payload_is_encoded_and_parsed_once_for_all_up_to_date_peers(monkey
     fresh = decode_message(decoded[0])
     assert isinstance(fresh, Response) and len(fresh.chunks) == 5
     assert all(m is got[0][1] and m == fresh for _, m in got)
+
+
+def test_a_block_delivered_twice_is_parsed_once(monkeypatch):
+    import ethercouch.wire as wire
+
+    parsed = []
+    real_parse = wire.parse_block
+    monkeypatch.setattr(wire, "parse_block", lambda *a: parsed.append(a[0]) or real_parse(*a))
+    sim = Simulation(Scenario(seed=4, peers=[PeerConfig(name=f"p{i}") for i in range(3)]))
+    alice = sim.peers["p0"]
+    alice.publish(Task.ADD, topic_hash("news"), b"one block, two deliveries")
+    block = alice.chain.mine_block(alice.editor_hash)
+    sim._heap.clear()
+    got = record_deliveries(monkeypatch, sim)
+    # two separate encodings of the same block, as two catch-up batches send it
+    sim.send(alice, "p1", BlockAnnounce(block))
+    sim.send(alice, "p2", BlockAnnounce(block))
+    sim.run()
+    assert len(parsed) == 1 and len(got) == 2
+    assert got[0][1] is not got[1][1] and got[0][1].block is got[1][1].block
+    assert got[0][1].block == block and got[0][1].block.block_hash == block.block_hash
+    # one changed byte (the nonce's last) is another block, parsed on its own
+    raw = bytearray(encode_message(BlockAnnounce(block)))
+    raw[5 + 4 + 32 + 4 + 8 + 4 + 7] ^= 1
+    other = decode_message(bytes(raw), sim._blocks).block
+    assert len(parsed) == 2 and other.nonce == block.nonce ^ 1 and other.block_hash != block.block_hash
+    assert decode_message(bytes(raw), sim._blocks).block is other and len(parsed) == 2
+    # a malformed body (a 33-byte parent width) still raises, and is never kept
+    bad = bytearray(encode_message(BlockAnnounce(block)))
+    bad[5 + 3] ^= 1
+    known = dict(sim._blocks)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            decode_message(bytes(bad), sim._blocks)
+    assert sim._blocks == known and len(parsed) == 4
 
 
 def test_trace_times_non_decreasing():
