@@ -16,6 +16,7 @@ Chain order is the only authority on sequencing.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .codec import Reader, lp, u64
@@ -107,9 +108,11 @@ class StoreState:
     object applies. Every other payload is hashed before it lands.
 
     The store also keeps, per root, the proofs of all chunks of the
-    payload held under it (``proof_sets``), which the peer builds on the
-    first push or serve of that root and cuts every later one from. A set
-    goes when its root's bytes leave the store (``unstage``, a delete).
+    payload held under it (``proof_set``), built on the first push or
+    serve of that root and cut for every later one. A set goes when its
+    root is unstaged or when any document holding that root is deleted,
+    even if another document still holds the same bytes; the next push or
+    serve of those bytes builds it again.
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -128,7 +131,7 @@ class StoreState:
         # (root, joined bytes) of the last canonical transfer that checked
         self._checked: tuple[Digest, bytes] | None = None
         # root -> (the payload, the proofs of all its chunks)
-        self.proof_sets: dict[Digest, tuple[bytes, tuple[MerkleProof, ...]]] = {}
+        self._proof_sets: dict[Digest, tuple[bytes, tuple[MerkleProof, ...]]] = {}
 
     # -- publisher staging ------------------------------------------------
 
@@ -143,7 +146,22 @@ class StoreState:
 
     def unstage(self, data_hash: Digest) -> None:
         self._staged.pop(data_hash, None)
-        self.proof_sets.pop(data_hash, None)
+        self._proof_sets.pop(data_hash, None)
+
+    # -- proof sets -------------------------------------------------------
+
+    def proof_set(self, root: Digest, payload: bytes, build: Callable[[], tuple[MerkleProof, ...]]) -> tuple[MerkleProof, ...]:
+        """The proofs of all chunks of ``payload``, held under ``root``.
+
+        ``build`` makes them on the first call for a root, and the store
+        keeps them for later calls. A set serves only the bytes it was built
+        from, so payloads the store never hashed (plain-mode writes, all
+        under the zero digest) never get another's proofs.
+        """
+        held = self._proof_sets.get(root)
+        if held is None or (held[0] is not payload and held[0] != payload):
+            held = self._proof_sets[root] = (payload, build())
+        return held[1]
 
     # -- fetched payloads -------------------------------------------------
 
@@ -272,7 +290,7 @@ class StoreState:
             # side-buffer copies and proof sets go too, even for revisions
             # already emptied
             self._retained.pop(rev.data_hash, None)
-            self.proof_sets.pop(rev.data_hash, None)
+            self._proof_sets.pop(rev.data_hash, None)
             rev.payload = None
         self._pending.pop(doc.lineage, None)
 

@@ -468,15 +468,10 @@ class Peer:
 
     def _proved_chunks(self, root: Digest, payload: bytes) -> tuple[list[bytes], tuple[MerkleProof, ...]]:
         """The chunks of a payload held under ``root`` and the proofs of all
-        of them. The first push or serve of a root builds the proofs from
-        one tree and the store keeps them; a set serves only the bytes it
-        was built from, so payloads the store never hashed (plain-mode
-        writes, all under the zero digest) never get another's proofs."""
+        of them, which the store keeps after the first push or serve of a
+        root builds them from one tree."""
         chunks = chunk_payload(payload, self.chunk_size)
-        held = self.store.proof_sets.get(root)
-        if held is None or (held[0] is not payload and held[0] != payload):
-            held = self.store.proof_sets[root] = (payload, merkle_prove(chunks, range(len(chunks))))
-        return chunks, held[1]
+        return chunks, self.store.proof_set(root, payload, lambda: merkle_prove(chunks, range(len(chunks))))
 
     # -- fetching -------------------------------------------------------------
 

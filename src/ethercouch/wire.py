@@ -172,8 +172,9 @@ def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Mes
     """Strict inverse of ``encode_message``: only the canonical encoding
     parses. Every failure is a ValueError.
 
-    ``blocks``, if given, maps block hashes to blocks parsed before: an
-    announced block already there is reused, and one parsed here is added.
+    ``blocks`` maps block hashes to blocks parsed before: an announced
+    block already there is reused, and one parsed here is added. Without
+    a table, each call parses into a table of its own.
     """
     if not buf:
         raise ValueError("empty message")
@@ -209,7 +210,7 @@ def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Mes
         body = buf[_FRAME.size :]
         if tag == _TAG_TX_ANNOUNCE:
             return TxAnnounce(parse_tx(body))
-        return BlockAnnounce(parse_block(body) if blocks is None else _known_block(body, blocks))
+        return BlockAnnounce(_known_block(body, {} if blocks is None else blocks))
     raise ValueError(f"unknown message tag {tag}")
 
 

@@ -360,13 +360,13 @@ def test_proof_sets_leave_with_their_bytes():
     lineage, root = lineage_of(tx), tx.data_hash
     for peer in (alice, bob):
         assert isinstance(peer.serve_request(Request(lineage, 1, 0, 0, ()), "carol"), Response)
-        assert root in peer.store.proof_sets
+        assert root in peer.store._proof_sets
     # a confirmed delete erases the bytes at the publisher and the receiver
     alice.publish(Task.DELETE, NEWS, None, lineage)
     alice.on_mine_complete()
     bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
     for peer in (alice, bob):
-        assert root not in peer.store.proof_sets
+        assert root not in peer.store._proof_sets
         assert peer.serve_request(Request(lineage, 1, 0, 0, ()), "carol") == Refusal(lineage, 1, "not-held")
     # unstaged bytes a publisher served before they applied
     carol, _ = make_peer("carol", confirmation_depth=3)
@@ -374,9 +374,9 @@ def test_proof_sets_leave_with_their_bytes():
     carol.on_mine_complete()  # depth 1 of 3: in the registry, not in the store
     key = (lineage_of(staged), 1)
     assert isinstance(carol.serve_request(Request(*key, 0, 0, ()), "bob"), Response)
-    assert staged.data_hash in carol.store.proof_sets
+    assert staged.data_hash in carol.store._proof_sets
     carol.store.unstage(staged.data_hash)
-    assert staged.data_hash not in carol.store.proof_sets
+    assert staged.data_hash not in carol.store._proof_sets
     assert carol.serve_request(Request(*key, 0, 0, ()), "bob") == Refusal(*key, "not-held")
 
 
