@@ -1,12 +1,14 @@
 """Insert-scaling benchmark across the three storage modes, plus the
 hash/mapping verifier used by the CLI.
 
-The benchmark drives a single-node scenario per (mode, count) cell:
-publish ``count`` synthetic maintenance tickets, mine them, apply them,
-and time the whole pipeline wall-clock. Each cell runs several times and
-reports the mean. Simulated tick counts and byte counters are functions
-of the seed alone, so they are identical across repetitions; only wall
-time varies.
+Per (mode, count) cell, the ethercouch and chainonly modes drive a
+single-node scenario: publish ``count`` synthetic maintenance tickets,
+mine them, apply them, and time the whole pipeline wall-clock. The plain
+mode is the conventional-database baseline: ``count`` direct in-memory
+writes into a fresh document store, with no peer and no chain. Each cell
+runs several times and reports the mean. Simulated tick counts and byte
+counters are functions of the seed alone, so they are identical across
+repetitions; only wall time varies.
 
 Byte accounting: ``chain_bytes`` is the total serialized size of the
 transactions on the canonical chain. In hash-anchored mode every record
@@ -22,19 +24,20 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .crypto import digest_hex, payload_root
-from .docstore import StoreState
+from .crypto import ZERO_DIGEST, digest_hex, hash_bytes, payload_root
+from .docstore import Document, Revision, StoreState
 from .ledger import ChainState, serialize_tx
-from .peer import Mode, PeerConfig
+from .peer import Mode, PeerConfig, topic_hash
 from .registry import DataRegistry
 from .simnet import Scenario, ScriptAction, Simulation
 
 TICKET_TOPIC = "maintenance-tickets"
+MODES = ("ethercouch", "chainonly", "plain")
 
 
 @dataclass
 class BenchSpec:
-    mode: str  # ethercouch | chainonly | plain
+    mode: str  # one of MODES
     counts: list[int]
     doc_size: int = 4096
     repetitions: int = 5
@@ -43,7 +46,8 @@ class BenchSpec:
     max_txs_per_block: int = 100
 
     def validate(self) -> None:
-        Mode(self.mode)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}")
         if not self.counts:
             raise ValueError("counts must be non-empty")
         if any(c < 1 for c in self.counts):
@@ -80,6 +84,10 @@ def make_ticket(seed: int, index: int, size: int) -> bytes:
     return header + deterministic_bytes(f"ticket:{seed}:{index}", size - len(header))
 
 
+def _tickets(spec: BenchSpec, count: int) -> dict[int, bytes]:
+    return {i: make_ticket(spec.seed, i, spec.doc_size) for i in range(count)}
+
+
 def _bench_scenario(spec: BenchSpec, count: int) -> tuple[Scenario, dict[int, bytes]]:
     script = [
         ScriptAction(0, "publish", "node0", {"doc": f"ticket-{i}", "topic": TICKET_TOPIC, "size": spec.doc_size})
@@ -97,8 +105,22 @@ def _bench_scenario(spec: BenchSpec, count: int) -> tuple[Scenario, dict[int, by
         chunk_size=spec.chunk_size,
         max_txs_per_block=spec.max_txs_per_block,
     )
-    payloads = {i: make_ticket(spec.seed, i, spec.doc_size) for i in range(count)}
-    return scenario, payloads
+    return scenario, _tickets(spec, count)
+
+
+def plain_store(spec: BenchSpec, payloads: dict[int, bytes]) -> StoreState:
+    """The plain baseline: one direct write per ticket into a fresh store.
+
+    Ticket i becomes revision 1 of lineage ``hash_bytes(b"plain-doc:" +
+    b"ticket-<i>")``, held under the zero digest at origin (0, 0). Nothing
+    is hashed, chained or replicated, and no peer ever serves this store.
+    """
+    store = StoreState(chunk_size=spec.chunk_size)
+    topic = topic_hash(TICKET_TOPIC)
+    for i, payload in payloads.items():
+        lineage = hash_bytes(b"plain-doc:" + f"ticket-{i}".encode())
+        store.docs[lineage] = Document(lineage, topic, [Revision(1, ZERO_DIGEST, payload, (0, 0))])
+    return store
 
 
 def chain_tx_bytes(chain: ChainState) -> int:
@@ -106,16 +128,8 @@ def chain_tx_bytes(chain: ChainState) -> int:
     return sum(len(serialize_tx(tx)) for tx, _, _ in chain.canonical_txs())
 
 
-def run_once(spec: BenchSpec, count: int) -> tuple[float, int, int, int]:
-    """One timed pipeline run: (wall seconds, ticks, chain bytes, store bytes).
-
-    The timed region is the pipeline itself (publish, mine, apply); payload
-    generation and simulator setup sit outside it, and a garbage collection
-    runs first so earlier cells cannot pause this one.
-    """
-    scenario, payloads = _bench_scenario(spec, count)
-    sim = Simulation(scenario)
-    sim.payload_overrides = payloads
+def _timed(run):
+    """(wall seconds, result) of one call of ``run``."""
     # same discipline as timeit: collect first, then keep the collector
     # out of the timed region so its pauses cannot land on one mode
     gc.collect()
@@ -123,11 +137,29 @@ def run_once(spec: BenchSpec, count: int) -> tuple[float, int, int, int]:
     gc.disable()
     try:
         t0 = time.perf_counter()
-        result = sim.run()
-        wall = time.perf_counter() - t0
+        result = run()
+        return time.perf_counter() - t0, result
     finally:
         if was_enabled:
             gc.enable()
+
+
+def run_once(spec: BenchSpec, count: int) -> tuple[float, int, int, int]:
+    """One timed pipeline run: (wall seconds, ticks, chain bytes, store bytes).
+
+    The timed region is the pipeline itself (publish, mine, apply; for
+    plain, the direct writes); payload generation and simulator setup sit
+    outside it, and a garbage collection runs first so earlier cells cannot
+    pause this one.
+    """
+    if spec.mode == "plain":
+        payloads = _tickets(spec, count)
+        wall, store = _timed(lambda: plain_store(spec, payloads))
+        return wall, 0, 0, store.payload_bytes()
+    scenario, payloads = _bench_scenario(spec, count)
+    sim = Simulation(scenario)
+    sim.payload_overrides = payloads
+    wall, result = _timed(sim.run)
     node = result.peer("node0")
     if node.chain.mempool or node.unapplied_pending() or node.deferred:
         raise RuntimeError(f"benchmark cell did not quiesce: {spec.mode} count={count}")

@@ -16,13 +16,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BenchSpec, emit_csv, run_bench, run_matrix, verify_dir
+from .bench import MODES, BenchSpec, emit_csv, run_bench, run_matrix, verify_dir
 from .docstore import StoreState
 from .ledger import ChainState
 from .registry import DataRegistry
 from .simnet import Simulation, scenario_from_json
-
-MODES = ("ethercouch", "chainonly", "plain")
 
 
 def _cmd_bench(args) -> int:

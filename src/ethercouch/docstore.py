@@ -105,14 +105,16 @@ class StoreState:
     hash. Staged payloads stay until the peer unstages them and are not
     part of a snapshot. A fetched payload is checked here too, against
     one tree (``check_transfer``), and is not hashed again when that very
-    object applies. Every other payload is hashed before it lands.
+    object applies. Every other payload is hashed before it lands, so
+    every payload taken in by these methods hashes to the root it is held
+    under.
 
     The store also keeps, per root, the proofs of all chunks of the
     payload held under it (``proof_set``), built on the first push or
-    serve of that root and cut for every later one. A set goes when its
-    root is unstaged or when any document holding that root is deleted,
-    even if another document still holds the same bytes; the next push or
-    serve of those bytes builds it again.
+    serve of that root and reused for every later one. A set goes when
+    its root is unstaged or when any document holding that root is
+    deleted, even if another document still holds the same bytes; the
+    next push or serve of those bytes builds it again.
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -130,8 +132,8 @@ class StoreState:
         self._staged: dict[Digest, bytes] = {}
         # (root, joined bytes) of the last canonical transfer that checked
         self._checked: tuple[Digest, bytes] | None = None
-        # root -> (the payload, the proofs of all its chunks)
-        self._proof_sets: dict[Digest, tuple[bytes, tuple[MerkleProof, ...]]] = {}
+        # root -> the proofs of all chunks of the payload held under it
+        self._proof_sets: dict[Digest, tuple[MerkleProof, ...]] = {}
 
     # -- publisher staging ------------------------------------------------
 
@@ -150,18 +152,18 @@ class StoreState:
 
     # -- proof sets -------------------------------------------------------
 
-    def proof_set(self, root: Digest, payload: bytes, build: Callable[[], tuple[MerkleProof, ...]]) -> tuple[MerkleProof, ...]:
-        """The proofs of all chunks of ``payload``, held under ``root``.
+    def proof_set(self, root: Digest, build: Callable[[], tuple[MerkleProof, ...]]) -> tuple[MerkleProof, ...]:
+        """The proofs of all chunks of the payload held under ``root``.
 
         ``build`` makes them on the first call for a root, and the store
-        keeps them for later calls. A set serves only the bytes it was built
-        from, so payloads the store never hashed (plain-mode writes, all
-        under the zero digest) never get another's proofs.
+        keeps them for later calls. One set serves every document holding
+        the root: every payload the store takes in hashes to its root, so
+        equal roots mean equal bytes.
         """
-        held = self._proof_sets.get(root)
-        if held is None or (held[0] is not payload and held[0] != payload):
-            held = self._proof_sets[root] = (payload, build())
-        return held[1]
+        proofs = self._proof_sets.get(root)
+        if proofs is None:
+            proofs = self._proof_sets[root] = build()
+        return proofs
 
     # -- fetched payloads -------------------------------------------------
 
@@ -393,26 +395,6 @@ class StoreState:
                 rev.payload = payload
                 return
         raise StaleRevision(f"{digest_hex(lineage)}:{seq}")
-
-    def raw_put(
-        self,
-        lineage: Digest,
-        topic: Digest,
-        seq: int,
-        payload: bytes | None,
-        delete: bool = False,
-    ) -> None:
-        """Direct write without chain coordination or hash verification:
-        the plain-baseline storage path."""
-        from .crypto import ZERO_DIGEST
-
-        doc = self.docs.get(lineage)
-        if doc is None:
-            doc = Document(lineage=lineage, topic_id=topic)
-            self.docs[lineage] = doc
-        doc.revisions.append(Revision(seq, ZERO_DIGEST, None if delete else payload, (0, 0)))
-        if delete:
-            self._erase(doc, seq)
 
     def missing_payload_revisions(self) -> list[tuple[Digest, int, Digest]]:
         """(lineage, seq, data_hash) of live revisions whose bytes are absent."""

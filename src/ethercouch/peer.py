@@ -24,8 +24,10 @@ poll ticks and user actions one at a time, and collects outgoing messages.
 
 Storage modes:
 - ethercouch: chain carries fixed-size records, payloads replicate off-chain;
-- chainonly: payloads ride inline in the transactions themselves;
-- plain: no chain at all, direct local writes (benchmark baseline).
+- chainonly: payloads ride inline in the transactions themselves.
+
+The benchmark's third baseline, plain in-memory writes with no chain, runs
+no peer at all (``bench``).
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .wire import (
 class Mode(Enum):
     ETHERCOUCH = "ethercouch"
     CHAIN_ONLY = "chainonly"
-    PLAIN = "plain"
 
 
 def editor_hash_for(name: str) -> Digest:
@@ -172,7 +173,6 @@ class Peer:
         self._next_reannounce: dict[Digest, int] = {}
         self.deferred: list[dict] = []
         self._resync: dict | None = None
-        self._plain_seq: dict[Digest, int] = {}
         location.register_peer(PeerLocation(self.editor_hash, config.name))
 
     # -- identity --------------------------------------------------------
@@ -220,16 +220,13 @@ class Peer:
         topic: Digest,
         payload: bytes | None = None,
         lineage: Digest | None = None,
-    ) -> DbFunction | None:
+    ) -> DbFunction:
         """Create, validate and queue one mutation; returns the transaction.
 
-        Plain mode writes straight to the store and returns None. For edits
-        and deletes the peer must hold the document's latest revision. In
-        ethercouch mode the store stages the payload and gives its root.
+        For edits and deletes the peer must hold the document's latest
+        revision. In ethercouch mode the store stages the payload and gives
+        its root.
         """
-        if self.config.mode is Mode.PLAIN:
-            self._plain_publish(task, topic, payload, lineage)
-            return None
         if task is Task.ADD:
             seq, lineage = 1, ZERO_DIGEST
         else:
@@ -267,11 +264,6 @@ class Peer:
         self.env.request_poll(self)
         return tx
 
-    def _plain_publish(self, task: Task, topic: Digest, payload: bytes | None, lineage: Digest | None) -> None:
-        seq = self._plain_seq.get(lineage, 0) + 1
-        self._plain_seq[lineage] = seq
-        self.store.raw_put(lineage, topic, seq, payload, delete=task is Task.DELETE)
-
     def holds_latest(self, lineage: Digest) -> bool:
         """Is the local store level with the chain-plus-queue view, payload
         at hand, so an edit or delete can legitimately build on it?"""
@@ -288,7 +280,7 @@ class Peer:
         """Script-level publish with deferral: an edit or delete the peer
         cannot legitimately make yet is queued and retried as the local
         replica catches up; it is dropped once the document is deleted."""
-        if self.config.mode is Mode.PLAIN or task is Task.ADD:
+        if task is Task.ADD:
             return self.publish(task, topic, payload, lineage)
         if self.holds_latest(lineage):
             try:
@@ -432,7 +424,7 @@ class Peer:
     # -- serving ------------------------------------------------------------
 
     def serve_request(self, req: Request, requester: str):
-        """Hand out chunks with proofs, or refuse.
+        """Hand out every chunk of the payload with its proof, or refuse.
 
         A requester with a declared topic filter only receives documents
         whose topic is inside that filter; everything else is refused so
@@ -459,19 +451,14 @@ class Peer:
         if payload is None:
             return Refusal(req.lineage, req.seq, "not-held")
         chunks, proofs = self._proved_chunks(root, payload)
-        start = req.chunk_start
-        stop = len(chunks) if req.chunk_count == 0 else min(len(chunks), start + req.chunk_count)
-        if not 0 <= start < stop:
-            return Refusal(req.lineage, req.seq, "not-held")
-        # a sub-range's proofs are cut from the same tree as the whole set
-        return Response(req.lineage, req.seq, start, tuple(chunks[start:stop]), proofs[start:stop])
+        return Response(req.lineage, req.seq, tuple(chunks), proofs)
 
     def _proved_chunks(self, root: Digest, payload: bytes) -> tuple[list[bytes], tuple[MerkleProof, ...]]:
         """The chunks of a payload held under ``root`` and the proofs of all
         of them, which the store keeps after the first push or serve of a
         root builds them from one tree."""
         chunks = chunk_payload(payload, self.chunk_size)
-        return chunks, self.store.proof_set(root, payload, lambda: merkle_prove(chunks, range(len(chunks))))
+        return chunks, self.store.proof_set(root, lambda: merkle_prove(chunks, range(len(chunks))))
 
     # -- fetching -------------------------------------------------------------
 
@@ -504,7 +491,7 @@ class Peer:
                 pf.attempts += 1
                 continue
             declared = tuple(sorted(self.config.topics))
-            self.env.send(self, name, Request(pf.lineage, pf.tx.sequence_id, 0, 0, declared))
+            self.env.send(self, name, Request(pf.lineage, pf.tx.sequence_id, declared))
             pf.current_source = name
             pf.sent_at = self.env.now()
             self.env.request_poll(self)
@@ -516,13 +503,6 @@ class Peer:
         self.env.note(self, f"unavailable lineage={digest_hex(pf.lineage)[:12]} seq={pf.tx.sequence_id}")
         self.env.request_poll(self)
 
-    def _assemble_response(self, resp: Response, data_hash: Digest) -> bytes | None:
-        """The whole payload, checked by the store against the on-chain
-        root; None on any failure."""
-        if resp.chunk_start != 0:
-            return None
-        return self.store.check_transfer(resp.chunks, resp.proofs, data_hash)
-
     def _on_response(self, resp: Response, sender: str) -> None:
         key = (resp.lineage, resp.seq)
         pf = self.pending.get(key)
@@ -530,12 +510,12 @@ class Peer:
             # pushed ahead of our chain view: keep raw, verify when the
             # transaction confirms locally. Filtered peers never hoard
             # bytes for documents they may not even subscribe to.
-            if not self.config.topics and resp.chunk_start == 0:
+            if not self.config.topics:
                 self._cache_push(key, b"".join(resp.chunks))
             return
         if pf.state is FetchState.APPLIED or pf.state is FetchState.BUFFERED:
             return
-        payload = self._assemble_response(resp, pf.tx.data_hash)
+        payload = self.store.check_transfer(resp.chunks, resp.proofs, pf.tx.data_hash)
         if payload is None:
             self.env.note(self, f"bad chunks from {sender} lineage={digest_hex(resp.lineage)[:12]}")
             if pf.state is FetchState.FETCHING and pf.current_source == sender:
@@ -680,7 +660,7 @@ class Peer:
         if payload is None:
             return
         chunks, proofs = self._proved_chunks(tx.data_hash, payload)
-        resp = Response(lineage_of(tx), tx.sequence_id, 0, tuple(chunks), proofs)
+        resp = Response(lineage_of(tx), tx.sequence_id, tuple(chunks), proofs)
         raw = None
         for name in recipients:
             raw = self.env.send(self, name, resp, raw)

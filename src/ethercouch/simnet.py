@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .crypto import hash_bytes
 from .ledger import Block, Task, TxRejected, lineage_of
 from .peer import Mode, Peer, PeerConfig, topic_hash
 from .registry import LocationRegistry
@@ -390,20 +389,12 @@ class Simulation:
             payload = self._payload_for(args)
             topic = topic_hash(args["topic"])
             self.trace.add(f"{self.clock:>7} user  {peer.name:<8} publish {doc} ({len(payload)}B)")
-            if peer.config.mode is Mode.PLAIN:
-                lineage = hash_bytes(b"plain-doc:" + doc.encode())
-                peer.user_action(Task.ADD, topic, payload, lineage)
-            else:
-                try:
-                    tx = peer.user_action(Task.ADD, topic, payload, None)
-                except TxRejected as e:
-                    self.note(peer, f"publish {doc} rejected: {e.reason}")
-                    return
-                if tx is None:
-                    self.note(peer, f"publish {doc} rejected")
-                    return
-                lineage = lineage_of(tx)
-            self.doc_lineages[doc] = lineage
+            try:
+                tx = peer.user_action(Task.ADD, topic, payload, None)
+            except TxRejected as e:
+                self.note(peer, f"publish {doc} rejected: {e.reason}")
+                return
+            self.doc_lineages[doc] = lineage_of(tx)
             self.doc_topics[doc] = topic
         elif action in ("edit", "delete"):
             lineage = self.doc_lineages.get(doc)

@@ -1,10 +1,10 @@
 """Off-chain wire messages between peers, with canonical serialization.
 
-The vocabulary: a peer asks a holder for payload chunks (Request), gets
-them back with inclusion proofs (Response) or a typed refusal (Refusal);
-blocks travel as announcements (BlockAnnounce) and catch-up requests
-(BlockRequest). TxAnnounce floods freshly published mutations so miners
-can pick them up.
+The vocabulary: a peer asks a holder for the whole payload of one
+revision (Request) and gets back all its chunks, each with its inclusion
+proof (Response), or a typed refusal (Refusal); blocks travel as
+announcements (BlockAnnounce) and catch-up requests (BlockRequest).
+TxAnnounce floods freshly published mutations so miners can pick them up.
 
 Encoding follows the ledger's field codec (``codec``): a one-byte message
 tag, then length-prefixed fields in declaration order (4-byte big-endian
@@ -34,16 +34,14 @@ from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_block, s
 
 @dataclass(frozen=True)
 class Request:
-    """Ask a holder for chunks of one revision's payload.
+    """Ask a holder for the whole payload of one revision.
 
-    chunk_count 0 means "everything from chunk_start on". declared_topics
-    is the requester's interest filter; empty means unrestricted.
+    declared_topics is the requester's interest filter; empty means
+    unrestricted.
     """
 
     lineage: Digest
     seq: int
-    chunk_start: int = 0
-    chunk_count: int = 0
     declared_topics: tuple[Digest, ...] = ()
 
 
@@ -51,7 +49,6 @@ class Request:
 class Response:
     lineage: Digest
     seq: int
-    chunk_start: int
     chunks: tuple[bytes, ...]
     proofs: tuple[MerkleProof, ...]
 
@@ -88,20 +85,20 @@ _TAG_BLOCK_REQUEST = 5
 _TAG_TX_ANNOUNCE = 6
 
 # Fixed heads, tag first, each field after it behind its width prefix.
-# Request: lineage, seq, chunk start, chunk count, topic count; the topics
-# follow, one width-prefixed digest each.
-_REQUEST = struct.Struct(">BI32sIQIQIQIQ")
-_REQUEST_WIDTHS = (DIGEST_SIZE, 8, 8, 8, 8)
+# Request: lineage, seq, topic count; the topics follow, one width-prefixed
+# digest each.
+_REQUEST = struct.Struct(">BI32sIQIQ")
+_REQUEST_WIDTHS = (DIGEST_SIZE, 8, 8)
 _TOPIC = struct.Struct(">I32s")
 # Refusal: lineage, seq, then the reason's width; the reason follows
 _REFUSAL = struct.Struct(">BI32sIQI")
 _BLOCK_REQUEST = struct.Struct(">BIQ")
 # BlockAnnounce and TxAnnounce: the width of the one body that follows
 _FRAME = struct.Struct(">BI")
-# Response: lineage, seq, chunk start, chunk count; each chunk follows
-# behind its width, then the proof count and the proofs
-_RESPONSE = struct.Struct(">BI32sIQIQIQ")
-_RESPONSE_WIDTHS = (DIGEST_SIZE, 8, 8, 8)
+# Response: lineage, seq, chunk count; each chunk follows behind its
+# width, then the proof count and the proofs
+_RESPONSE = struct.Struct(">BI32sIQIQ")
+_RESPONSE_WIDTHS = (DIGEST_SIZE, 8, 8)
 _WIDTH = struct.Struct(">I")
 _COUNT = struct.Struct(">IQ")
 # a proof: its width, then leaf index, leaf count and sibling count, then
@@ -131,12 +128,11 @@ def encode_message(msg: Message) -> bytes:
     if isinstance(msg, Request):
         topics = msg.declared_topics
         head = _REQUEST.pack(
-            _TAG_REQUEST, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq,
-            8, msg.chunk_start, 8, msg.chunk_count, 8, len(topics),
+            _TAG_REQUEST, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, 8, len(topics),
         )
         return head + b"".join([_TOPIC.pack(DIGEST_SIZE, _digest(t)) for t in topics])
     if isinstance(msg, Response):
-        out = [_RESPONSE.pack(_TAG_RESPONSE, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, 8, msg.chunk_start, 8, len(msg.chunks))]
+        out = [_RESPONSE.pack(_TAG_RESPONSE, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, 8, len(msg.chunks))]
         for c in msg.chunks:
             out += (_WIDTH.pack(len(c)), c)
         out.append(_COUNT.pack(8, len(msg.proofs)))
@@ -180,15 +176,15 @@ def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Mes
         raise ValueError("empty message")
     tag = buf[0]
     if tag == _TAG_REQUEST:
-        _, w_lineage, lineage, w_seq, seq, w_start, start, w_count, count, w_n, n = _head(_REQUEST, buf)
-        if (w_lineage, w_seq, w_start, w_count, w_n) != _REQUEST_WIDTHS:
+        _, w_lineage, lineage, w_seq, seq, w_n, n = _head(_REQUEST, buf)
+        if (w_lineage, w_seq, w_n) != _REQUEST_WIDTHS:
             raise ValueError("bad request field width")
         if len(buf) != _REQUEST.size + n * _TOPIC.size:
             raise ValueError("bad request length")
         topics = tuple(_TOPIC.iter_unpack(memoryview(buf)[_REQUEST.size :]))
         if any(w != DIGEST_SIZE for w, _ in topics):
             raise ValueError("bad topic width")
-        return Request(lineage, seq, start, count, tuple(t for _, t in topics))
+        return Request(lineage, seq, tuple(t for _, t in topics))
     if tag == _TAG_RESPONSE:
         return _decode_response(buf)
     if tag == _TAG_REFUSAL:
@@ -225,8 +221,8 @@ def _known_block(body: bytes, blocks: dict[Digest, Block]) -> Block:
 
 
 def _decode_response(buf: bytes) -> Response:
-    _, w_lineage, lineage, w_seq, seq, w_start, start, w_n, n = _head(_RESPONSE, buf)
-    if (w_lineage, w_seq, w_start, w_n) != _RESPONSE_WIDTHS:
+    _, w_lineage, lineage, w_seq, seq, w_n, n = _head(_RESPONSE, buf)
+    if (w_lineage, w_seq, w_n) != _RESPONSE_WIDTHS:
         raise ValueError("bad response field width")
     pos = _RESPONSE.size
     chunks = []
@@ -255,7 +251,7 @@ def _decode_response(buf: bytes) -> Response:
         pos += _WIDTH.size + width
     if pos != len(buf):
         raise ValueError("trailing bytes in message")
-    return Response(lineage, seq, start, tuple(chunks), tuple(proofs))
+    return Response(lineage, seq, tuple(chunks), tuple(proofs))
 
 
 def describe(msg: Message) -> str:

@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python3 tests/record_golden_corpus.py
 
-Every case below is run once to completion; its trace digest and the
-SHA-256 of every peer's saved .chain and .store bytes go to
+Every simulated case below is run once to completion; its trace digest and
+the SHA-256 of every peer's saved .chain and .store bytes go to
 tests/golden_corpus.json. The corpus pins behaviour in absolute terms, so a
 change that alters replication the same way in every run still shows.
 Rerun only when a change is meant to alter behaviour.
@@ -18,6 +18,8 @@ The cases are:
 - ``large:<n>``: four peers trading 20-70 KiB documents in 4 KiB chunks,
   with an offline peer that catches up by pulling;
 - ``bench:<mode>``: one single-node insert cell of ``ethercouch bench``.
+  The plain cell runs no simulation and keeps no chain: its entry is the
+  SHA-256 of the store that the bench's direct writes build.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from conftest import build_convergence_scenario
-from ethercouch.bench import BenchSpec, _bench_scenario
+from ethercouch.bench import BenchSpec, _bench_scenario, _tickets, plain_store
 from ethercouch.peer import PeerConfig
 from ethercouch.simnet import Scenario, ScriptAction, Simulation
 
@@ -57,15 +60,23 @@ def _large_scenario(n: int):
 
 
 def cases():
-    """(name, scenario, payload overrides) for every corpus entry."""
+    """(name, fingerprint of the case as a call) for every corpus entry."""
     for seed in SEEDS:
-        yield f"convergence:{seed}", build_convergence_scenario(seed), {}
+        yield f"convergence:{seed}", partial(fingerprint, build_convergence_scenario(seed), {})
     for seed in SEEDS:
-        yield f"chunked:{seed}", dataclasses.replace(build_convergence_scenario(seed), chunk_size=64), {}
+        yield f"chunked:{seed}", partial(fingerprint, dataclasses.replace(build_convergence_scenario(seed), chunk_size=64), {})
     for n in range(2):
-        yield f"large:{n}", _large_scenario(n), {}
-    for mode in ("ethercouch", "chainonly", "plain"):
-        yield (f"bench:{mode}", *_bench_scenario(BenchSpec(mode=mode, counts=[60], seed=7), 60))
+        yield f"large:{n}", partial(fingerprint, _large_scenario(n), {})
+    for mode in ("ethercouch", "chainonly"):
+        yield f"bench:{mode}", partial(fingerprint, *_bench_scenario(BenchSpec(mode=mode, counts=[60], seed=7), 60))
+    yield "bench:plain", plain_fingerprint
+
+
+def plain_fingerprint() -> dict:
+    """SHA-256 of the store the bench's plain cell writes (no chain, no trace)."""
+    spec = BenchSpec(mode="plain", counts=[60], seed=7)
+    store = plain_store(spec, _tickets(spec, 60))
+    return {"peers": {"node0": {"store": hashlib.sha256(store.snapshot_bytes()).hexdigest()}}}
 
 
 def fingerprint(scenario, overrides) -> dict:
@@ -87,9 +98,9 @@ def fingerprint(scenario, overrides) -> dict:
 
 def main() -> None:
     corpus = {}
-    for name, scenario, overrides in cases():
-        corpus[name] = fingerprint(scenario, overrides)
-        print(f"{name} {corpus[name]['trace']}", flush=True)
+    for name, record in cases():
+        corpus[name] = record()
+        print(f"{name} {corpus[name].get('trace', '-')}", flush=True)
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
 
 

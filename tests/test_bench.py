@@ -10,13 +10,16 @@ from ethercouch.bench import (
     CSV_HEADER,
     BenchSpec,
     make_ticket,
+    plain_store,
     results_to_csv,
     run_bench,
     run_cell,
+    run_once,
     verify_dir,
     verify_pair,
 )
 from ethercouch.cli import main
+from ethercouch.crypto import ZERO_DIGEST, hash_bytes
 from ethercouch.docstore import StoreState
 from ethercouch.ledger import ChainState, serialize_tx
 
@@ -36,6 +39,18 @@ def test_plain_mode_stores_nothing_on_chain():
     (result,) = run_bench(spec, warmup=False)
     assert result.chain_bytes == 0
     assert result.store_bytes == 10 * 512
+
+
+def test_plain_mode_writes_directly():
+    spec = BenchSpec(mode="plain", counts=[3], doc_size=100)
+    _wall, ticks, chain_bytes, store_bytes = run_once(spec, 3)
+    assert (ticks, chain_bytes, store_bytes) == (0, 0, 300)
+    payloads = {i: make_ticket(spec.seed, i, spec.doc_size) for i in range(3)}
+    store = plain_store(spec, payloads)
+    lineage = hash_bytes(b"plain-doc:ticket-1")
+    assert store.get_active(lineage) == payloads[1]
+    assert [(r.seq, r.data_hash, r.origin) for r in store.history(lineage)] == [(1, ZERO_DIGEST, (0, 0))]
+    assert store.applied_upto is None
 
 
 def test_ethercouch_chain_bytes_are_count_times_record_size():
@@ -214,6 +229,7 @@ def test_cli_missing_file_errors(tmp_path):
         pytest.param('{"seed": 1, "peers": [{"topics": []}]}', "'name'", id="peer-without-name"),
         pytest.param('{"seed": 1, "peers": [{"name": "p0"}], "script": [{"action": "heal"}]}', "'at'", id="entry-without-at"),
         pytest.param('[{"seed": 1}]', "scenario", id="top-level-array"),
+        pytest.param('{"seed": 1, "peers": [{"name": "p0", "mode": "plain"}]}', "'mode'", id="plain-mode"),
     ],
 )
 def test_cli_run_refuses_a_malformed_scenario_without_a_traceback(tmp_path, text, field):

@@ -71,7 +71,7 @@ def test_store_snapshot_mutants_raise_only_value_error():
 
 def test_multi_chunk_response_mutants_raise_only_value_error():
     chunks = chunk_payload(deterministic_bytes("fuzz", 700), 64)
-    resp = Response(hash_bytes(b"lin"), 2, 0, tuple(chunks), merkle_prove(chunks, range(len(chunks))))
+    resp = Response(hash_bytes(b"lin"), 2, tuple(chunks), merkle_prove(chunks, range(len(chunks))))
     buf = encode_message(resp)
     assert len(chunks) == 11 and decode_message(buf) == resp
     assert rejected_share(decode_message, buf, seed=2) > 0.5
@@ -87,13 +87,13 @@ BLOCK = raw_block(ChainState(difficulty_bits=0), hash_bytes(b"parent"), 7, [make
     [
         pytest.param(TX, serialize_tx, parse_tx, 3, id="tx"),
         pytest.param(BLOCK, serialize_block, parse_block, 4, id="block"),
-        pytest.param(Request(LINEAGE, 2, 1, 3, (TOPIC_T, TOPIC_U)), encode_message, decode_message, 5, id="request"),
+        pytest.param(Request(LINEAGE, 2, (TOPIC_T, TOPIC_U)), encode_message, decode_message, 5, id="request"),
         pytest.param(Refusal(LINEAGE, 2, "filter-refused"), encode_message, decode_message, 6, id="refusal"),
         pytest.param(BlockAnnounce(BLOCK), encode_message, decode_message, 7, id="block-announce"),
         pytest.param(BlockRequest(17), encode_message, decode_message, 8, id="block-request"),
         pytest.param(TxAnnounce(TX), encode_message, decode_message, 9, id="tx-announce"),
         pytest.param(
-            Response(LINEAGE, 2, 0, (b"one chunk",), (merkle_prove([b"one chunk"], 0),)),
+            Response(LINEAGE, 2, (b"one chunk",), (merkle_prove([b"one chunk"], 0),)),
             encode_message,
             decode_message,
             11,

@@ -9,16 +9,16 @@ import json
 
 import pytest
 
-from record_golden_corpus import CORPUS, cases, fingerprint
+from record_golden_corpus import CORPUS, cases
 
 RECORDED = json.loads(CORPUS.read_text())
 CASES = list(cases())
 
 
 def test_corpus_covers_every_case():
-    assert sorted(RECORDED) == sorted(name for name, _, _ in CASES)
+    assert sorted(RECORDED) == sorted(name for name, _ in CASES)
 
 
-@pytest.mark.parametrize("name,scenario,overrides", CASES, ids=[c[0] for c in CASES])
-def test_case_matches_recorded_fingerprint(name, scenario, overrides):
-    assert fingerprint(scenario, overrides) == RECORDED[name]
+@pytest.mark.parametrize("name,record", CASES, ids=[c[0] for c in CASES])
+def test_case_matches_recorded_fingerprint(name, record):
+    assert record() == RECORDED[name]

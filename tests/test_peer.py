@@ -109,14 +109,6 @@ def test_chain_only_mode_embeds_payload():
     assert peer.store.get_active(lineage_of(tx)) == b"inline me"
 
 
-def test_plain_mode_writes_directly():
-    peer, _ = make_peer(mode=Mode.PLAIN)
-    lineage = topic_hash("pretend-lineage")
-    assert peer.publish(Task.ADD, NEWS, b"data", lineage) is None
-    assert peer.chain.height == 0
-    assert peer.store.get_active(lineage) == b"data"
-
-
 # -- serving ---------------------------------------------------------------
 
 
@@ -130,7 +122,7 @@ def served_peer():
 
 def test_serve_open_filter_returns_verifiable_chunks():
     peer, _, tx, payload = served_peer()
-    req = Request(lineage_of(tx), 1, 0, 0, ())
+    req = Request(lineage_of(tx), 1, ())
     resp = peer.serve_request(req, "bob")
     assert isinstance(resp, Response)
     assert b"".join(resp.chunks) == payload
@@ -140,7 +132,7 @@ def test_serve_open_filter_returns_verifiable_chunks():
 
 def test_serve_refuses_requester_outside_topic():
     peer, _, tx, _ = served_peer()
-    req = Request(lineage_of(tx), 1, 0, 0, (OPS,))
+    req = Request(lineage_of(tx), 1, (OPS,))
     resp = peer.serve_request(req, "bob")
     assert isinstance(resp, Refusal)
     assert resp.reason == "filter-refused"
@@ -150,42 +142,15 @@ def test_serve_deleted_doc_not_held():
     peer, _, tx, _ = served_peer()
     peer.publish(Task.DELETE, NEWS, None, lineage_of(tx))
     peer.on_mine_complete()
-    resp = peer.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), "bob")
+    resp = peer.serve_request(Request(lineage_of(tx), 1, ()), "bob")
     assert isinstance(resp, Refusal)
     assert resp.reason == "not-held"
 
 
 def test_serve_unknown_doc_not_held():
     peer, _, _, _ = served_peer()
-    resp = peer.serve_request(Request(topic_hash("nothing"), 1, 0, 0, ()), "bob")
+    resp = peer.serve_request(Request(topic_hash("nothing"), 1, ()), "bob")
     assert isinstance(resp, Refusal) and resp.reason == "not-held"
-
-
-def test_serve_chunk_range():
-    peer, _, tx, payload = served_peer()
-    chunks = chunk_payload(payload, peer.chunk_size)
-    resp = peer.serve_request(Request(lineage_of(tx), 1, 1, 1, ()), "bob")
-    assert resp.chunks == (chunks[1],)
-    assert resp.proofs[0].leaf_index == 1
-
-
-def test_serve_sub_range_proofs_verify_against_data_hash():
-    peer, _ = make_peer()
-    payload = bytes(range(251)) * 140  # 35140 bytes, 9 chunks at 4096
-    tx = peer.publish(Task.ADD, NEWS, payload)
-    peer.on_mine_complete()
-    chunks = chunk_payload(payload, peer.chunk_size)
-    for start, count, served in ((2, 5, range(2, 7)), (7, 5, range(7, 9))):
-        resp = peer.serve_request(Request(lineage_of(tx), 1, start, count, ()), "bob")
-        assert resp.chunk_start == start
-        assert resp.chunks == tuple(chunks[i] for i in served)
-        assert [p.leaf_index for p in resp.proofs] == list(served)
-        for chunk, proof in zip(resp.chunks, resp.proofs):
-            assert proof.leaf_count == 9
-            assert verify_chunk(chunk, proof, tx.data_hash)
-    # a range past the last chunk serves nothing, so it is refused
-    resp = peer.serve_request(Request(lineage_of(tx), 1, 9, 1, ()), "bob")
-    assert resp == Refusal(lineage_of(tx), 1, "not-held")
 
 
 def test_serve_from_staging_before_apply():
@@ -195,7 +160,7 @@ def test_serve_from_staging_before_apply():
     tx = peer.publish(Task.ADD, NEWS, payload)
     peer.on_mine_complete()  # depth 1 < 3: not applied yet
     assert not peer.store.has_document(lineage_of(tx))
-    resp = peer.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), "bob")
+    resp = peer.serve_request(Request(lineage_of(tx), 1, ()), "bob")
     assert isinstance(resp, Response)
     assert b"".join(resp.chunks) == payload
 
@@ -260,10 +225,10 @@ def test_corrupt_source_triggers_failover():
     key = (lineage_of(tx), 1)
     assert bob.pending[key].current_source == "alice"
     # alice answers with a flipped byte in the first chunk
-    honest = alice.serve_request(Request(*key, 0, 0, ()), "bob")
+    honest = alice.serve_request(Request(*key, ()), "bob")
     bad_chunk = bytearray(honest.chunks[0])
     bad_chunk[0] ^= 1
-    corrupted = Response(key[0], 1, 0, (bytes(bad_chunk),) + honest.chunks[1:], honest.proofs)
+    corrupted = Response(key[0], 1, (bytes(bad_chunk),) + honest.chunks[1:], honest.proofs)
     bob.handle_message(corrupted, "alice")
     # moved on to the next candidate instead of storing bad bytes
     assert bob.pending[key].state is FetchState.FETCHING
@@ -288,7 +253,7 @@ def test_fetched_payload_costs_one_tree_and_no_hash_on_apply(monkeypatch):
     bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
     key = (lineage_of(tx), 1)
     assert bob.pending[key].state is FetchState.FETCHING
-    honest = alice.serve_request(Request(*key, 0, 0, ()), "bob")
+    honest = alice.serve_request(Request(*key, ()), "bob")
     assert len(honest.chunks) == 3
     trees, store_hashes = [], []
     real_tree, real_root = crypto._tree, docstore.payload_root
@@ -322,7 +287,7 @@ def test_publisher_builds_one_tree_for_a_push_and_two_serves(monkeypatch):
     location.mark_up_to_date(bob.editor_hash, alice.chain.tip)
     env.sent.clear()
     alice._push_payload(tx)
-    served = [alice.serve_request(Request(*key, 0, 0, ()), name) for name in ("bob", "carol")]
+    served = [alice.serve_request(Request(*key, ()), name) for name in ("bob", "carol")]
     pushed = [m for (_, dst, m) in env.sent if dst == "bob"]
     assert len(pushed) == 1 and trees == [3]
     chunks = chunk_payload(payload, alice.chunk_size)
@@ -341,7 +306,7 @@ def fetched_by_bob():
     alice.on_mine_complete()
     bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
     key = (lineage_of(tx), 1)
-    bob.handle_message(alice.serve_request(Request(*key, 0, 0, ()), "bob"), "alice")
+    bob.handle_message(alice.serve_request(Request(*key, ()), "bob"), "alice")
     assert bob.pending[key].state is FetchState.APPLIED
     return env, alice, bob, tx, payload
 
@@ -349,7 +314,7 @@ def fetched_by_bob():
 def test_receiver_builds_one_tree_to_serve_a_fetched_payload_twice(monkeypatch):
     _, _, bob, tx, payload = fetched_by_bob()
     trees = count_trees(monkeypatch)
-    served = [bob.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), name) for name in ("carol", "dave")]
+    served = [bob.serve_request(Request(lineage_of(tx), 1, ()), name) for name in ("carol", "dave")]
     assert trees == [3]
     chunks = chunk_payload(payload, bob.chunk_size)
     assert all(resp.proofs == merkle_prove(chunks, range(3)) for resp in served)
@@ -359,7 +324,7 @@ def test_proof_sets_leave_with_their_bytes():
     env, alice, bob, tx, _ = fetched_by_bob()
     lineage, root = lineage_of(tx), tx.data_hash
     for peer in (alice, bob):
-        assert isinstance(peer.serve_request(Request(lineage, 1, 0, 0, ()), "carol"), Response)
+        assert isinstance(peer.serve_request(Request(lineage, 1, ()), "carol"), Response)
         assert root in peer.store._proof_sets
     # a confirmed delete erases the bytes at the publisher and the receiver
     alice.publish(Task.DELETE, NEWS, None, lineage)
@@ -367,30 +332,17 @@ def test_proof_sets_leave_with_their_bytes():
     bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
     for peer in (alice, bob):
         assert root not in peer.store._proof_sets
-        assert peer.serve_request(Request(lineage, 1, 0, 0, ()), "carol") == Refusal(lineage, 1, "not-held")
+        assert peer.serve_request(Request(lineage, 1, ()), "carol") == Refusal(lineage, 1, "not-held")
     # unstaged bytes a publisher served before they applied
     carol, _ = make_peer("carol", confirmation_depth=3)
     staged = carol.publish(Task.ADD, NEWS, b"served from staging")
     carol.on_mine_complete()  # depth 1 of 3: in the registry, not in the store
     key = (lineage_of(staged), 1)
-    assert isinstance(carol.serve_request(Request(*key, 0, 0, ()), "bob"), Response)
+    assert isinstance(carol.serve_request(Request(*key, ()), "bob"), Response)
     assert staged.data_hash in carol.store._proof_sets
     carol.store.unstage(staged.data_hash)
     assert staged.data_hash not in carol.store._proof_sets
-    assert carol.serve_request(Request(*key, 0, 0, ()), "bob") == Refusal(*key, "not-held")
-
-
-def test_plain_documents_under_the_zero_digest_keep_their_own_proofs():
-    peer, _ = make_peer(mode=Mode.PLAIN)
-    docs = {topic_hash("first"): bytes(range(250)) * 40, topic_hash("second"): bytes(range(200)) * 50}
-    for lineage, payload in docs.items():
-        peer.publish(Task.ADD, NEWS, payload, lineage)
-        assert peer.store.history(lineage)[-1].data_hash == ZERO_DIGEST
-    for lineage in list(docs) * 2:
-        chunks = chunk_payload(docs[lineage], peer.chunk_size)
-        resp = peer.serve_request(Request(lineage, 1, 0, 0, ()), "bob")
-        assert resp.chunks == tuple(chunks)
-        assert resp.proofs == merkle_prove(chunks, range(len(chunks)))
+    assert carol.serve_request(Request(*key, ()), "bob") == Refusal(*key, "not-held")
 
 
 def test_non_canonical_split_under_its_own_root_is_never_stored():
@@ -410,7 +362,7 @@ def test_non_canonical_split_under_its_own_root_is_never_stored():
     bob.handle_message(announce, "mallory")
     key = (lineage_of(tx), 1)
     assert bob.pending[key].current_source == "mallory"
-    bob.handle_message(Response(key[0], 1, 0, chunks, proofs), "mallory")
+    bob.handle_message(Response(key[0], 1, chunks, proofs), "mallory")
     assert not bob.store.has_document(key[0])
     assert bob.pending[key].state is FetchState.FETCHING
 
@@ -443,7 +395,7 @@ def test_filtered_peer_ignores_unsolicited_foreign_push():
     bob = Peer(PeerConfig(name="bob", topics=frozenset({OPS})), env=env, location=location)
     tx = alice.publish(Task.ADD, NEWS, b"news payload bob never asked for")
     alice.on_mine_complete()
-    push = alice.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), "x")
+    push = alice.serve_request(Request(lineage_of(tx), 1, ()), "x")
     bob.handle_message(push, "alice")
     assert not bob.push_cache
     assert not bob.store.docs
@@ -457,7 +409,7 @@ def test_unsolicited_push_applies_once_confirmed():
     payload = b"pushed before the block arrives"
     tx = alice.publish(Task.ADD, NEWS, payload)
     alice.on_mine_complete()
-    push = alice.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), "x")
+    push = alice.serve_request(Request(lineage_of(tx), 1, ()), "x")
     bob.handle_message(push, "alice")  # bob has not seen the block yet
     assert bob.push_cache
     announce = [m for (_, dst, m) in env.sent if dst == "*"][-1]
@@ -489,10 +441,10 @@ def test_corrupt_unsolicited_push_is_refused_by_the_store_then_fetched():
     tx = alice.publish(Task.ADD, NEWS, payload)
     alice.on_mine_complete()
     key = (lineage_of(tx), 1)
-    honest = alice.serve_request(Request(*key, 0, 0, ()), "bob")
+    honest = alice.serve_request(Request(*key, ()), "bob")
     bad_chunk = bytearray(honest.chunks[1])
     bad_chunk[7] ^= 1
-    corrupt = Response(key[0], 1, 0, (honest.chunks[0], bytes(bad_chunk), honest.chunks[2]), honest.proofs)
+    corrupt = Response(key[0], 1, (honest.chunks[0], bytes(bad_chunk), honest.chunks[2]), honest.proofs)
     bob.handle_message(corrupt, "alice")  # ahead of the block: cached unchecked
     assert key in bob.push_cache
     announce = [m for (_, dst, m) in env.sent if dst == "*"][-1]
@@ -503,7 +455,7 @@ def test_corrupt_unsolicited_push_is_refused_by_the_store_then_fetched():
     assert not bob.push_cache
     assert bob.pending[key].state is FetchState.FETCHING
     assert [(src, dst, m) for (src, dst, m) in env.sent if isinstance(m, Request)] == [
-        ("bob", "alice", Request(*key, 0, 0, ()))
+        ("bob", "alice", Request(*key, ()))
     ]
     bob.handle_message(honest, "alice")
     assert bob.pending[key].state is FetchState.APPLIED
@@ -523,7 +475,7 @@ def test_confirmed_delete_unstages_every_revision_of_the_lineage():
     peer.on_mine_complete()
     assert [peer.store.staged_payload(r) for r in roots] == [None, None]
     for seq in (1, 2):
-        assert peer.serve_request(Request(lineage, seq, 0, 0, ()), "bob") == Refusal(lineage, seq, "not-held")
+        assert peer.serve_request(Request(lineage, seq, ()), "bob") == Refusal(lineage, seq, "not-held")
 
 
 def test_confirmed_delete_keeps_bytes_another_live_document_was_published_with():
@@ -554,7 +506,7 @@ def test_rejected_duplicate_add_does_not_restage_deleted_bytes():
     with pytest.raises(TxRejected):
         peer.publish(Task.ADD, NEWS, b"gone for good")
     assert peer.store.staged_payload(tx.data_hash) is None
-    assert peer.serve_request(Request(lineage_of(tx), 1, 0, 0, ()), "bob") == Refusal(lineage_of(tx), 1, "not-held")
+    assert peer.serve_request(Request(lineage_of(tx), 1, ()), "bob") == Refusal(lineage_of(tx), 1, "not-held")
 
 
 def test_publishing_and_applying_hashes_each_payload_once(monkeypatch):

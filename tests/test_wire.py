@@ -29,17 +29,17 @@ def roundtrip(msg):
 
 
 def test_request_roundtrip():
-    roundtrip(Request(hash_bytes(b"lin"), 3, 0, 0, ()))
-    roundtrip(Request(hash_bytes(b"lin"), 1, 2, 5, (hash_bytes(b"t1"), hash_bytes(b"t2"))))
+    roundtrip(Request(hash_bytes(b"lin"), 3, ()))
+    roundtrip(Request(hash_bytes(b"lin"), 1, (hash_bytes(b"t1"), hash_bytes(b"t2"))))
 
 
 def test_response_roundtrip():
     payload = bytes(range(256)) * 5
     chunks = chunk_payload(payload, 300)
     proofs = tuple(merkle_prove(chunks, i) for i in range(len(chunks)))
-    roundtrip(Response(hash_bytes(b"lin"), 2, 0, tuple(chunks), proofs))
-    roundtrip(Response(hash_bytes(b"lin"), 2, 0, (b"one",), (merkle_prove([b"one"], 0),)))
-    roundtrip(Response(hash_bytes(b"lin"), 2, 5, (), ()))
+    roundtrip(Response(hash_bytes(b"lin"), 2, tuple(chunks), proofs))
+    roundtrip(Response(hash_bytes(b"lin"), 2, (b"one",), (merkle_prove([b"one"], 0),)))
+    roundtrip(Response(hash_bytes(b"lin"), 2, (), ()))
 
 
 def test_refusal_roundtrip():
@@ -85,7 +85,7 @@ NO_TOPICS = lp(u64(0))
 
 
 def request_bytes(lineage=LINEAGE, seq=SEQ, topics=NO_TOPICS) -> bytes:
-    return b"\x01" + lp(lineage) + seq + SEQ + SEQ + topics
+    return b"\x01" + lp(lineage) + seq + topics
 
 
 def refusal_bytes(lineage=LINEAGE, seq=SEQ) -> bytes:
@@ -106,7 +106,7 @@ def proof_bytes(proof, index=None, sibling_count=None, siblings=None) -> bytes:
 def response_bytes(lineage=LINEAGE, seq=SEQ, first_proof=None) -> bytes:
     proofs = [proof_bytes(PROOFS[0]) if first_proof is None else first_proof, proof_bytes(PROOFS[1])]
     chunks = lp(u64(len(CHUNKS))) + b"".join(lp(c) for c in CHUNKS)
-    return b"\x02" + lp(lineage) + seq + lp(u64(0)) + chunks + lp(u64(len(proofs))) + b"".join(proofs)
+    return b"\x02" + lp(lineage) + seq + chunks + lp(u64(len(proofs))) + b"".join(proofs)
 
 
 def block_with_parent(width: int) -> bytes:
@@ -115,11 +115,11 @@ def block_with_parent(width: int) -> bytes:
 
 
 def test_hand_built_canonical_bytes_parse():
-    assert decode_message(request_bytes()) == Request(LINEAGE, 4, 4, 4, ())
-    assert decode_message(request_bytes(topics=lp(u64(1)) + lp(TOPIC_T))) == Request(LINEAGE, 4, 4, 4, (TOPIC_T,))
+    assert decode_message(request_bytes()) == Request(LINEAGE, 4, ())
+    assert decode_message(request_bytes(topics=lp(u64(1)) + lp(TOPIC_T))) == Request(LINEAGE, 4, (TOPIC_T,))
     assert decode_message(refusal_bytes()) == Refusal(LINEAGE, 4, "not-held")
     assert decode_message(b"\x04" + lp(block_with_parent(32))).block.parent == bytes(32)
-    response = Response(LINEAGE, 4, 0, CHUNKS, PROOFS)
+    response = Response(LINEAGE, 4, CHUNKS, PROOFS)
     assert decode_message(response_bytes()) == response
     assert encode_message(response) == response_bytes()
 
@@ -166,7 +166,7 @@ def test_encode_refuses_a_digest_that_is_not_32_bytes():
     with pytest.raises(ValueError):
         encode_message(Refusal(LINEAGE + b"x", 1, "not-held"))
     with pytest.raises(ValueError):
-        encode_message(Response(LINEAGE[:31], 1, 0, CHUNKS, PROOFS))
+        encode_message(Response(LINEAGE[:31], 1, CHUNKS, PROOFS))
     for sibling in (PROOFS[0].siblings[0][:31], PROOFS[0].siblings[0] + b"x"):
         with pytest.raises(ValueError):
-            encode_message(Response(LINEAGE, 1, 0, CHUNKS, (MerkleProof(0, 2, (sibling,)), PROOFS[1])))
+            encode_message(Response(LINEAGE, 1, CHUNKS, (MerkleProof(0, 2, (sibling,)), PROOFS[1])))
