@@ -5,9 +5,11 @@ Per (mode, count) cell, the ethercouch and chainonly modes drive a
 single-node scenario: publish ``count`` synthetic maintenance tickets,
 mine them, apply them, and time the whole pipeline wall-clock. The plain
 mode is the conventional-database baseline: ``count`` direct in-memory
-writes into a fresh document store, with no peer and no chain. Each cell
-runs several times and reports the mean. Simulated tick counts and byte
-counters are functions of the seed alone, so they are identical across
+writes into a fresh document store, with no peer and no chain.
+``run_matrix`` runs every cell, one mode or several: each count's tickets
+are built once, then each cell runs several times, interleaved across
+the modes, and reports the mean. Simulated tick counts and byte counters
+are functions of the seed alone, so they are identical across
 repetitions; only wall time varies.
 
 Byte accounting: ``chain_bytes`` is the total serialized size of the
@@ -42,8 +44,6 @@ class BenchSpec:
     doc_size: int = 4096
     repetitions: int = 5
     seed: int = 0
-    chunk_size: int = 4096
-    max_txs_per_block: int = 100
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -84,16 +84,16 @@ def make_ticket(seed: int, index: int, size: int) -> bytes:
     return header + deterministic_bytes(f"ticket:{seed}:{index}", size - len(header))
 
 
-def _tickets(spec: BenchSpec, count: int) -> dict[int, bytes]:
-    return {i: make_ticket(spec.seed, i, spec.doc_size) for i in range(count)}
+def _tickets(seed: int, size: int, count: int) -> dict[int, bytes]:
+    return {i: make_ticket(seed, i, size) for i in range(count)}
 
 
-def _bench_scenario(spec: BenchSpec, count: int) -> tuple[Scenario, dict[int, bytes]]:
+def _bench_scenario(spec: BenchSpec, count: int) -> Scenario:
     script = [
         ScriptAction(0, "publish", "node0", {"doc": f"ticket-{i}", "topic": TICKET_TOPIC, "size": spec.doc_size})
         for i in range(count)
     ]
-    scenario = Scenario(
+    return Scenario(
         seed=spec.seed,
         peers=[PeerConfig(name="node0", mode=Mode(spec.mode))],
         mining_power={"node0": 1.0},
@@ -102,20 +102,17 @@ def _bench_scenario(spec: BenchSpec, count: int) -> tuple[Scenario, dict[int, by
         mean_block_interval=50,
         poll_interval=25,
         difficulty_bits=0,
-        chunk_size=spec.chunk_size,
-        max_txs_per_block=spec.max_txs_per_block,
     )
-    return scenario, _tickets(spec, count)
 
 
-def plain_store(spec: BenchSpec, payloads: dict[int, bytes]) -> StoreState:
+def plain_store(payloads: dict[int, bytes]) -> StoreState:
     """The plain baseline: one direct write per ticket into a fresh store.
 
     Ticket i becomes revision 1 of lineage ``hash_bytes(b"plain-doc:" +
     b"ticket-<i>")``, held under the zero digest at origin (0, 0). Nothing
     is hashed, chained or replicated, and no peer ever serves this store.
     """
-    store = StoreState(chunk_size=spec.chunk_size)
+    store = StoreState()
     topic = topic_hash(TICKET_TOPIC)
     for i, payload in payloads.items():
         lineage = hash_bytes(b"plain-doc:" + f"ticket-{i}".encode())
@@ -144,8 +141,9 @@ def _timed(run):
             gc.enable()
 
 
-def run_once(spec: BenchSpec, count: int) -> tuple[float, int, int, int]:
-    """One timed pipeline run: (wall seconds, ticks, chain bytes, store bytes).
+def run_once(spec: BenchSpec, payloads: dict[int, bytes]) -> tuple[float, int, int, int]:
+    """One timed pipeline run over the tickets ``payloads`` (index ->
+    bytes): (wall seconds, ticks, chain bytes, store bytes).
 
     The timed region is the pipeline itself (publish, mine, apply; for
     plain, the direct writes); payload generation and simulator setup sit
@@ -153,39 +151,15 @@ def run_once(spec: BenchSpec, count: int) -> tuple[float, int, int, int]:
     pause this one.
     """
     if spec.mode == "plain":
-        payloads = _tickets(spec, count)
-        wall, store = _timed(lambda: plain_store(spec, payloads))
+        wall, store = _timed(lambda: plain_store(payloads))
         return wall, 0, 0, store.payload_bytes()
-    scenario, payloads = _bench_scenario(spec, count)
-    sim = Simulation(scenario)
+    sim = Simulation(_bench_scenario(spec, len(payloads)))
     sim.payload_overrides = payloads
     wall, result = _timed(sim.run)
     node = result.peer("node0")
     if node.chain.mempool or node.unapplied_pending() or node.deferred:
-        raise RuntimeError(f"benchmark cell did not quiesce: {spec.mode} count={count}")
+        raise RuntimeError(f"benchmark cell did not quiesce: {spec.mode} count={len(payloads)}")
     return wall, result.clock, chain_tx_bytes(node.chain), node.store.payload_bytes()
-
-
-def run_cell(spec: BenchSpec, count: int) -> BenchResult:
-    """Run one (mode, count) cell: repetitions of the full pipeline."""
-    walls: list[float] = []
-    ticks: list[int] = []
-    chain_bytes = store_bytes = 0
-    for _rep in range(spec.repetitions):
-        wall, tick, chain_bytes, store_bytes = run_once(spec, count)
-        walls.append(wall)
-        ticks.append(tick)
-    return BenchResult(spec.mode, count, spec.doc_size, walls, ticks, chain_bytes, store_bytes)
-
-
-def run_bench(spec: BenchSpec, warmup: bool = True) -> list[BenchResult]:
-    """All cells of a spec, optionally preceded by one small untimed warmup
-    run so import and allocator effects do not land on the first cell."""
-    spec.validate()
-    if warmup:
-        w = BenchSpec(spec.mode, [min(min(spec.counts), 10)], spec.doc_size, 1, spec.seed, spec.chunk_size)
-        run_cell(w, w.counts[0])
-    return [run_cell(spec, count) for count in spec.counts]
 
 
 def run_matrix(
@@ -196,29 +170,34 @@ def run_matrix(
     seed: int = 0,
     warmup: bool = True,
 ) -> list[BenchResult]:
-    """Run several modes over the same counts with repetitions interleaved
-    round-robin across the modes.
+    """Run one or more modes over the same counts with repetitions
+    interleaved round-robin across the modes.
 
     Comparing modes by their means calls for a blocked design: machine load
     drifts on the scale of seconds, so running each mode's repetitions as
     one contiguous block lets a slow phase land entirely on one mode. With
     interleaving every repetition index samples all modes back to back.
-    Results come back in (mode, count) order, one per cell.
+    Each count's tickets are built once, outside the timed regions, for
+    every mode and repetition. ``warmup`` first runs each mode once,
+    untimed, on at most 10 tickets, so import and allocator effects do not
+    land on the first cell. Results come back in (mode, count) order, one
+    per cell.
     """
     specs = {m: BenchSpec(m, counts, doc_size, repetitions, seed) for m in modes}
     for spec in specs.values():
         spec.validate()
     if warmup:
-        small = min(min(counts), 10)
-        for mode in modes:
-            run_once(BenchSpec(mode, [small], doc_size, 1, seed), small)
+        payloads = _tickets(seed, doc_size, min(min(counts), 10))
+        for spec in specs.values():
+            run_once(spec, payloads)
     cells: dict[tuple[str, int], BenchResult] = {
         (m, c): BenchResult(m, c, doc_size, [], [], 0, 0) for m in modes for c in counts
     }
     for count in counts:
+        payloads = _tickets(seed, doc_size, count)
         for _rep in range(repetitions):
             for mode in modes:
-                wall, tick, chain_b, store_b = run_once(specs[mode], count)
+                wall, tick, chain_b, store_b = run_once(specs[mode], payloads)
                 cell = cells[(mode, count)]
                 cell.wall_seconds.append(wall)
                 cell.ticks.append(tick)

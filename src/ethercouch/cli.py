@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import MODES, BenchSpec, emit_csv, run_bench, run_matrix, verify_dir
+from .bench import MODES, emit_csv, run_matrix, verify_dir
 from .docstore import StoreState
 from .ledger import ChainState
 from .registry import DataRegistry
@@ -25,18 +25,9 @@ from .simnet import Simulation, scenario_from_json
 
 def _cmd_bench(args) -> int:
     counts = [int(c) for c in args.counts.split(",") if c]
-    if args.mode == "all":
-        # repetitions interleave across modes so load drift hits them equally
-        all_results = run_matrix(list(MODES), counts, args.doc_size, args.reps, args.seed)
-    else:
-        spec = BenchSpec(
-            mode=args.mode,
-            counts=counts,
-            doc_size=args.doc_size,
-            repetitions=args.reps,
-            seed=args.seed,
-        )
-        all_results = run_bench(spec)
+    # with "all", repetitions interleave across modes so load drift hits them equally
+    modes = list(MODES) if args.mode == "all" else [args.mode]
+    all_results = run_matrix(modes, counts, args.doc_size, args.reps, args.seed)
     for r in all_results:
         print(
             f"{r.mode:>10} count={r.count:>7} mean={r.mean_wall * 1000:9.2f} ms "

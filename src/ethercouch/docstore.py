@@ -209,13 +209,7 @@ class StoreState:
         self._verify(payload, tx.data_hash)
         if lineage in self.docs:
             raise DuplicateDocument(digest_hex(lineage))
-        doc = Document(lineage=lineage, topic_id=tx.topic_id)
-        doc.revisions.append(Revision(1, tx.data_hash, payload, origin))
-        self.docs[lineage] = doc
-        self._advance_mark(origin)
-        done = [(lineage, 1)]
-        done.extend(self._drain(doc))
-        return ApplyResult(applied=tuple(done))
+        return self._create(tx, payload, origin, lineage)
 
     def apply_edit(self, tx: DbFunction, payload: bytes, origin: Origin) -> ApplyResult:
         """Append a confirmed edit as the new active revision.
@@ -241,13 +235,7 @@ class StoreState:
             raise TombstoneError(digest_hex(lineage))
         if tx.sequence_id <= doc.max_seq:
             raise StaleRevision(f"{digest_hex(lineage)}:{tx.sequence_id}")
-        if tx.sequence_id > doc.max_seq + 1:
-            self._buffer(lineage, tx, payload, origin)
-            return ApplyResult(buffered=True)
-        self._land(doc, tx, payload, origin)
-        done = [(lineage, tx.sequence_id)]
-        done.extend(self._drain(doc))
-        return ApplyResult(applied=tuple(done))
+        return self._land_or_buffer(doc, tx, payload, origin)
 
     def apply_erased(self, tx: DbFunction, origin: Origin, lineage: Digest) -> ApplyResult:
         """Record a revision whose payload is gone for good.
@@ -260,24 +248,27 @@ class StoreState:
         if doc is None:
             if tx.task is not Task.ADD:
                 raise UnknownLineage(digest_hex(lineage))
-            doc = Document(lineage=lineage, topic_id=tx.topic_id)
-            doc.revisions.append(Revision(1, tx.data_hash, None, origin))
-            self.docs[lineage] = doc
-            self._advance_mark(origin)
-            done = [(lineage, 1)]
-            done.extend(self._drain(doc))
-            return ApplyResult(applied=tuple(done))
+            return self._create(tx, None, origin, lineage)
         if tx.sequence_id <= doc.max_seq:
             return ApplyResult()
         if doc.deleted:
             raise TombstoneError(digest_hex(lineage))
+        return self._land_or_buffer(doc, tx, None, origin)
+
+    def _create(self, tx: DbFunction, payload: bytes | None, origin: Origin, lineage: Digest) -> ApplyResult:
+        """Start a document at revision 1, then land what waited for it."""
+        doc = self.docs[lineage] = Document(lineage=lineage, topic_id=tx.topic_id)
+        doc.revisions.append(Revision(1, tx.data_hash, payload, origin))
+        self._advance_mark(origin)
+        return ApplyResult(applied=((lineage, 1), *self._drain(doc)))
+
+    def _land_or_buffer(self, doc: Document, tx: DbFunction, payload: bytes | None, origin: Origin) -> ApplyResult:
+        """Buffer a revision past a gap, or land it and its waiting successors."""
         if tx.sequence_id > doc.max_seq + 1:
-            self._buffer(lineage, tx, None, origin)
+            self._buffer(doc.lineage, tx, payload, origin)
             return ApplyResult(buffered=True)
-        self._land(doc, tx, None, origin)
-        done = [(lineage, tx.sequence_id)]
-        done.extend(self._drain(doc))
-        return ApplyResult(applied=tuple(done))
+        self._land(doc, tx, payload, origin)
+        return ApplyResult(applied=((doc.lineage, tx.sequence_id), *self._drain(doc)))
 
     def _land(self, doc: Document, tx: DbFunction, payload: bytes | None, origin: Origin) -> None:
         doc.revisions.append(Revision(tx.sequence_id, tx.data_hash, payload, origin))
@@ -340,9 +331,6 @@ class StoreState:
                 return rev
         return None
 
-    def has_document(self, lineage: Digest) -> bool:
-        return lineage in self.docs
-
     # -- reorg repair ----------------------------------------------------
 
     def rollback_to(self, mark: Origin) -> list[Digest]:
@@ -386,15 +374,13 @@ class StoreState:
     def fill_payload(self, lineage: Digest, seq: int, payload: bytes) -> None:
         """Restore the bytes of an existing payload-less revision, verifying
         them against the recorded hash (post-rollback repair)."""
-        doc = self.docs.get(lineage)
-        if doc is None:
+        if lineage not in self.docs:
             raise UnknownLineage(digest_hex(lineage))
-        for rev in doc.revisions:
-            if rev.seq == seq:
-                self._verify(payload, rev.data_hash)
-                rev.payload = payload
-                return
-        raise StaleRevision(f"{digest_hex(lineage)}:{seq}")
+        rev = self.revision(lineage, seq)
+        if rev is None:
+            raise StaleRevision(f"{digest_hex(lineage)}:{seq}")
+        self._verify(payload, rev.data_hash)
+        rev.payload = payload
 
     def missing_payload_revisions(self) -> list[tuple[Digest, int, Digest]]:
         """(lineage, seq, data_hash) of live revisions whose bytes are absent."""

@@ -295,7 +295,8 @@ class ChainState:
     Single-threaded by design; a simulation advances one node at a time.
     The canonical chain is the longest valid chain known, ties broken by
     the lexicographically smaller tip hash. A derived data registry over
-    the canonical chain is kept in step incrementally.
+    the canonical chain is kept in step incrementally; it is the chain's
+    one per-transaction index.
     """
 
     def __init__(
@@ -311,13 +312,11 @@ class ChainState:
         self.difficulty_bits = difficulty_bits
         self.chunk_size = chunk_size
         self.allow_empty_blocks = allow_empty_blocks
-        self.ops = 0  # instrumentation: counts chain operations, for read-locality tests
         genesis = self._mine_raw(ZERO_DIGEST, 0, ZERO_DIGEST, ())
         self.genesis = genesis
         self.blocks: dict[Digest, Block] = {genesis.block_hash: genesis}
         self.tip: Digest = genesis.block_hash
         self.canonical_hashes: list[Digest] = [genesis.block_hash]
-        self.canonical_index: dict[Digest, tuple[int, int]] = {}
         self.mempool: list[DbFunction] = []
         self._mempool_set: set[Digest] = set()
         self.orphans: dict[Digest, list[Block]] = {}
@@ -366,7 +365,6 @@ class ChainState:
         """Queue a transaction after validating it against the canonical
         chain plus everything already queued. Byte-equal resubmission is a
         no-op; anything invalid raises TxRejected with the reason code."""
-        self.ops += 1
         if tx_digest(tx) in self._mempool_set:
             return
         reason = self._inline_reason(tx) or self._spec.validate(tx)
@@ -382,7 +380,6 @@ class ChainState:
     def speculative_latest(self, lineage: Digest) -> tuple[int, bool] | None:
         """(latest sequence, deleted) for a lineage as seen by the canonical
         chain plus the queued transactions; None for unknown lineages."""
-        self.ops += 1
         return self._spec.latest(lineage)
 
     def mine_block(self, miner: Digest, max_txs: int = 100) -> Block:
@@ -390,7 +387,6 @@ class ChainState:
         into a block on the current tip and search nonces from zero until
         the difficulty target is met. The mempool is untouched until the
         block is adopted."""
-        self.ops += 1
         if not self.mempool and not self.allow_empty_blocks:
             raise ValueError("mempool empty and empty-block mining disabled")
         view = self.registry.fork_view()
@@ -408,7 +404,6 @@ class ChainState:
         """Full validity check: known parent, consistent height, proof of
         work, hash integrity, and every transaction valid in order against
         the registry state at the parent."""
-        self.ops += 1
         if block.block_hash == self.genesis.block_hash:
             return (block == self.genesis, "genesis")
         if block.parent not in self.blocks:
@@ -458,7 +453,6 @@ class ChainState:
         The report describes exactly how the canonical transaction sequence
         changed so a document store can repair itself.
         """
-        self.ops += 1
         old_tip = self.tip
         if block.block_hash in self.blocks:
             return ReorgReport(old_tip, old_tip, self.tip_block.height)
@@ -498,14 +492,8 @@ class ChainState:
         ]
 
         # canonical bookkeeping
-        for blk in old_branch:
-            for tx in blk.txs:
-                self.canonical_index.pop(tx_digest(tx), None)
         del self.canonical_hashes[fork_height + 1 :]
-        for blk in new_branch:
-            self.canonical_hashes.append(blk.block_hash)
-            for i, tx in enumerate(blk.txs):
-                self.canonical_index[tx_digest(tx)] = (blk.height, i)
+        self.canonical_hashes.extend(blk.block_hash for blk in new_branch)
         self.tip = new_tip
 
         # derived registry follows the canonical chain
@@ -547,12 +535,17 @@ class ChainState:
         return ReorgReport(old_tip, new_tip, fork_height, rolled_back, applied)
 
     def confirmations(self, tx: DbFunction) -> int:
-        """0 while queued or unknown; 1 for the tip block; +1 per block on top."""
-        self.ops += 1
-        coord = self.canonical_index.get(tx_digest(tx))
-        if coord is None:
-            return 0
-        return 1 + self.tip_block.height - coord[0]
+        """0 while queued or unknown; 1 for the tip block; +1 per block on top.
+
+        Read from the registry, which holds exactly the canonical
+        transactions: every stored block was validated against the state
+        at its parent, so every canonical transaction applies.
+        """
+        digest = tx_digest(tx)
+        for entry in self.registry.query_by_lineage(lineage_of(tx)):
+            if tx_digest(entry.tx) == digest:
+                return 1 + self.height - entry.height
+        return 0
 
     # -- persistence ---------------------------------------------------
 
@@ -560,7 +553,6 @@ class ChainState:
 
     def dump_text(self) -> str:
         """Canonical-chain rendering, one block per line (dump-chain format)."""
-        self.ops += 1
         return "\n".join(block_text(b) for b in self.canonical_blocks()) + "\n"
 
     def save(self, path) -> None:

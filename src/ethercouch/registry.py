@@ -3,8 +3,8 @@
 Two of them:
 
 - the data registry: every accepted mutation record in chain order, with
-  per-document latest revision numbers and tombstones, queryable by topic
-  or editor;
+  per-document latest revision numbers and tombstones, queryable by
+  document;
 - the peer directory: who is reachable where for off-chain transfers, and
   which peers have confirmed the current chain tip.
 
@@ -152,12 +152,6 @@ class DataRegistry:
                 reg.skipped += 1
         return reg
 
-    def query_by_topic(self, topic: Digest) -> list[DbFunction]:
-        return [e.tx for e in self.entries if e.tx.topic_id == topic]
-
-    def query_by_editor(self, editor: Digest) -> list[DbFunction]:
-        return [e.tx for e in self.entries if e.tx.editor_hash == editor]
-
     def query_by_lineage(self, lineage: Digest) -> list[RegistryEntry]:
         return list(self._by_lineage.get(lineage, ()))
 
@@ -225,10 +219,6 @@ class LocationRegistry:
 
     def up_to_date_peers(self) -> list[PeerLocation]:
         return [self.all_peers[e] for e in self._up_peers]
-
-    @property
-    def up_to_date_tip(self) -> Digest | None:
-        return self._up_tip
 
     def registered(self) -> list[PeerLocation]:
         return list(self.all_peers.values())

@@ -68,14 +68,15 @@ def cases():
     for n in range(2):
         yield f"large:{n}", partial(fingerprint, _large_scenario(n), {})
     for mode in ("ethercouch", "chainonly"):
-        yield f"bench:{mode}", partial(fingerprint, *_bench_scenario(BenchSpec(mode=mode, counts=[60], seed=7), 60))
+        spec = BenchSpec(mode=mode, counts=[60], seed=7)
+        yield f"bench:{mode}", partial(fingerprint, _bench_scenario(spec, 60), _tickets(spec.seed, spec.doc_size, 60))
     yield "bench:plain", plain_fingerprint
 
 
 def plain_fingerprint() -> dict:
     """SHA-256 of the store the bench's plain cell writes (no chain, no trace)."""
     spec = BenchSpec(mode="plain", counts=[60], seed=7)
-    store = plain_store(spec, _tickets(spec, 60))
+    store = plain_store(_tickets(spec.seed, spec.doc_size, 60))
     return {"peers": {"node0": {"store": hashlib.sha256(store.snapshot_bytes()).hexdigest()}}}
 
 

@@ -17,7 +17,7 @@ from conftest import (
     random_mutation_batch,
     raw_block,
 )
-from ethercouch.bench import BenchSpec, run_cell, run_matrix
+from ethercouch.bench import run_matrix
 from ethercouch.crypto import chunk_payload, merkle_prove, merkle_root, verify_chunk
 from ethercouch.docstore import StoreState
 from ethercouch.ledger import ChainState, Task, lineage_of
@@ -35,7 +35,11 @@ def report(line: str) -> None:
 
 def test_criterion_1_scaling_ordering():
     counts = [10, 100, 1000, 10000]
-    results = run_matrix(["plain", "ethercouch", "chainonly"], counts, doc_size=4096, repetitions=5, seed=0)
+    modes = ["plain", "ethercouch", "chainonly"]
+    # a run at the small counts takes about a millisecond, so a burst of
+    # machine load can decide a mean of 5: they get 25 repetitions
+    results = run_matrix(modes, counts[:2], doc_size=4096, repetitions=25, seed=0)
+    results += run_matrix(modes, counts[2:], doc_size=4096, repetitions=5, seed=0)
     means: dict = {}
     for r in results:
         means.setdefault(r.mode, {})[r.count] = r.mean_wall
@@ -57,10 +61,10 @@ def test_criterion_1_scaling_ordering():
 
 def test_criterion_2_chain_byte_independence():
     n = 100
-    ec_small = run_cell(BenchSpec(mode="ethercouch", counts=[n], repetitions=1, doc_size=1024), n)
-    ec_large = run_cell(BenchSpec(mode="ethercouch", counts=[n], repetitions=1, doc_size=65536), n)
-    co_small = run_cell(BenchSpec(mode="chainonly", counts=[n], repetitions=1, doc_size=1024), n)
-    co_large = run_cell(BenchSpec(mode="chainonly", counts=[n], repetitions=1, doc_size=65536), n)
+    (ec_small,) = run_matrix(["ethercouch"], [n], doc_size=1024, repetitions=1, warmup=False)
+    (ec_large,) = run_matrix(["ethercouch"], [n], doc_size=65536, repetitions=1, warmup=False)
+    (co_small,) = run_matrix(["chainonly"], [n], doc_size=1024, repetitions=1, warmup=False)
+    (co_large,) = run_matrix(["chainonly"], [n], doc_size=65536, repetitions=1, warmup=False)
     ec_equal = ec_small.chain_bytes == ec_large.chain_bytes == n * RECORD_SIZE
     co_delta = co_large.chain_bytes - co_small.chain_bytes == n * (65536 - 1024)
     co_exact = co_small.chain_bytes == n * (RECORD_SIZE + 1024)

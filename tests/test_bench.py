@@ -12,8 +12,7 @@ from ethercouch.bench import (
     make_ticket,
     plain_store,
     results_to_csv,
-    run_bench,
-    run_cell,
+    run_matrix,
     run_once,
     verify_dir,
     verify_pair,
@@ -35,18 +34,17 @@ def test_record_size_constant_matches_serializer():
 
 
 def test_plain_mode_stores_nothing_on_chain():
-    spec = BenchSpec(mode="plain", counts=[10], repetitions=1, doc_size=512)
-    (result,) = run_bench(spec, warmup=False)
+    (result,) = run_matrix(["plain"], [10], doc_size=512, repetitions=1, warmup=False)
     assert result.chain_bytes == 0
     assert result.store_bytes == 10 * 512
 
 
 def test_plain_mode_writes_directly():
     spec = BenchSpec(mode="plain", counts=[3], doc_size=100)
-    _wall, ticks, chain_bytes, store_bytes = run_once(spec, 3)
-    assert (ticks, chain_bytes, store_bytes) == (0, 0, 300)
     payloads = {i: make_ticket(spec.seed, i, spec.doc_size) for i in range(3)}
-    store = plain_store(spec, payloads)
+    _wall, ticks, chain_bytes, store_bytes = run_once(spec, payloads)
+    assert (ticks, chain_bytes, store_bytes) == (0, 0, 300)
+    store = plain_store(payloads)
     lineage = hash_bytes(b"plain-doc:ticket-1")
     assert store.get_active(lineage) == payloads[1]
     assert [(r.seq, r.data_hash, r.origin) for r in store.history(lineage)] == [(1, ZERO_DIGEST, (0, 0))]
@@ -54,32 +52,30 @@ def test_plain_mode_writes_directly():
 
 
 def test_ethercouch_chain_bytes_are_count_times_record_size():
-    spec = BenchSpec(mode="ethercouch", counts=[10, 50], repetitions=1, doc_size=1024)
-    results = run_bench(spec, warmup=False)
+    results = run_matrix(["ethercouch"], [10, 50], doc_size=1024, repetitions=1, warmup=False)
     assert results[0].chain_bytes == 10 * RECORD_SIZE
     assert results[1].chain_bytes == 50 * RECORD_SIZE
 
 
 def test_ethercouch_chain_bytes_independent_of_doc_size():
-    small = run_cell(BenchSpec(mode="ethercouch", counts=[25], repetitions=1, doc_size=1024), 25)
-    large = run_cell(BenchSpec(mode="ethercouch", counts=[25], repetitions=1, doc_size=65536), 25)
+    (small,) = run_matrix(["ethercouch"], [25], doc_size=1024, repetitions=1, warmup=False)
+    (large,) = run_matrix(["ethercouch"], [25], doc_size=65536, repetitions=1, warmup=False)
     assert small.chain_bytes == large.chain_bytes == 25 * RECORD_SIZE
 
 
 def test_chainonly_chain_bytes_grow_by_exact_payload_delta():
     n = 25
-    small = run_cell(BenchSpec(mode="chainonly", counts=[n], repetitions=1, doc_size=1024), n)
-    large = run_cell(BenchSpec(mode="chainonly", counts=[n], repetitions=1, doc_size=4096), n)
+    (small,) = run_matrix(["chainonly"], [n], doc_size=1024, repetitions=1, warmup=False)
+    (large,) = run_matrix(["chainonly"], [n], doc_size=4096, repetitions=1, warmup=False)
     assert small.chain_bytes == n * (RECORD_SIZE + 1024)
     assert large.chain_bytes == n * (RECORD_SIZE + 4096)
     assert large.chain_bytes - small.chain_bytes == n * (4096 - 1024)
 
 
 def test_ticks_and_bytes_stable_across_repetitions():
-    spec = BenchSpec(mode="ethercouch", counts=[30], repetitions=3, doc_size=256, seed=5)
-    (result,) = run_bench(spec, warmup=False)
+    (result,) = run_matrix(["ethercouch"], [30], doc_size=256, repetitions=3, seed=5, warmup=False)
     assert len(set(result.ticks)) == 1
-    again = run_bench(BenchSpec(mode="ethercouch", counts=[30], repetitions=3, doc_size=256, seed=5), warmup=False)
+    again = run_matrix(["ethercouch"], [30], doc_size=256, repetitions=3, seed=5, warmup=False)
     assert again[0].ticks == result.ticks
     assert again[0].chain_bytes == result.chain_bytes
     assert again[0].store_bytes == result.store_bytes
@@ -92,8 +88,7 @@ def test_tickets_are_distinct_and_sized():
 
 
 def test_csv_shape():
-    spec = BenchSpec(mode="ethercouch", counts=[10], repetitions=5, doc_size=128)
-    results = run_bench(spec, warmup=False)
+    results = run_matrix(["ethercouch"], [10], doc_size=128, repetitions=5, warmup=False)
     text = results_to_csv(results)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER

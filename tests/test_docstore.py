@@ -1,14 +1,18 @@
-"""Document store tests: revisions, tombstones, buffering, rollback."""
+"""Document store tests: revisions, tombstones, buffering, rollback, and a
+seeded replay model of all of them."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from conftest import CHUNK, EDITOR_A, TOPIC_T, make_add, make_delete, make_edit
+from conftest import CHUNK, EDITOR_A, TOPIC_T, TOPIC_U, make_add, make_delete, make_edit
 from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root
 from ethercouch.docstore import (
+    Document,
     DuplicateDocument,
     IntegrityError,
+    Revision,
     StaleRevision,
     StoreState,
     TombstoneError,
@@ -37,7 +41,7 @@ def test_add_rejects_flipped_byte():
     bad = b"qayload"
     with pytest.raises(IntegrityError):
         store.apply_add(tx, bad, (1, 0), lineage_of(tx))
-    assert not store.has_document(lineage_of(tx))
+    assert lineage_of(tx) not in store.docs
 
 
 def test_two_adds_two_documents():
@@ -231,8 +235,8 @@ def test_rollback_removes_document_whose_add_rolled_back():
     _, l1 = add_doc(store, b"keep", origin=(1, 0))
     _, l2 = add_doc(store, b"drop", origin=(2, 0))
     store.rollback_to((1, 2**62))
-    assert store.has_document(l1)
-    assert not store.has_document(l2)
+    assert l1 in store.docs
+    assert l2 not in store.docs
 
 
 def test_rollback_undeletes_when_delete_rolls_back():
@@ -278,6 +282,193 @@ def test_snapshot_roundtrip():
     assert loaded.chunk_size == 512
     assert loaded.topics == store.topics
     assert loaded.applied_upto == store.applied_upto
+
+
+# -- replay model --------------------------------------------------------
+
+
+@dataclass
+class Mutation:
+    """One mutation on the model chain, at its current chain origin."""
+
+    tx: DbFunction
+    lineage: bytes
+    payload: bytes | None  # None for a delete
+    origin: tuple[int, int] = (0, 0)
+
+    @property
+    def key(self) -> tuple[bytes, int]:
+        return (self.lineage, self.tx.sequence_id)
+
+
+def model_chain(rng: random.Random) -> list[Mutation]:
+    """About 20 valid mutations over four lineages, in chain order: adds,
+    edits, and a delete that ends some lineages."""
+    chain: list[Mutation] = []
+    live: dict[bytes, int] = {}  # lineage -> its last sequence number
+    adds = 0
+    while len(chain) < 20 and (live or adds < 4):
+        if adds < 4 and (not live or rng.random() < 0.3):
+            payload = rng.randbytes(rng.randint(1, 40))
+            tx = make_add(payload, topic=rng.choice((TOPIC_T, TOPIC_U)))
+            lineage = lineage_of(tx)
+            adds += 1
+            live[lineage] = 1
+        else:
+            lineage = rng.choice(list(live))
+            seq = live[lineage] + 1
+            if rng.random() < 0.2:
+                tx, payload = make_delete(lineage, seq), None
+                del live[lineage]
+            else:
+                payload = rng.randbytes(rng.randint(1, 40))
+                tx = make_edit(lineage, seq, payload)
+                live[lineage] = seq
+        chain.append(Mutation(tx, lineage, payload))
+    for i, m in enumerate(chain):
+        m.origin = (1 + i // 3, i % 3)
+    return chain
+
+
+def deliver(store: StoreState, m: Mutation, chain: list[Mutation]) -> set:
+    """Hand one confirmed mutation to the store as a peer does, and return
+    the (lineage, seq) pairs the store reports as landed. A delete goes as
+    ``Peer._confirm_delete`` sends it: every earlier revision as erased,
+    then the delete."""
+    if m.tx.task is Task.ADD:
+        results = [store.apply_add(m.tx, m.payload, m.origin, m.lineage)]
+    elif m.tx.task is Task.EDIT:
+        results = [store.apply_edit(m.tx, m.payload, m.origin)]
+    else:
+        earlier = [e for e in chain if e.lineage == m.lineage and e.tx.sequence_id < m.tx.sequence_id]
+        results = [store.apply_erased(e.tx, e.origin, m.lineage) for e in earlier]
+        results.append(store.apply_delete(m.tx, m.origin))
+    return {pair for r in results for pair in r.applied}
+
+
+class StoreModel:
+    """What a store must hold, folded from the mutations handed to it.
+
+    A delivered mutation lands once every earlier revision of its lineage
+    has landed; a landed delete empties every revision of its lineage. The
+    applied-upto mark is the largest origin that ever landed, clamped down
+    to the mark of each rollback (not the largest surviving origin). A
+    rollback that removes a delete leaves the earlier revisions empty.
+    """
+
+    def __init__(self, chain: list[Mutation]):
+        self.chain = chain  # the current chain, in chain order
+        self.held: dict[tuple[bytes, int], bytes | None] = {}  # delivered key -> bytes the store keeps
+        self.landed: set[tuple[bytes, int]] = set()
+        self.applied_upto: tuple[int, int] | None = None
+
+    def settle(self) -> set:
+        """Land what can land; return the keys that landed just now."""
+        landed = set()
+        for m in self.chain:
+            lineage, seq = m.key
+            if m.key in self.held and (seq == 1 or (lineage, seq - 1) in landed):
+                landed.add(m.key)
+                if m.tx.task is Task.DELETE:
+                    for key in self.held:
+                        if key[0] == lineage:
+                            self.held[key] = None
+        new = landed - self.landed
+        for m in self.chain:
+            if m.key in new and (self.applied_upto is None or m.origin > self.applied_upto):
+                self.applied_upto = m.origin
+        self.landed = landed
+        return new
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        for m in self.chain:
+            if m.origin > mark:
+                self.held.pop(m.key, None)
+        self.landed = {m.key for m in self.chain if m.key in self.landed and m.origin <= mark}
+        if self.applied_upto is not None and self.applied_upto > mark:
+            self.applied_upto = mark
+
+    def fold(self) -> StoreState:
+        """A store built directly from the landed mutations, no apply path."""
+        store = StoreState(chunk_size=CHUNK)
+        store.applied_upto = self.applied_upto
+        for m in self.chain:
+            if m.key not in self.landed:
+                continue
+            doc = store.docs.setdefault(m.lineage, Document(m.lineage, m.tx.topic_id))
+            doc.revisions.append(Revision(m.tx.sequence_id, m.tx.data_hash, self.held[m.key], m.origin))
+            if m.tx.task is Task.DELETE:
+                doc.deleted, doc.deleted_seq = True, m.tx.sequence_id
+        return store
+
+
+def replay_in_chain_order(model: StoreModel) -> StoreState:
+    """A fresh store fed only the landed mutations, in chain order."""
+    fresh = StoreState(chunk_size=CHUNK)
+    for m in model.chain:
+        if m.key in model.landed:
+            deliver(fresh, m, model.chain)
+    return fresh
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_store_matches_a_replay_model(seed):
+    rng = random.Random(seed)
+    chain = model_chain(rng)
+    next_height = chain[-1].origin[0] + 1
+    model = StoreModel(chain)
+    store = StoreState(chunk_size=CHUNK)
+    for step in range(80):
+        roll = rng.random()
+        undelivered = [m for m in model.chain if m.key not in model.held]
+        if roll < 0.5 and undelivered:
+            m = rng.choice(undelivered)
+            reported = deliver(store, m, model.chain)
+            model.held[m.key] = m.payload
+            if m.tx.task is Task.DELETE:
+                for e in model.chain:
+                    if e.lineage == m.lineage:
+                        model.held.setdefault(e.key, None)
+            assert reported == model.settle(), (seed, step)
+        elif roll < 0.7:
+            # a reorg: everything after the mark leaves the chain; per
+            # lineage a prefix of it comes back at new, higher origins
+            mark = rng.choice([(0, 0)] + [m.origin for m in model.chain])
+            store.rollback_to(mark)
+            model.rollback(mark)
+            gone = [m for m in model.chain if m.origin > mark]
+            back, lost = [], set()
+            for m in gone:
+                if m.lineage in lost or rng.random() < 0.05:
+                    lost.add(m.lineage)
+                else:
+                    back.append(m)
+            for i, m in enumerate(back):
+                m.origin = (next_height + i // 3, i % 3)
+            next_height += len(back) // 3 + 1
+            model.chain = [m for m in model.chain if m.origin <= mark] + back
+        elif roll < 0.85:
+            by_key = {m.key: m for m in model.chain}
+            deleted = {k[0] for k in model.landed if by_key[k].tx.task is Task.DELETE}
+            expected_missing = sorted(
+                (k[0], k[1], by_key[k].tx.data_hash) for k in model.landed if model.held[k] is None and k[0] not in deleted
+            )
+            assert sorted(store.missing_payload_revisions()) == expected_missing, (seed, step)
+            for lineage, seq, _ in expected_missing:
+                store.fill_payload(lineage, seq, by_key[(lineage, seq)].payload)
+                model.held[(lineage, seq)] = by_key[(lineage, seq)].payload
+            # with every live revision whole again, the store is the one
+            # its landed mutations build, but for the clamped mark
+            fresh = replay_in_chain_order(model).dump_text().split("\n", 1)[1]
+            assert store.dump_text().split("\n", 1)[1] == fresh, (seed, step)
+        else:
+            # buffered mutations are not part of a snapshot
+            store = StoreState.from_snapshot(store.snapshot_bytes())
+            for key in [k for k in model.held if k not in model.landed]:
+                del model.held[key]
+        expected = model.fold()
+        assert store.dump_text() == expected.dump_text(), (seed, step)
+        assert store.snapshot_bytes() == expected.snapshot_bytes(), (seed, step)
 
 
 def test_add_doc_respects_chunked_payloads():
@@ -340,7 +531,7 @@ def test_bytes_that_differ_from_the_staged_ones_are_hashed_and_refused(monkeypat
     with pytest.raises(IntegrityError):
         store.apply_add(tx, bad, (1, 0), lineage_of(tx))
     assert hashed == [bad]
-    assert not store.has_document(lineage_of(tx))
+    assert lineage_of(tx) not in store.docs
     # staged bytes offered for another root are checked against that root
     other = make_add(bytes(range(3, 43)), chunk=8)
     with pytest.raises(IntegrityError):
@@ -431,7 +622,7 @@ def test_non_canonical_split_is_hashed_on_apply_and_refused(monkeypatch, chunks)
     with pytest.raises(IntegrityError):
         store.apply_add(tx, payload, (1, 0), lineage_of(tx))
     assert hashed == [payload]
-    assert not store.has_document(lineage_of(tx))
+    assert lineage_of(tx) not in store.docs
 
 
 def test_bytes_other_than_the_checked_object_are_hashed(monkeypatch):
@@ -451,4 +642,4 @@ def test_bytes_other_than_the_checked_object_are_hashed(monkeypatch):
     copy = bytes(bytearray(checked))  # equal, but not the object that was checked
     store.apply_add(tx, copy, (1, 2), lineage_of(tx))
     assert hashed == [bad, checked, copy]
-    assert not store.has_document(lineage_of(other))
+    assert lineage_of(other) not in store.docs

@@ -513,6 +513,28 @@ def test_confirmations():
     assert state.confirmations(tx) == 4
     unknown = make_add(b"never submitted")
     assert state.confirmations(unknown) == 0
+    # an edit, whose lineage is not its own digest, counts as an add does
+    edit = make_edit(lineage_of(tx), 2, b"doc v2")
+    state.submit_tx(edit)
+    assert state.confirmations(edit) == 0
+    state.adopt_block(state.mine_block(EDITOR_A))
+    assert (state.confirmations(edit), state.confirmations(tx)) == (1, 5)
+    # another tx with the same lineage and seq is not the one on chain
+    assert state.confirmations(make_edit(lineage_of(tx), 2, b"rival v2")) == 0
+    # a longer branch from below the edit, without it
+    b5 = raw_block(state, state.canonical_hashes[4], 5, [make_add(b"branch-5")], miner=EDITOR_B)
+    b6 = raw_block(state, b5.block_hash, 6, [make_add(b"branch-6")], miner=EDITOR_B)
+    state.adopt_block(b5)
+    state.adopt_block(b6)
+    assert state.tip == b6.block_hash
+    assert (state.confirmations(edit), state.confirmations(tx)) == (0, 6)
+    # mined again on the new branch, it counts from its new height
+    assert state.mempool == [edit]
+    state.adopt_block(state.mine_block(EDITOR_A))
+    assert state.confirmations(edit) == 1
+    state.submit_tx(make_add(b"filler-on-branch"))
+    state.adopt_block(state.mine_block(EDITOR_A))
+    assert (state.confirmations(edit), state.confirmations(tx)) == (2, 8)
 
 
 # -- determinism --------------------------------------------------------

@@ -159,7 +159,7 @@ def test_serve_from_staging_before_apply():
     payload = b"early bird payload"
     tx = peer.publish(Task.ADD, NEWS, payload)
     peer.on_mine_complete()  # depth 1 < 3: not applied yet
-    assert not peer.store.has_document(lineage_of(tx))
+    assert lineage_of(tx) not in peer.store.docs
     resp = peer.serve_request(Request(lineage_of(tx), 1, ()), "bob")
     assert isinstance(resp, Response)
     assert b"".join(resp.chunks) == payload
@@ -233,7 +233,7 @@ def test_corrupt_source_triggers_failover():
     # moved on to the next candidate instead of storing bad bytes
     assert bob.pending[key].state is FetchState.FETCHING
     assert bob.pending[key].current_source == "carol"
-    assert not bob.store.has_document(key[0])
+    assert key[0] not in bob.store.docs
     bob.handle_message(honest, "carol")
     assert bob.pending[key].state is FetchState.APPLIED
     assert bob.store.get_active(key[0]) == payload
@@ -363,7 +363,7 @@ def test_non_canonical_split_under_its_own_root_is_never_stored():
     key = (lineage_of(tx), 1)
     assert bob.pending[key].current_source == "mallory"
     bob.handle_message(Response(key[0], 1, chunks, proofs), "mallory")
-    assert not bob.store.has_document(key[0])
+    assert key[0] not in bob.store.docs
     assert bob.pending[key].state is FetchState.FETCHING
 
 
@@ -425,7 +425,7 @@ def test_confirmation_depth_two_delays_application():
     tx = peer.publish(Task.ADD, NEWS, b"needs depth two")
     peer.on_mine_complete()  # depth 1: recorded but not applied
     lineage = lineage_of(tx)
-    assert not peer.store.has_document(lineage)
+    assert lineage not in peer.store.docs
     assert peer.pending[(lineage, 1)].state is FetchState.AWAITING_CONFIRM
     peer.publish(Task.ADD, NEWS, b"filler block content")
     peer.on_mine_complete()  # depth 2 reached for the first add
@@ -451,7 +451,7 @@ def test_corrupt_unsolicited_push_is_refused_by_the_store_then_fetched():
     env.sent.clear()
     bob.handle_message(announce, "alice")
     # the store refused the cached bytes; the peer asks the editor instead
-    assert not bob.store.has_document(key[0])
+    assert key[0] not in bob.store.docs
     assert not bob.push_cache
     assert bob.pending[key].state is FetchState.FETCHING
     assert [(src, dst, m) for (src, dst, m) in env.sent if isinstance(m, Request)] == [
@@ -536,10 +536,9 @@ def test_reads_touch_no_chain_state():
     tx = peer.publish(Task.ADD, NEWS, b"local read")
     peer.on_mine_complete()
     lineage = lineage_of(tx)
-    ops_before = peer.chain.ops
+    peer.chain = None  # any chain access below would raise
     assert peer.store.get_active(lineage) == b"local read"
     assert len(peer.store.history(lineage)) == 1
-    assert peer.chain.ops == ops_before
 
 
 # -- scenario-level behaviour ------------------------------------------------

@@ -7,8 +7,6 @@ import pytest
 from conftest import (
     EDITOR_A,
     EDITOR_B,
-    TOPIC_T,
-    TOPIC_U,
     make_add,
     make_delete,
     make_edit,
@@ -152,29 +150,6 @@ def test_rebuild_after_reorg_equals_incremental():
 # -- queries ------------------------------------------------------------
 
 
-def test_query_by_topic_partition():
-    reg = DataRegistry()
-    t1 = make_add(b"one", topic=TOPIC_T)
-    t2 = make_add(b"two", topic=TOPIC_U)
-    t3 = make_add(b"three", topic=TOPIC_T)
-    for i, tx in enumerate([t1, t2, t3]):
-        applied(reg, tx, 1, i)
-    hits = reg.query_by_topic(TOPIC_T)
-    assert hits == [t1, t3]
-    rest = reg.query_by_topic(TOPIC_U)
-    assert len(hits) + len(rest) == len(reg.entries)
-    assert reg.query_by_topic(hash_bytes(b"missing")) == []
-
-
-def test_query_by_editor():
-    reg = DataRegistry()
-    a = make_add(b"one", editor=EDITOR_A)
-    b = make_add(b"two", editor=EDITOR_B)
-    applied(reg, a, 1, 0)
-    applied(reg, b, 1, 1)
-    assert reg.query_by_editor(EDITOR_B) == [b]
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_query_by_lineage_matches_a_scan_across_rollbacks(seed):
     rng = random.Random(seed)
@@ -235,7 +210,9 @@ def test_mark_up_to_date_and_tip_eviction():
     assert [p.location for p in reg.up_to_date_peers()] == ["a"]
     reg.mark_up_to_date(hash_bytes(b"b"), tip2)
     assert [p.location for p in reg.up_to_date_peers()] == ["b"]
-    assert reg.up_to_date_tip == tip2
+    # marking the current tip again adds to its set instead of evicting it
+    reg.mark_up_to_date(hash_bytes(b"a"), tip2)
+    assert [p.location for p in reg.up_to_date_peers()] == ["b", "a"]
 
 
 def test_mark_unregistered_peer_fails():
