@@ -80,29 +80,20 @@ class DbFunction:
             raise ValueError("sequence_id must be non-negative")
 
 
-def serialize_tx(tx: DbFunction) -> bytes:
-    if tx.inline_payload is None:
-        payload_field = b"\x00"
-    else:
-        payload_field = b"\x01" + tx.inline_payload
-    return b"".join(
-        (
-            lp(bytes([tx.task.value])),
-            lp(tx.data_hash),
-            lp(tx.editor_hash),
-            lp(tx.topic_id),
-            lp(u64(tx.sequence_id)),
-            lp(tx.lineage),
-            lp(payload_field),
-        )
-    )
-
-
 # the fixed head of a canonical tx: the width-prefixed task code, data hash,
 # editor hash, topic, sequence number and lineage, then the payload field's
 # width; the payload field (presence byte, then any inline payload) follows
 _TX_HEAD = struct.Struct(">IBI32sI32sI32sIQI32sI")
 _TX_WIDTHS = (1, DIGEST_SIZE, DIGEST_SIZE, DIGEST_SIZE, 8, DIGEST_SIZE)
+
+
+def serialize_tx(tx: DbFunction) -> bytes:
+    # DbFunction enforces the digest widths, so "32s" neither pads nor cuts
+    payload_field = b"\x00" if tx.inline_payload is None else b"\x01" + tx.inline_payload
+    return _TX_HEAD.pack(
+        1, tx.task.value, DIGEST_SIZE, tx.data_hash, DIGEST_SIZE, tx.editor_hash,
+        DIGEST_SIZE, tx.topic_id, 8, tx.sequence_id, DIGEST_SIZE, tx.lineage, len(payload_field),
+    ) + payload_field
 
 
 def parse_tx(buf: bytes) -> DbFunction:
@@ -185,29 +176,25 @@ def _with_bytes(block: Block, raw: bytes) -> Block:
     return block
 
 
+# the fixed head of a canonical block: the width-prefixed parent, height,
+# nonce, miner and tx count; the width-prefixed txs follow
+_BLOCK_HEAD = struct.Struct(">I32sIQIQI32sIQ")
+_BLOCK_WIDTHS = (DIGEST_SIZE, 8, 8, DIGEST_SIZE, 8)
+
+
 def block_preimage(
     parent: Digest, height: int, nonce: int, miner: Digest, txs: tuple[DbFunction, ...]
 ) -> bytes:
-    parts = [
-        lp(parent),
-        lp(u64(height)),
-        lp(u64(nonce)),
-        lp(miner),
-        lp(u64(len(txs))),
-    ]
-    parts.extend(lp(serialize_tx(t)) for t in txs)
-    return b"".join(parts)
+    # struct's "32s" would pad or cut any other width without a word
+    if len(parent) != DIGEST_SIZE or len(miner) != DIGEST_SIZE:
+        raise ValueError(f"block parent and miner must be {DIGEST_SIZE} bytes")
+    head = _BLOCK_HEAD.pack(DIGEST_SIZE, parent, 8, height, 8, nonce, DIGEST_SIZE, miner, 8, len(txs))
+    return head + b"".join([lp(serialize_tx(t)) for t in txs])
 
 
 def serialize_block(block: Block) -> bytes:
     """Full canonical block encoding; the hash is recomputed on parse."""
     return block.preimage()
-
-
-# the fixed head of a canonical block: the width-prefixed parent, height,
-# nonce, miner and tx count; the width-prefixed txs follow
-_BLOCK_HEAD = struct.Struct(">I32sIQIQI32sIQ")
-_BLOCK_WIDTHS = (DIGEST_SIZE, 8, 8, DIGEST_SIZE, 8)
 
 
 def parse_block(buf: bytes, block_hash: Digest | None = None) -> Block:
@@ -296,7 +283,9 @@ class ChainState:
     The canonical chain is the longest valid chain known, ties broken by
     the lexicographically smaller tip hash. A derived data registry over
     the canonical chain is kept in step incrementally; it is the chain's
-    one per-transaction index.
+    one per-transaction index. A transaction is checked where it enters:
+    ``submit_tx`` against the chain plus the queue, ``validate_block``
+    against its branch; mining and the canonical switch re-check nothing.
     """
 
     def __init__(
@@ -383,22 +372,13 @@ class ChainState:
         return self._spec.latest(lineage)
 
     def mine_block(self, miner: Digest, max_txs: int = 100) -> Block:
-        """Assemble up to max_txs queued transactions (submission order)
-        into a block on the current tip and search nonces from zero until
-        the difficulty target is met. The mempool is untouched until the
-        block is adopted."""
+        """Put the first max_txs queued transactions into a block on the tip
+        and search nonces from zero until the difficulty target is met. The
+        queue is valid in order on the canonical chain, so its prefix is not
+        re-checked, and it is untouched until the block is adopted."""
         if not self.mempool and not self.allow_empty_blocks:
             raise ValueError("mempool empty and empty-block mining disabled")
-        view = self.registry.fork_view()
-        chosen: list[DbFunction] = []
-        for tx in self.mempool:
-            if len(chosen) >= max_txs:
-                break
-            if self._inline_reason(tx) is None and view.validate(tx) == "ok":
-                view.apply(tx)
-                chosen.append(tx)
-        tip = self.tip_block
-        return self._mine_raw(self.tip, tip.height + 1, miner, tuple(chosen))
+        return self._mine_raw(self.tip, self.height + 1, miner, tuple(self.mempool[:max_txs]))
 
     def validate_block(self, block: Block) -> tuple[bool, str]:
         """Full validity check: known parent, consistent height, proof of
@@ -482,6 +462,8 @@ class ChainState:
         return self._switch_tip(best.block_hash)
 
     def _switch_tip(self, new_tip: Digest) -> ReorgReport:
+        """Make a stored block canonical. Its branch applies unchecked: every
+        stored block was validated against the state at its parent."""
         old_tip = self.tip
         fork_height, new_branch = self._side_branch(new_tip)
         old_branch = [self.blocks[h] for h in self.canonical_hashes[fork_height + 1 :]]
@@ -499,13 +481,12 @@ class ChainState:
         # derived registry follows the canonical chain
         self.registry.rollback_to_height(fork_height)
         for tx, h, i in applied:
-            if self.registry.validate(tx) == "ok":
-                self.registry.apply(tx, h, i)
+            self.registry.apply(tx, h, i)
 
-        # mempool maintenance. Pure tip extension by transactions we already
-        # queued leaves the combined chain-plus-mempool view untouched, so
-        # the speculative state can be kept as is; anything else (reorgs,
-        # foreign transactions) rebuilds it from scratch.
+        # mempool maintenance. A pure tip extension by queued transactions
+        # took, for each lineage, a prefix of its queued chain, so what is
+        # left stays valid and the speculative state is kept as is. Anything
+        # else (reorgs, foreign transactions) resubmits from scratch.
         applied_digests = {tx_digest(tx) for tx, _, _ in applied}
         if not rolled_back and applied_digests <= self._mempool_set:
             k = len(applied_digests)
@@ -517,20 +498,12 @@ class ChainState:
         else:
             reinserted = [tx for tx in rolled_back if tx_digest(tx) not in applied_digests]
             survivors = [tx for tx in self.mempool if tx_digest(tx) not in applied_digests]
-            view = self.registry.fork_view()
-            rebuilt: list[DbFunction] = []
-            rebuilt_set: set[Digest] = set()
+            self.mempool, self._mempool_set, self._spec = [], set(), self.registry.fork_view()
             for tx in reinserted + survivors:
-                d = tx_digest(tx)
-                if d in rebuilt_set:
-                    continue
-                if self._inline_reason(tx) is None and view.validate(tx) == "ok":
-                    view.apply(tx)
-                    rebuilt.append(tx)
-                    rebuilt_set.add(d)
-            self.mempool = rebuilt
-            self._mempool_set = rebuilt_set
-            self._spec = view
+                try:
+                    self.submit_tx(tx)
+                except TxRejected:
+                    pass
 
         return ReorgReport(old_tip, new_tip, fork_height, rolled_back, applied)
 

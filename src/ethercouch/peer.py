@@ -364,9 +364,7 @@ class Peer:
 
     def on_mine_complete(self) -> None:
         """The sampled work interval elapsed: assemble and adopt a block."""
-        if not self.online:
-            return
-        if not self.chain.mempool and not self.chain.allow_empty_blocks:
+        if not self.wants_mining():
             return
         block = self.chain.mine_block(self.editor_hash, max_txs=self.max_txs_per_block)
         report = self.chain.adopt_block(block)
@@ -645,7 +643,6 @@ class Peer:
             if tip_height - h + 1 < self.config.confirmation_depth:
                 continue
             del self.own_mined[d]
-            self.location.mark_up_to_date(self.editor_hash, self.chain.tip)
             if self.config.mode is Mode.ETHERCOUCH and tx.task is not Task.DELETE:
                 self._push_payload(tx)
             self._next_reannounce.pop(d, None)

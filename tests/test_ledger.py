@@ -133,6 +133,11 @@ def test_mined_and_parsed_blocks_hash_the_bytes_they_keep():
     assert rebuilt.preimage() is not rebuilt.preimage()
     assert rebuilt.preimage() == block.preimage()
     assert state.validate_block(rebuilt) == (True, "ok")
+    # ... and a parent or miner of any other width is refused, not padded or cut
+    for width in (31, 33):
+        for parent, miner in ((bytes(width), EDITOR_A), (block.parent, bytes(width))):
+            with pytest.raises(ValueError):
+                serialize_block(Block(parent, 1, 0, miner, (), block.block_hash))
 
 
 # -- submission ---------------------------------------------------------
@@ -468,6 +473,9 @@ def test_fork_parent_validation_matches_replay_from_genesis():
         state = fresh()
         for adopted in order:
             state.adopt_block(adopted)
+            # the canonical switch applies unchecked, yet folds as a replay
+            rebuilt = DataRegistry.rebuild(state)
+            assert (state.registry.dump_text(), rebuilt.skipped) == (rebuilt.dump_text(), 0)
             for blk in order:
                 if blk.parent in state.blocks:
                     verdict = state.validate_block(blk)
@@ -494,6 +502,136 @@ def test_fork_parent_validation_matches_replay_from_genesis():
     assert fork_checks > 100
     for reason in ("ok", "unknown-lineage", "stale-sequence", "duplicate-add", "already-deleted"):
         assert any(v.endswith(reason) for v in verdicts), reason
+
+
+def assert_mempool_invariant(state: ChainState, lineages: set) -> None:
+    """The queue is valid, in order, on top of the canonical registry, the
+    speculative state is that fold, and mining takes exactly a prefix."""
+    view = state.registry.fork_view()
+    for tx in state.mempool:
+        if tx.inline_payload is not None:
+            assert payload_root(tx.inline_payload, state.chunk_size) == tx.data_hash
+        assert view.validate(tx) == "ok"
+        view.apply(tx)
+    assert {lin: view.latest(lin) for lin in lineages} == {lin: state.speculative_latest(lin) for lin in lineages}
+    for k in {1, len(state.mempool) // 2 + 1, len(state.mempool)} if state.mempool else ():
+        assert state.mine_block(EDITOR_A, max_txs=k).txs == tuple(state.mempool[:k])
+
+
+def requeued(state: ChainState, report, queued: list) -> list:
+    """Reference queue after an adoption: the rolled-back, then the queued
+    txs that the new branch did not apply, each kept if it is valid, in
+    order, on a registry folded afresh from the canonical chain."""
+    if not report.tip_changed:
+        return queued
+    applied = {tx_digest(tx) for tx in report.applied_txs}
+    view = DataRegistry.rebuild(state).fork_view()
+    kept = []
+    for tx in report.rolled_back + queued:
+        inline_ok = tx.inline_payload is None or payload_root(tx.inline_payload, state.chunk_size) == tx.data_hash
+        if tx_digest(tx) not in applied and inline_ok and view.validate(tx) == "ok":
+            view.apply(tx)
+            kept.append(tx)
+    return kept
+
+
+def live_next(latest_of, lineages: set) -> dict:
+    """Next sequence number of every lineage that ``latest_of`` reads live."""
+    live = {}
+    for lin in sorted(lineages):
+        latest = latest_of(lin)
+        if latest is not None and not latest[1]:
+            live[lin] = latest[0] + 1
+    return live
+
+
+def submit_some(rng: random.Random, state: ChainState, lineages: set) -> None:
+    """Queue valid txs (some chain-only) and check that a wrong inline hash,
+    a repeated sequence number and an unknown lineage are refused."""
+    live = live_next(state.speculative_latest, lineages)
+    txs, payloads = random_mutation_batch(rng, rng.randint(1, 5), live=live)
+    if rng.random() < 0.3:
+        txs.append(make_add(rng.randbytes(rng.randint(0, 64)), inline=True))
+    for tx in txs:
+        if tx.task is Task.EDIT and rng.random() < 0.3:
+            tx = DbFunction(tx.task, tx.data_hash, tx.editor_hash, tx.topic_id, tx.sequence_id, tx.lineage, payloads[tx.data_hash])
+        state.submit_tx(tx)
+        lineages.add(lineage_of(tx))
+    wrong = DbFunction(Task.ADD, payload_root(b"other"), EDITOR_A, ZERO_DIGEST, 1, ZERO_DIGEST, b"claimed")
+    rejects = [(wrong, "inline-hash-mismatch"), (make_edit(hash_bytes(b"no such doc"), 2, b"x"), "unknown-lineage")]
+    for lin, seq in sorted(live.items())[:1]:
+        wrong = DbFunction(Task.EDIT, payload_root(b"other"), EDITOR_A, ZERO_DIGEST, seq, lin, b"claimed")
+        rejects += [(wrong, "inline-hash-mismatch"), (make_edit(lin, seq - 1, b"stale"), "stale-sequence")]
+    for tx, reason in rejects:
+        with pytest.raises(TxRejected) as e:
+            state.submit_tx(tx)
+        assert e.value.reason == reason
+
+
+def rival_branch(rng: random.Random, state: ChainState, fork: int, length: int, lineages: set) -> list:
+    """``length`` blocks by another miner on the canonical block at height
+    ``fork``. Each takes a random selection of the old branch's and the
+    queue's txs that is valid on the branch, then foreign txs on top."""
+    old = [tx for blk in state.canonical_blocks()[fork + 1 :] for tx in blk.txs]
+    candidates = (old if rng.random() < 0.5 else []) + state.mempool
+    parent = state.blocks[state.canonical_hashes[fork]]
+    view = replay(state.blocks, parent.block_hash).fork_view()
+    branch = []
+    for _ in range(length):
+        share = rng.choice((0.0, 0.5, 1.0))
+        txs = []
+        for tx in candidates:
+            if rng.random() < share and view.validate(tx) == "ok":
+                view.apply(tx)
+                txs.append(tx)
+        if rng.random() < 0.5:
+            foreign, _ = random_mutation_batch(rng, rng.randint(1, 2), editors=(EDITOR_B,), live=live_next(view.latest, lineages))
+            for tx in foreign:
+                view.apply(tx)
+                lineages.add(lineage_of(tx))
+            txs += foreign
+        parent = raw_block(state, parent.block_hash, parent.height + 1, txs, miner=EDITOR_B)
+        branch.append(parent)
+    return branch
+
+
+def test_mempool_stays_valid_on_the_canonical_chain():
+    rng = random.Random(12)
+    paths = Counter()
+    for _trial in range(15):
+        state = fresh()
+        lineages: set = set()
+        for _ in range(30):
+            roll = rng.random()
+            if roll < 0.3 or not state.mempool:
+                submit_some(rng, state, lineages)
+                blocks = []
+            elif roll < 0.55:
+                blocks = [state.mine_block(EDITOR_A, max_txs=rng.randint(1, len(state.mempool)))]
+            else:
+                # a rival tip block, or a branch from below the tip that is
+                # longer or (then won on hash or not at all) as long
+                fork = state.height if roll < 0.75 else rng.randint(max(0, state.height - 3), state.height)
+                extra = 1 if roll < 0.9 else 0
+                blocks = rival_branch(rng, state, fork, state.height - fork + extra, lineages)
+            for blk in blocks:
+                queued = list(state.mempool)
+                report = state.adopt_block(blk)
+                assert state.mempool == requeued(state, report, queued)
+                if not report.tip_changed:
+                    paths["kept"] += 1
+                elif report.rolled_back:
+                    paths["rollback"] += 1
+                    paths["reinserted"] += any(tx in state.mempool for tx in report.rolled_back)
+                elif report.applied_txs == queued[: len(report.applied)]:
+                    paths["prefix"] += 1
+                elif set(report.applied_txs) <= set(queued):
+                    paths["filtered"] += 1
+                else:
+                    paths["foreign"] += 1
+                paths["dropped"] += any(tx not in state.mempool and tx not in report.applied_txs for tx in queued)
+            assert_mempool_invariant(state, lineages)
+    assert min(paths[p] for p in ("kept", "rollback", "reinserted", "prefix", "filtered", "foreign", "dropped")) >= 5, paths
 
 
 # -- confirmations ------------------------------------------------------
