@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .codec import Reader, lp, u64
 from .crypto import (
@@ -57,7 +58,7 @@ class StaleRevision(StoreError):
     """Revision number at or below what is already stored."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Revision:
     seq: int
     data_hash: Digest
@@ -65,7 +66,7 @@ class Revision:
     origin: Origin
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     lineage: Digest
     topic_id: Digest
@@ -83,8 +84,7 @@ class Document:
         return None if self.deleted else self.max_seq
 
 
-@dataclass(frozen=True)
-class ApplyResult:
+class ApplyResult(NamedTuple):
     """What one apply call did: the (lineage, seq) pairs that landed
     (buffered predecessors drain in the same call) or a buffered marker."""
 

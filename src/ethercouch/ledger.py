@@ -15,7 +15,11 @@ Canonical serialization (the wire and hashing contract):
 
 This is the only encoding the parsers accept, so a parsed transaction's
 digest is the hash of the bytes it arrived in, and a mined or parsed block
-keeps the exact bytes it was hashed from.
+keeps the exact bytes it was hashed from. A transaction is encoded, hashed
+and named once, when it is built: it carries its digest and document id,
+and a hash-anchored record keeps its bytes, as a block does. A chain-only
+transaction keeps only its digest, so its inline payload is not held twice,
+and is serialized when a block is built.
 
 A block's hash is the digest of its serialized parent, height, nonce,
 miner and transaction list, in that order. Proof of work requires the
@@ -27,6 +31,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from hashlib import sha256
 
 from .codec import Reader, lp, u64
 from .crypto import (
@@ -53,7 +58,6 @@ class Task(Enum):
 _TASK_BY_CODE = {t.value: t for t in Task}
 
 
-@dataclass(frozen=True)
 class DbFunction:
     """One on-chain data mutation record.
 
@@ -61,23 +65,69 @@ class DbFunction:
     of the document's add transaction. Adds carry the zero digest there
     (their own digest becomes the lineage id). ``inline_payload`` is only
     present in chain-only mode.
+
+    A record is encoded, hashed and named once, when it is built:
+    ``digest`` is the hash of its canonical bytes and ``doc_id`` the
+    document it belongs to (its own digest for an add, ``lineage``
+    otherwise). ``raw`` keeps the canonical bytes of a hash-anchored
+    record (a fixed 166 bytes); a chain-only record keeps None there, so
+    its inline payload is not held twice, and is serialized when needed.
+    Records are immutable by contract: equality and hash follow
+    ``digest``, which the canonical encoding makes one-to-one with the
+    fields.
     """
 
-    task: Task
-    data_hash: Digest
-    editor_hash: Digest
-    topic_id: Digest
-    sequence_id: int
-    lineage: Digest = ZERO_DIGEST
-    inline_payload: bytes | None = None
+    __slots__ = (
+        "task", "data_hash", "editor_hash", "topic_id", "sequence_id", "lineage", "inline_payload",
+        "digest", "doc_id", "raw",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("data_hash", "editor_hash", "topic_id", "lineage"):
-            v = getattr(self, name)
+    def __init__(
+        self,
+        task: Task,
+        data_hash: Digest,
+        editor_hash: Digest,
+        topic_id: Digest,
+        sequence_id: int,
+        lineage: Digest = ZERO_DIGEST,
+        inline_payload: bytes | None = None,
+    ) -> None:
+        for name, v in (("data_hash", data_hash), ("editor_hash", editor_hash), ("topic_id", topic_id), ("lineage", lineage)):
             if not isinstance(v, bytes) or len(v) != DIGEST_SIZE:
                 raise ValueError(f"{name} must be {DIGEST_SIZE} bytes")
-        if self.sequence_id < 0:
-            raise ValueError("sequence_id must be non-negative")
+        if not 0 <= sequence_id < 1 << 64:
+            raise ValueError("sequence_id must be in [0, 2**64)")
+        if not isinstance(task, Task):
+            raise ValueError("unknown task")
+        self.task = task
+        self.data_hash = data_hash
+        self.editor_hash = editor_hash
+        self.topic_id = topic_id
+        self.sequence_id = sequence_id
+        self.lineage = lineage
+        self.inline_payload = inline_payload
+        head = _tx_head(self)
+        if inline_payload is None:
+            self.raw = head + b"\x00"
+            self.digest = sha256(self.raw).digest()
+        else:
+            self.raw = None
+            h = sha256(head)
+            h.update(b"\x01")
+            h.update(inline_payload)
+            self.digest = h.digest()
+        self.doc_id = self.digest if task is Task.ADD else lineage
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DbFunction):
+            return NotImplemented
+        return self.digest == other.digest
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    def __repr__(self) -> str:
+        return f"DbFunction({tx_text(self)})"
 
 
 # the fixed head of a canonical tx: the width-prefixed task code, data hash,
@@ -87,18 +137,26 @@ _TX_HEAD = struct.Struct(">IBI32sI32sI32sIQI32sI")
 _TX_WIDTHS = (1, DIGEST_SIZE, DIGEST_SIZE, DIGEST_SIZE, 8, DIGEST_SIZE)
 
 
-def serialize_tx(tx: DbFunction) -> bytes:
-    # DbFunction enforces the digest widths, so "32s" neither pads nor cuts
-    payload_field = b"\x00" if tx.inline_payload is None else b"\x01" + tx.inline_payload
+def _tx_head(tx: DbFunction) -> bytes:
+    # DbFunction enforces the digest widths, so "32s" neither pads nor cuts;
+    # _value_ is the member's value, read without the enum property's call
+    payload_width = 1 if tx.inline_payload is None else 1 + len(tx.inline_payload)
     return _TX_HEAD.pack(
-        1, tx.task.value, DIGEST_SIZE, tx.data_hash, DIGEST_SIZE, tx.editor_hash,
-        DIGEST_SIZE, tx.topic_id, 8, tx.sequence_id, DIGEST_SIZE, tx.lineage, len(payload_field),
-    ) + payload_field
+        1, tx.task._value_, DIGEST_SIZE, tx.data_hash, DIGEST_SIZE, tx.editor_hash,
+        DIGEST_SIZE, tx.topic_id, 8, tx.sequence_id, DIGEST_SIZE, tx.lineage, payload_width,
+    )
+
+
+def serialize_tx(tx: DbFunction) -> bytes:
+    """The canonical bytes of ``tx``: kept for a hash-anchored record,
+    encoded afresh for a chain-only one."""
+    return tx.raw if tx.raw is not None else _tx_head(tx) + b"\x01" + tx.inline_payload
 
 
 def parse_tx(buf: bytes) -> DbFunction:
     """Strict inverse of ``serialize_tx``: only the canonical encoding
-    parses, so the digest is the hash of the bytes the tx arrived in."""
+    parses, so the digest the constructor computes is the hash of the
+    bytes the tx arrived in."""
     if len(buf) < _TX_HEAD.size:
         raise ValueError("truncated transaction")
     (w_task, code, w_data, data_hash, w_editor, editor_hash, w_topic, topic_id,
@@ -117,24 +175,18 @@ def parse_tx(buf: bytes) -> DbFunction:
         inline = None
     else:
         raise ValueError("bad payload presence byte")
-    tx = DbFunction(task, data_hash, editor_hash, topic_id, sequence_id, lineage, inline)
-    object.__setattr__(tx, "_digest", hash_bytes(buf))
-    return tx
+    return DbFunction(task, data_hash, editor_hash, topic_id, sequence_id, lineage, inline)
 
 
 def tx_digest(tx: DbFunction) -> Digest:
-    # memoized on the instance: immutable fields, and chain-only payloads
-    # make recomputation expensive
-    d = tx.__dict__.get("_digest")
-    if d is None:
-        d = hash_bytes(serialize_tx(tx))
-        object.__setattr__(tx, "_digest", d)
-    return d
+    """The hash of the canonical bytes, computed once when ``tx`` was built."""
+    return tx.digest
 
 
 def lineage_of(tx: DbFunction) -> Digest:
-    """The document identity a transaction belongs to."""
-    return tx_digest(tx) if tx.task is Task.ADD else tx.lineage
+    """The document identity a transaction belongs to: its own digest for
+    an add, ``lineage`` otherwise (``tx.doc_id``)."""
+    return tx.doc_id
 
 
 def tx_text(tx: DbFunction) -> str:
@@ -182,14 +234,32 @@ _BLOCK_HEAD = struct.Struct(">I32sIQIQI32sIQ")
 _BLOCK_WIDTHS = (DIGEST_SIZE, 8, 8, DIGEST_SIZE, 8)
 
 
-def block_preimage(
-    parent: Digest, height: int, nonce: int, miner: Digest, txs: tuple[DbFunction, ...]
-) -> bytes:
+def _block_head(parent: Digest, height: int, nonce: int, miner: Digest, ntx: int) -> bytes:
     # struct's "32s" would pad or cut any other width without a word
     if len(parent) != DIGEST_SIZE or len(miner) != DIGEST_SIZE:
         raise ValueError(f"block parent and miner must be {DIGEST_SIZE} bytes")
-    head = _BLOCK_HEAD.pack(DIGEST_SIZE, parent, 8, height, 8, nonce, DIGEST_SIZE, miner, 8, len(txs))
-    return head + b"".join([lp(serialize_tx(t)) for t in txs])
+    return _BLOCK_HEAD.pack(DIGEST_SIZE, parent, 8, height, 8, nonce, DIGEST_SIZE, miner, 8, ntx)
+
+
+_RECORD_WIDTH = struct.pack(">I", _TX_HEAD.size + 1)  # every hash-anchored record's prefix
+
+
+def _tx_body(txs: tuple[DbFunction, ...]) -> bytes:
+    """The width-prefixed txs of a block: kept record bytes, and each
+    chain-only tx serialized once."""
+    parts = []
+    for t in txs:
+        if t.raw is not None:
+            parts += (_RECORD_WIDTH, t.raw)
+        else:
+            parts.append(lp(serialize_tx(t)))
+    return b"".join(parts)
+
+
+def block_preimage(
+    parent: Digest, height: int, nonce: int, miner: Digest, txs: tuple[DbFunction, ...]
+) -> bytes:
+    return _block_head(parent, height, nonce, miner, len(txs)) + _tx_body(txs)
 
 
 def serialize_block(block: Block) -> bytes:
@@ -333,20 +403,15 @@ class ChainState:
                 yield tx, blk.height, i
 
     def _mine_raw(self, parent: Digest, height: int, miner: Digest, txs: tuple) -> Block:
+        # the txs are encoded once; each nonce packs only the block head
+        body = _tx_body(txs)
         nonce = 0
         while True:
-            pre = block_preimage(parent, height, nonce, miner, txs)
+            pre = _block_head(parent, height, nonce, miner, len(txs)) + body
             h = hash_bytes(pre)
             if meets_target(h, self.difficulty_bits):
                 return _with_bytes(Block(parent, height, nonce, miner, txs, h), pre)
             nonce += 1
-
-    def _inline_reason(self, tx: DbFunction) -> str | None:
-        if tx.inline_payload is None:
-            return None
-        if payload_root(tx.inline_payload, self.chunk_size) != tx.data_hash:
-            return "inline-hash-mismatch"
-        return None
 
     # -- operations ----------------------------------------------------
 
@@ -354,17 +419,19 @@ class ChainState:
         """Queue a transaction after validating it against the canonical
         chain plus everything already queued. Byte-equal resubmission is a
         no-op; anything invalid raises TxRejected with the reason code."""
-        if tx_digest(tx) in self._mempool_set:
+        if tx.digest in self._mempool_set:
             return
-        reason = self._inline_reason(tx) or self._spec.validate(tx)
+        if tx.inline_payload is not None and payload_root(tx.inline_payload, self.chunk_size) != tx.data_hash:
+            raise TxRejected("inline-hash-mismatch")
+        reason = self._spec.validate(tx)
         if reason != "ok":
             raise TxRejected(reason)
         self._spec.apply(tx)
         self.mempool.append(tx)
-        self._mempool_set.add(tx_digest(tx))
+        self._mempool_set.add(tx.digest)
 
     def in_mempool(self, tx: DbFunction) -> bool:
-        return tx_digest(tx) in self._mempool_set
+        return tx.digest in self._mempool_set
 
     def speculative_latest(self, lineage: Digest) -> tuple[int, bool] | None:
         """(latest sequence, deleted) for a lineage as seen by the canonical
@@ -397,7 +464,9 @@ class ChainState:
             return (False, "pow-target")
         view = self._view_at(block.parent)
         for tx in block.txs:
-            reason = self._inline_reason(tx) or view.validate(tx)
+            if tx.inline_payload is not None and payload_root(tx.inline_payload, self.chunk_size) != tx.data_hash:
+                return (False, "tx-invalid:inline-hash-mismatch")
+            reason = view.validate(tx)
             if reason != "ok":
                 return (False, f"tx-invalid:{reason}")
             view.apply(tx)
@@ -487,17 +556,17 @@ class ChainState:
         # took, for each lineage, a prefix of its queued chain, so what is
         # left stays valid and the speculative state is kept as is. Anything
         # else (reorgs, foreign transactions) resubmits from scratch.
-        applied_digests = {tx_digest(tx) for tx, _, _ in applied}
+        applied_digests = {tx.digest for tx, _, _ in applied}
         if not rolled_back and applied_digests <= self._mempool_set:
             k = len(applied_digests)
-            if {tx_digest(t) for t in self.mempool[:k]} == applied_digests:
+            if {t.digest for t in self.mempool[:k]} == applied_digests:
                 self.mempool = self.mempool[k:]  # FIFO mining took the prefix
             else:
-                self.mempool = [tx for tx in self.mempool if tx_digest(tx) not in applied_digests]
+                self.mempool = [tx for tx in self.mempool if tx.digest not in applied_digests]
             self._mempool_set -= applied_digests
         else:
-            reinserted = [tx for tx in rolled_back if tx_digest(tx) not in applied_digests]
-            survivors = [tx for tx in self.mempool if tx_digest(tx) not in applied_digests]
+            reinserted = [tx for tx in rolled_back if tx.digest not in applied_digests]
+            survivors = [tx for tx in self.mempool if tx.digest not in applied_digests]
             self.mempool, self._mempool_set, self._spec = [], set(), self.registry.fork_view()
             for tx in reinserted + survivors:
                 try:
@@ -514,9 +583,8 @@ class ChainState:
         transactions: every stored block was validated against the state
         at its parent, so every canonical transaction applies.
         """
-        digest = tx_digest(tx)
-        for entry in self.registry.query_by_lineage(lineage_of(tx)):
-            if tx_digest(entry.tx) == digest:
+        for entry in self.registry.query_by_lineage(tx.doc_id):
+            if entry.tx.digest == tx.digest:
                 return 1 + self.height - entry.height
         return 0
 

@@ -53,7 +53,7 @@ from .docstore import (
     StoreState,
     TombstoneError,
 )
-from .ledger import ChainState, DbFunction, Task, TxRejected, lineage_of, tx_digest
+from .ledger import ChainState, DbFunction, Task, TxRejected
 from .registry import LocationRegistry, PeerLocation
 from .wire import (
     BlockAnnounce,
@@ -106,7 +106,7 @@ class FetchState(Enum):
     UNAVAILABLE = "unavailable"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingFetch:
     """Lifecycle of one confirmed mutation on its way into the store."""
 
@@ -148,6 +148,8 @@ class Peer:
         max_txs_per_block: int = 100,
     ):
         self.config = config
+        self.name = config.name
+        self.editor_hash = config.editor_hash
         self.env = env
         self.location = location
         self.chunk_size = chunk_size
@@ -176,14 +178,6 @@ class Peer:
         location.register_peer(PeerLocation(self.editor_hash, config.name))
 
     # -- identity --------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.config.name
-
-    @property
-    def editor_hash(self) -> Digest:
-        return self.config.editor_hash
 
     def _topic_ok(self, topic: Digest) -> bool:
         return not self.config.topics or topic in self.config.topics
@@ -254,10 +248,10 @@ class Peer:
                 self.store.unstage(data_hash)
             raise
         if staged:
-            holders, lineage = self._staged_by.get(data_hash, ()), lineage_of(tx)
-            if lineage not in holders:
-                self._staged_by[data_hash] = holders + (lineage,)
-        self.own_unconfirmed[tx_digest(tx)] = tx
+            holders = self._staged_by.get(data_hash, ())
+            if tx.doc_id not in holders:
+                self._staged_by[data_hash] = holders + (tx.doc_id,)
+        self.own_unconfirmed[tx.digest] = tx
         if self.online:
             self.env.broadcast(self, TxAnnounce(tx))
         self.env.arm_mining(self)
@@ -618,17 +612,14 @@ class Peer:
                 del self.pending[key]
                 self._active.pop(key, None)
             for tx in report.rolled_back:
-                d = tx_digest(tx)
-                if d in self.own_mined:
-                    self.own_unconfirmed[d] = self.own_mined.pop(d)[0]
+                if tx.digest in self.own_mined:
+                    self.own_unconfirmed[tx.digest] = self.own_mined.pop(tx.digest)[0]
         for tx, h, i in report.applied:
-            d = tx_digest(tx)
-            if d in self.own_unconfirmed:
-                self.own_mined[d] = (self.own_unconfirmed.pop(d), h)
+            if tx.digest in self.own_unconfirmed:
+                self.own_mined[tx.digest] = (self.own_unconfirmed.pop(tx.digest), h)
             if not self._topic_ok(tx.topic_id):
                 continue
-            lineage = lineage_of(tx)
-            self._track((lineage, tx.sequence_id), PendingFetch(tx=tx, lineage=lineage, coord=(h, i)))
+            self._track((tx.doc_id, tx.sequence_id), PendingFetch(tx=tx, lineage=tx.doc_id, coord=(h, i)))
         self._settle_own_txs()
         self._process_confirmations()
         if report.rolled_back:
@@ -639,25 +630,32 @@ class Peer:
 
     def _settle_own_txs(self) -> None:
         tip_height = self.chain.height
+        pushes = self.config.mode is Mode.ETHERCOUCH
+        recipients = None  # read once per chain event, at the first push
         for d, (tx, h) in list(self.own_mined.items()):
             if tip_height - h + 1 < self.config.confirmation_depth:
                 continue
             del self.own_mined[d]
-            if self.config.mode is Mode.ETHERCOUCH and tx.task is not Task.DELETE:
-                self._push_payload(tx)
+            if pushes and tx.task is not Task.DELETE:
+                if recipients is None:
+                    recipients = self._push_recipients()
+                if recipients:
+                    self._push_payload(tx, recipients)
             self._next_reannounce.pop(d, None)
 
-    def _push_payload(self, tx: DbFunction) -> None:
-        """Off-chain broadcast after mining: hand the fresh payload to the
-        peers currently marked up to date; everyone else pulls on demand."""
-        recipients = [loc.location for loc in self.location.up_to_date_peers() if loc.location != self.name]
-        if not recipients:
-            return
+    def _push_recipients(self) -> list[str]:
+        """The other peers currently marked up to date."""
+        return [loc.location for loc in self.location.up_to_date_peers() if loc.location != self.name]
+
+    def _push_payload(self, tx: DbFunction, recipients: list[str]) -> None:
+        """Off-chain broadcast after mining: hand the fresh payload to
+        ``recipients``, the peers marked up to date; everyone else pulls on
+        demand."""
         payload = self.store.staged_payload(tx.data_hash)
         if payload is None:
             return
         chunks, proofs = self._proved_chunks(tx.data_hash, payload)
-        resp = Response(lineage_of(tx), tx.sequence_id, tuple(chunks), proofs)
+        resp = Response(tx.doc_id, tx.sequence_id, tuple(chunks), proofs)
         raw = None
         for name in recipients:
             raw = self.env.send(self, name, resp, raw)
@@ -682,18 +680,16 @@ class Peer:
         if pf.tx.task is Task.DELETE:
             self._confirm_delete(pf)
             return
+        # bytes held here apply at once, with no fetch state in between
         if pf.tx.inline_payload is not None:
-            self._set_state(pf, FetchState.FETCHING)  # transitional; applies immediately
             if not self._apply_payload(pf, pf.tx.inline_payload):
                 self.env.note(self, f"inline payload corrupt lineage={digest_hex(pf.lineage)[:12]}")
                 self._set_state(pf, FetchState.UNAVAILABLE)
                 pf.next_retry_at = self.env.now() + self.env.poll_interval
             return
         local = self._local_payload(pf)
-        if local is not None:
-            self._set_state(pf, FetchState.FETCHING)
-            if self._apply_payload(pf, local):
-                return
+        if local is not None and self._apply_payload(pf, local):
+            return
         self._start_fetch(pf)
 
     def _local_payload(self, pf: PendingFetch) -> bytes | None:
@@ -726,7 +722,6 @@ class Peer:
             refill = PendingFetch(tx=tx, lineage=lineage, coord=coord, refill=True)
             self._track(key, refill)
             local = self._local_payload(refill)
-            self._set_state(refill, FetchState.FETCHING)
             if local is not None and self._apply_payload(refill, local):
                 continue
             self._start_fetch(refill)

@@ -17,9 +17,10 @@ deleted document.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import Digest, ZERO_DIGEST, digest_hex
-from .ledger import DbFunction, Task, lineage_of, tx_digest
+from .ledger import DbFunction, Task
 
 OK = "ok"
 UNKNOWN_LINEAGE = "unknown-lineage"
@@ -29,32 +30,34 @@ ALREADY_DELETED = "already-deleted"
 MALFORMED_ADD = "malformed-add"
 
 
-def _validate(state: dict[Digest, tuple[int, bool]], tx: DbFunction) -> str:
-    """Sequence-validity of one transaction against a lineage state map.
+class _LineageRules:
+    """Sequence validity against a lineage state map, which carries
+    (latest accepted sequence, deleted flag) per lineage."""
 
-    The map carries (latest accepted sequence, deleted flag) per lineage.
-    """
-    if tx.task is Task.ADD:
-        if tx.lineage != ZERO_DIGEST:
-            return MALFORMED_ADD
-        if tx.sequence_id != 1:
+    _state: dict[Digest, tuple[int, bool]]
+
+    def validate(self, tx: DbFunction) -> str:
+        if tx.task is Task.ADD:
+            if tx.lineage != ZERO_DIGEST:
+                return MALFORMED_ADD
+            if tx.sequence_id != 1:
+                return STALE_SEQUENCE
+            if tx.digest in self._state:
+                return DUPLICATE_ADD
+            return OK
+        entry = self._state.get(tx.lineage)
+        if entry is None:
+            return UNKNOWN_LINEAGE
+        latest, deleted = entry
+        if deleted:
+            return ALREADY_DELETED
+        if tx.sequence_id != latest + 1:
             return STALE_SEQUENCE
-        if tx_digest(tx) in state:
-            return DUPLICATE_ADD
         return OK
-    entry = state.get(tx.lineage)
-    if entry is None:
-        return UNKNOWN_LINEAGE
-    latest, deleted = entry
-    if deleted:
-        return ALREADY_DELETED
-    if tx.sequence_id != latest + 1:
-        return STALE_SEQUENCE
-    return OK
 
-
-def _apply(state: dict[Digest, tuple[int, bool]], tx: DbFunction) -> None:
-    state[lineage_of(tx)] = (tx.sequence_id, tx.task is Task.DELETE)
+    def latest(self, lineage: Digest) -> tuple[int, bool] | None:
+        """(latest sequence, deleted flag) or None for unknown documents."""
+        return self._state.get(lineage)
 
 
 def _undo(state: dict[Digest, tuple[int, bool]], entry: RegistryEntry) -> None:
@@ -67,32 +70,25 @@ def _undo(state: dict[Digest, tuple[int, bool]], entry: RegistryEntry) -> None:
         state[entry.lineage] = (entry.tx.sequence_id - 1, False)
 
 
-class MempoolView:
+class MempoolView(_LineageRules):
     """Scratch lineage state for validating queued or candidate transactions
     on top of a fixed registry snapshot."""
 
     def __init__(self, state: dict[Digest, tuple[int, bool]]):
         self._state = state
 
-    def validate(self, tx: DbFunction) -> str:
-        return _validate(self._state, tx)
-
     def apply(self, tx: DbFunction) -> None:
-        _apply(self._state, tx)
-
-    def latest(self, lineage: Digest) -> tuple[int, bool] | None:
-        return self._state.get(lineage)
+        self._state[tx.doc_id] = (tx.sequence_id, tx.task is Task.DELETE)
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     tx: DbFunction
     lineage: Digest
     height: int
     index: int
 
 
-class DataRegistry:
+class DataRegistry(_LineageRules):
     """All accepted mutation records in canonical-chain order."""
 
     def __init__(self):
@@ -101,18 +97,12 @@ class DataRegistry:
         self._state: dict[Digest, tuple[int, bool]] = {}
         self.skipped = 0
 
-    def validate(self, tx: DbFunction) -> str:
-        return _validate(self._state, tx)
-
     def apply(self, tx: DbFunction, height: int, index: int) -> None:
-        entry = RegistryEntry(tx, lineage_of(tx), height, index)
+        lineage = tx.doc_id
+        entry = RegistryEntry(tx, lineage, height, index)
         self.entries.append(entry)
-        self._by_lineage.setdefault(entry.lineage, []).append(entry)
-        _apply(self._state, tx)
-
-    def latest(self, lineage: Digest) -> tuple[int, bool] | None:
-        """(latest sequence, deleted flag) or None for unknown documents."""
-        return self._state.get(lineage)
+        self._by_lineage.setdefault(lineage, []).append(entry)
+        self._state[lineage] = (tx.sequence_id, tx.task is Task.DELETE)
 
     def lineages(self) -> list[Digest]:
         return list(self._state)

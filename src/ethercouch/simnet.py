@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .ledger import Block, Task, TxRejected, lineage_of
+from .ledger import Block, Task, TxRejected
 from .peer import Mode, Peer, PeerConfig, topic_hash
 from .registry import LocationRegistry
 from .wire import decode_message, describe, encode_message
@@ -204,6 +204,7 @@ class Simulation:
             self._poll_armed[cfg.name] = False
         self.doc_lineages: dict[str, bytes] = {}
         self.doc_topics: dict[str, bytes] = {}
+        self._topic_ids: dict[str, bytes] = {}  # topic name -> topic_hash, one hash per name
         # script-index -> payload, for callers that pre-build payloads
         # (the benchmark keeps data generation out of the timed region)
         self.payload_overrides: dict[int, bytes] = {}
@@ -387,14 +388,16 @@ class Simulation:
         doc = args.get("doc", "")
         if action == "publish":
             payload = self._payload_for(args)
-            topic = topic_hash(args["topic"])
+            topic = self._topic_ids.get(args["topic"])
+            if topic is None:
+                topic = self._topic_ids[args["topic"]] = topic_hash(args["topic"])
             self.trace.add(f"{self.clock:>7} user  {peer.name:<8} publish {doc} ({len(payload)}B)")
             try:
                 tx = peer.user_action(Task.ADD, topic, payload, None)
             except TxRejected as e:
                 self.note(peer, f"publish {doc} rejected: {e.reason}")
                 return
-            self.doc_lineages[doc] = lineage_of(tx)
+            self.doc_lineages[doc] = tx.doc_id
             self.doc_topics[doc] = topic
         elif action in ("edit", "delete"):
             lineage = self.doc_lineages.get(doc)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import EDITOR_A, EDITOR_B, make_add, make_delete, make_edit, random_mutation_batch, raw_block
+from ethercouch import ledger
 from ethercouch.codec import lp
 from ethercouch.crypto import ZERO_DIGEST, hash_bytes, payload_root
 from ethercouch.ledger import (
@@ -71,6 +72,93 @@ def test_inline_payload_absent_vs_empty():
         inline_payload=b"",
     )
     assert parse_tx(serialize_tx(present)).inline_payload == b""
+
+
+# -- the identity a tx carries ------------------------------------------
+
+
+def reference_bytes(tx: DbFunction) -> bytes:
+    """The README's tx layout, written out field by field."""
+    payload = b"\x00" if tx.inline_payload is None else b"\x01" + tx.inline_payload
+    fields = (bytes([tx.task.value]), tx.data_hash, tx.editor_hash, tx.topic_id, tx.sequence_id.to_bytes(8, "big"), tx.lineage, payload)
+    return b"".join(lp(f) for f in fields)
+
+
+def identity_cases() -> list[DbFunction]:
+    lin = hash_bytes(b"lin")
+    return [
+        make_add(b"payload"),
+        make_add(b"payload", inline=True),
+        make_edit(lin, 2, b"new"),
+        make_edit(lin, 2, b"new", inline=True),
+        make_delete(lin, 3),
+    ]
+
+
+def test_a_tx_carries_its_digest_and_document_id_whether_built_or_parsed():
+    for built in identity_cases():
+        buf = reference_bytes(built)
+        parsed = parse_tx(buf)
+        for tx in (built, parsed):
+            assert serialize_tx(tx) == buf
+            # a parsed tx's digest is the hash of the bytes it arrived in
+            assert tx_digest(tx) == hash_bytes(serialize_tx(tx)) == hash_bytes(buf)
+            assert lineage_of(tx) == (hash_bytes(buf) if tx.task is Task.ADD else tx.lineage)
+            # a hash-anchored record keeps its fixed-size bytes; a chain-only
+            # one keeps none, so its inline payload is held once
+            if tx.inline_payload is None:
+                assert tx.raw == buf and len(buf) == 166
+            else:
+                assert tx.raw is None
+        assert built == parsed and hash(built) == hash(parsed)
+        again = DbFunction(
+            built.task, built.data_hash, built.editor_hash, built.topic_id, built.sequence_id, built.lineage, built.inline_payload
+        )
+        assert again == built and hash(again) == hash(built) and len({built, parsed, again}) == 1
+
+
+def test_txs_that_differ_in_one_field_are_unequal():
+    base = make_edit(hash_bytes(b"lin"), 2, b"new", inline=True)
+    other = hash_bytes(b"other")
+    fields = dict(
+        task=base.task, data_hash=base.data_hash, editor_hash=base.editor_hash, topic_id=base.topic_id,
+        sequence_id=base.sequence_id, lineage=base.lineage, inline_payload=base.inline_payload,
+    )
+    changes = dict(
+        task=Task.DELETE, data_hash=other, editor_hash=other, topic_id=other, sequence_id=3, lineage=other, inline_payload=None,
+    )
+    for name, value in changes.items():
+        changed = DbFunction(**{**fields, name: value})
+        assert changed != base and parse_tx(serialize_tx(changed)) != base, name
+        assert tx_digest(changed) != tx_digest(base), name
+    assert DbFunction(**{**fields, "inline_payload": b""}) != DbFunction(**{**fields, "inline_payload": None})
+
+
+def test_sequence_id_must_fit_its_eight_bytes():
+    top = make_delete(hash_bytes(b"lin"), 2**64 - 1)
+    parsed = parse_tx(serialize_tx(top))
+    assert parsed == top and parsed.sequence_id == 2**64 - 1
+    for seq in (2**64, -1):
+        with pytest.raises(ValueError):
+            make_delete(hash_bytes(b"lin"), seq)
+
+
+def test_mining_encodes_each_tx_once_not_once_per_nonce(monkeypatch):
+    state = fresh(difficulty=12)
+    rng = random.Random(12)
+    for i in range(100):
+        state.submit_tx(make_add(rng.randbytes(16), inline=i % 2 == 0))
+    encoded = []
+    real = ledger.serialize_tx
+    monkeypatch.setattr(ledger, "serialize_tx", lambda tx: encoded.append(tx) or real(tx))
+    block = state.mine_block(EDITOR_A)
+    assert len(block.txs) == 100 and block.nonce > 1000  # thousands of attempts
+    assert len(encoded) <= len(block.txs)
+    monkeypatch.undo()
+    raw = serialize_block(block)
+    parsed = parse_block(raw)
+    assert parsed == block and parsed.block_hash == block.block_hash == hash_bytes(raw)
+    assert meets_target(block.block_hash, 12)
 
 
 def random_txs(rng: random.Random, n: int) -> list[DbFunction]:

@@ -286,7 +286,7 @@ def test_publisher_builds_one_tree_for_a_push_and_two_serves(monkeypatch):
     trees = count_trees(monkeypatch)
     location.mark_up_to_date(bob.editor_hash, alice.chain.tip)
     env.sent.clear()
-    alice._push_payload(tx)
+    alice._push_payload(tx, alice._push_recipients())
     served = [alice.serve_request(Request(*key, ()), name) for name in ("bob", "carol")]
     pushed = [m for (_, dst, m) in env.sent if dst == "bob"]
     assert len(pushed) == 1 and trees == [3]
