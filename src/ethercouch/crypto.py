@@ -61,7 +61,13 @@ def chunk_payload(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[
 
 
 def payload_root(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Digest:
-    """Merkle root of a payload after chunking. The on-chain data hash."""
+    """Merkle root of a payload after chunking. The on-chain data hash.
+
+    A payload of at most one chunk has the single-chunk tree's root,
+    sha256(payload), hashed without building the chunk list and the tree.
+    """
+    if 0 < chunk_size and len(payload) <= chunk_size:
+        return hash_bytes(payload)
     return merkle_root(chunk_payload(payload, chunk_size))
 
 

@@ -380,6 +380,8 @@ class ChainState:
         self._mempool_set: set[Digest] = set()
         self.orphans: dict[Digest, list[Block]] = {}
         self.registry = DataRegistry()
+        # the canonical chain plus the queue: a view over the live registry
+        # that overrides every lineage a queued tx touches (see MempoolView)
         self._spec = self.registry.fork_view()
 
     # -- helpers -------------------------------------------------------
@@ -554,8 +556,9 @@ class ChainState:
 
         # mempool maintenance. A pure tip extension by queued transactions
         # took, for each lineage, a prefix of its queued chain, so what is
-        # left stays valid and the speculative state is kept as is. Anything
-        # else (reorgs, foreign transactions) resubmits from scratch.
+        # left stays valid and the speculative view is kept as is: it already
+        # overrides every lineage the registry just changed. Anything else
+        # (reorgs, foreign transactions) resubmits to a new view.
         applied_digests = {tx.digest for tx, _, _ in applied}
         if not rolled_back and applied_digests <= self._mempool_set:
             k = len(applied_digests)

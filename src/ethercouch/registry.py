@@ -31,10 +31,8 @@ MALFORMED_ADD = "malformed-add"
 
 
 class _LineageRules:
-    """Sequence validity against a lineage state map, which carries
+    """Sequence validity against the lineage state that ``latest`` reads:
     (latest accepted sequence, deleted flag) per lineage."""
-
-    _state: dict[Digest, tuple[int, bool]]
 
     def validate(self, tx: DbFunction) -> str:
         if tx.task is Task.ADD:
@@ -42,10 +40,10 @@ class _LineageRules:
                 return MALFORMED_ADD
             if tx.sequence_id != 1:
                 return STALE_SEQUENCE
-            if tx.digest in self._state:
+            if self.latest(tx.digest) is not None:
                 return DUPLICATE_ADD
             return OK
-        entry = self._state.get(tx.lineage)
+        entry = self.latest(tx.lineage)
         if entry is None:
             return UNKNOWN_LINEAGE
         latest, deleted = entry
@@ -57,28 +55,43 @@ class _LineageRules:
 
     def latest(self, lineage: Digest) -> tuple[int, bool] | None:
         """(latest sequence, deleted flag) or None for unknown documents."""
-        return self._state.get(lineage)
+        raise NotImplementedError
 
 
-def _undo(state: dict[Digest, tuple[int, bool]], entry: RegistryEntry) -> None:
-    """Exact inverse of applying an accepted entry, when undone from the
-    end of the chain: an add forgets the lineage, an edit or delete steps
-    the lineage back one revision."""
+def _undo(entry: RegistryEntry) -> tuple[int, bool] | None:
+    """The lineage state an accepted entry replaced, when undone from the
+    end of the chain: none for an add (the lineage is forgotten), the
+    previous revision for an edit or delete. The exact inverse of apply."""
     if entry.tx.task is Task.ADD:
-        del state[entry.lineage]
-    else:
-        state[entry.lineage] = (entry.tx.sequence_id - 1, False)
+        return None
+    return (entry.tx.sequence_id - 1, False)
 
 
 class MempoolView(_LineageRules):
     """Scratch lineage state for validating queued or candidate transactions
-    on top of a fixed registry snapshot."""
+    on top of a registry, which it reads and never writes.
 
-    def __init__(self, state: dict[Digest, tuple[int, bool]]):
-        self._state = state
+    It holds only what differs from the registry's lineage map: the undo of
+    each entry above its height (None for an undone add, which reads as
+    absent), then whatever is applied to the view. So it copies nothing, and
+    it stays right only while the registry changes no lineage it does not
+    override. ``ChainState._spec`` keeps that invariant: a tip extension by
+    queued transactions touches only lineages the view has applied, and
+    every other canonical switch builds a new view.
+    """
+
+    def __init__(self, base: dict[Digest, tuple[int, bool]], diff: dict[Digest, tuple[int, bool] | None]):
+        self._base = base
+        self._diff = diff
+
+    def latest(self, lineage: Digest) -> tuple[int, bool] | None:
+        diff = self._diff
+        if lineage in diff:
+            return diff[lineage]
+        return self._base.get(lineage)
 
     def apply(self, tx: DbFunction) -> None:
-        self._state[tx.doc_id] = (tx.sequence_id, tx.task is Task.DELETE)
+        self._diff[tx.doc_id] = (tx.sequence_id, tx.task is Task.DELETE)
 
 
 class RegistryEntry(NamedTuple):
@@ -104,24 +117,38 @@ class DataRegistry(_LineageRules):
         self._by_lineage.setdefault(lineage, []).append(entry)
         self._state[lineage] = (tx.sequence_id, tx.task is Task.DELETE)
 
+    def latest(self, lineage: Digest) -> tuple[int, bool] | None:
+        return self._state.get(lineage)
+
     def lineages(self) -> list[Digest]:
         return list(self._state)
 
     def fork_view(self, height: int | None = None) -> MempoolView:
-        """Scratch view of the state after block ``height`` (default: now)."""
-        state = dict(self._state)
+        """Scratch view of the state after block ``height`` (default: now).
+
+        Costs the entries above ``height``, not the lineage count: the view
+        reads this registry's lineage map and records, newest entry first,
+        the undo of each entry above ``height``, so the oldest undo of a
+        lineage is the one it keeps. The view is valid until this registry
+        changes a lineage the view does not override.
+        """
+        diff: dict[Digest, tuple[int, bool] | None] = {}
         if height is not None:
             for e in reversed(self.entries):
                 if e.height <= height:
                     break
-                _undo(state, e)
-        return MempoolView(state)
+                diff[e.lineage] = _undo(e)
+        return MempoolView(self._state, diff)
 
     def rollback_to_height(self, height: int) -> None:
         """Drop entries above a block height, undoing their state effects."""
         while self.entries and self.entries[-1].height > height:
             entry = self.entries.pop()
-            _undo(self._state, entry)
+            before = _undo(entry)
+            if before is None:
+                del self._state[entry.lineage]
+            else:
+                self._state[entry.lineage] = before
             same_lineage = self._by_lineage[entry.lineage]
             same_lineage.pop()
             if not same_lineage:

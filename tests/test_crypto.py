@@ -241,6 +241,19 @@ def test_payload_root_consistent_with_manual_chunking():
     assert payload_root(payload, 512) == merkle_root(chunk_payload(payload, 512))
 
 
+@pytest.mark.parametrize("cs", [1, 7, 4096])
+def test_payload_root_equals_the_tree_root_on_both_sides_of_one_chunk(cs):
+    # a payload of at most one chunk is hashed once, without a tree
+    rng = random.Random(cs)
+    for n in (0, 1, cs - 1, cs, cs + 1, 2 * cs, 2 * cs + 1):
+        payload = rng.randbytes(n)
+        assert payload_root(payload, cs) == merkle_root(chunk_payload(payload, cs)), n
+    for bad in (0, -1):
+        for payload in (b"", b"x"):
+            with pytest.raises(ValueError):
+                payload_root(payload, bad)
+
+
 # -- whole-set proof check ------------------------------------------------------
 
 

@@ -594,8 +594,10 @@ def test_fork_parent_validation_matches_replay_from_genesis():
 
 def assert_mempool_invariant(state: ChainState, lineages: set) -> None:
     """The queue is valid, in order, on top of the canonical registry, the
-    speculative state is that fold, and mining takes exactly a prefix."""
-    view = state.registry.fork_view()
+    speculative state is that fold, and mining takes exactly a prefix. The
+    fold starts from a registry rebuilt from the chain, because the
+    speculative state reads through the live one."""
+    view = DataRegistry.rebuild(state).fork_view()
     for tx in state.mempool:
         if tx.inline_payload is not None:
             assert payload_root(tx.inline_payload, state.chunk_size) == tx.data_hash

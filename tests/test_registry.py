@@ -1,6 +1,7 @@
 """Data registry and peer directory tests."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -145,6 +146,91 @@ def test_rebuild_after_reorg_equals_incremental():
     rebuilt = DataRegistry.rebuild(chain)
     assert rebuilt.entries == chain.registry.entries
     assert rebuilt.dump_text() == chain.registry.dump_text()
+
+
+# -- fork views ---------------------------------------------------------
+
+
+def _grown_registry(heights: int, adds_per_height: int, seed: int = 5) -> DataRegistry:
+    """adds_per_height new lineages per height, plus edits and deletes of
+    random live lineages, some hit twice in one height."""
+    rng = random.Random(seed)
+    reg = DataRegistry()
+    live: list[list] = []  # [lineage, latest seq]
+    for height in range(1, heights + 1):
+        index = 0
+        for k in range(adds_per_height):
+            add = make_add(b"%d:%d" % (height, k))
+            applied(reg, add, height, index)
+            live.append([lineage_of(add), 1])
+            index += 1
+        for k in range(10):
+            pick = rng.randrange(len(live))
+            lineage, seq = live[pick]
+            if k % 5 == 4:
+                applied(reg, make_delete(lineage, seq + 1), height, index)
+                live[pick] = live[-1]
+                live.pop()
+            else:
+                applied(reg, make_edit(lineage, seq + 1, b"e%d:%d" % (height, k)), height, index)
+                live[pick][1] = seq + 1
+            index += 1
+    return reg
+
+
+class _ChainUpTo:
+    """The registry's entries up to a height, as a chain to rebuild from."""
+
+    def __init__(self, reg: DataRegistry, height: int):
+        self.reg, self.height = reg, height
+
+    def canonical_txs(self):
+        return ((e.tx, e.height, e.index) for e in self.reg.entries if e.height <= self.height)
+
+
+def _allocated(make_view):
+    """The view make_view returns, and the peak bytes allocated making it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        view = make_view()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return view, peak - before
+
+
+def test_fork_views_copy_nothing_and_read_the_registry_at_their_height():
+    # 20,000 lineages over 200 heights: a view that copied the lineage map
+    # would allocate about 1.3 MB, whatever its height
+    tip = 200
+    reg = _grown_registry(tip, 100)
+    lineages = reg.lineages()
+    assert len(lineages) == tip * 100
+    small, per_entry = 4096, 256
+    for make_view in (reg.fork_view, lambda: reg.fork_view(tip)):
+        view, size = _allocated(make_view)
+        assert size < small
+        assert all(view.latest(lin) == reg.latest(lin) for lin in lineages)
+    for height in (tip - 1, 150, 57, 1, 0):
+        above = sum(e.height > height for e in reg.entries)
+        view, size = _allocated(lambda: reg.fork_view(height))
+        assert size < small + per_entry * above, (height, above, size)
+        rebuilt = DataRegistry.rebuild(_ChainUpTo(reg, height))
+        assert rebuilt.skipped == 0
+        assert all(view.latest(lin) == rebuilt.latest(lin) for lin in lineages)
+    # applying to a view leaves the registry and later views as they were
+    deleted = reg.entries[-1]
+    view = reg.fork_view(tip - 1)
+    assert view.validate(deleted.tx) == OK
+    view.apply(deleted.tx)
+    assert view.latest(deleted.lineage) == reg.latest(deleted.lineage) == (deleted.tx.sequence_id, True)
+    fresh = make_add(b"not on chain")
+    view.apply(fresh)
+    assert reg.latest(lineage_of(fresh)) is None and reg.fork_view().latest(lineage_of(fresh)) is None
+    below_tip = DataRegistry.rebuild(_ChainUpTo(reg, tip - 1))
+    assert reg.fork_view(tip - 1).latest(deleted.lineage) == below_tip.latest(deleted.lineage)
 
 
 # -- queries ------------------------------------------------------------
