@@ -152,10 +152,15 @@ def verify_proofs(chunks: list[bytes], proofs: tuple[MerkleProof, ...], root: Di
     in one place: the loop never looks at the copy an odd last node is
     paired with, so it takes the first chunks of a longer payload under that
     payload's root. An empty chunk list or a length mismatch gives False.
+
+    One chunk is checked with one hash, the single-chunk tree's root, and
+    its proof must be (0, 1, ()), the one that tree gives.
     """
     n = len(chunks)
     if not n or len(proofs) != n:
         return False
+    if n == 1:
+        return proofs[0] == (0, 1, ()) and hash_bytes(chunks[0]) == root
     levels = _tree(chunks)
     return levels[-1][0] == root and tuple(proofs) == _cut(levels, n, range(n))
 

@@ -557,8 +557,10 @@ class ChainState:
         # mempool maintenance. A pure tip extension by queued transactions
         # took, for each lineage, a prefix of its queued chain, so what is
         # left stays valid and the speculative view is kept as is: it already
-        # overrides every lineage the registry just changed. Anything else
-        # (reorgs, foreign transactions) resubmits to a new view.
+        # overrides every lineage the registry just changed. Once nothing is
+        # queued its overrides all equal the registry, so an empty view
+        # replaces it rather than let it grow with every lineage ever queued.
+        # Anything else (reorgs, foreign transactions) resubmits to a new view.
         applied_digests = {tx.digest for tx, _, _ in applied}
         if not rolled_back and applied_digests <= self._mempool_set:
             k = len(applied_digests)
@@ -567,6 +569,8 @@ class ChainState:
             else:
                 self.mempool = [tx for tx in self.mempool if tx.digest not in applied_digests]
             self._mempool_set -= applied_digests
+            if not self.mempool:
+                self._spec = self.registry.fork_view()
         else:
             reinserted = [tx for tx in rolled_back if tx.digest not in applied_digests]
             survivors = [tx for tx in self.mempool if tx.digest not in applied_digests]

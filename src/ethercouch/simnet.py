@@ -4,7 +4,12 @@ Time is integer ticks. Events are processed in (time, insertion-sequence)
 order from a single heap, all randomness (latency draws, mining intervals)
 comes from one seeded generator consumed in processing order, and peers are
 advanced strictly one event at a time, so a (scenario, horizon) pair always
-produces a bit-identical trace and final state.
+produces a bit-identical trace and final state. A latency draw consumes the
+generator exactly as ``randint`` does, without its call overhead.
+
+Every message crosses the network as its canonical bytes, encoded once per
+distinct message and parsed once at the first copy to arrive; each
+recipient of the same bytes gets the same immutable parsed message.
 
 Mining inside a scenario is simulated: each weighted miner's next block
 completion is sampled from an exponential distribution whose rate is
@@ -41,6 +46,12 @@ class EventKind(Enum):
     HEAL = "heal"
     USER_ACTION = "user-action"
     POLL_TICK = "poll"
+
+
+# EventKind's metaclass defines __getattr__, which sends every read of a
+# member through the class (EventKind.DELIVER) down a slower lookup; the
+# per-message paths read this name instead
+_DELIVER = EventKind.DELIVER
 
 
 class SimEvent(NamedTuple):
@@ -136,9 +147,8 @@ class Trace:
 
     def __init__(self):
         self.lines: list[str] = []
-
-    def add(self, line: str) -> None:
-        self.lines.append(line)
+        # the list's own append, so a trace line costs no Python frame
+        self.add = self.lines.append
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -255,18 +265,17 @@ class Simulation:
             return raw
         if not src.online:
             return raw
-        if not self._allowed(src.name, dst):
+        if self.partition is not None and not self._allowed(src.name, dst):
             self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} partitioned {describe(msg)}")
             return raw
         if not self.peers[dst].online:
             self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} offline {describe(msg)}")
             return raw
-        lo, hi = self.scenario.latency
-        delay = self.rng.randint(lo, hi)
+        at = self.clock + self._latency()
         # messages cross the simulated wire in canonical serialized form
         if raw is None:
             raw = {"from": src.name, "raw": encode_message(msg)}
-        self._push(self.clock + delay, EventKind.DELIVER, dst, raw)
+        self._push(at, _DELIVER, dst, raw)
         return raw
 
     def send_batch(self, src: Peer, dst: str, msgs) -> None:
@@ -276,10 +285,22 @@ class Simulation:
         if not self._allowed(src.name, dst) or not self.peers[dst].online:
             self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} batch of {len(msgs)}")
             return
-        lo, hi = self.scenario.latency
-        delay = self.rng.randint(lo, hi)
+        at = self.clock + self._latency()
         for msg in msgs:
-            self._push(self.clock + delay, EventKind.DELIVER, dst, {"from": src.name, "raw": encode_message(msg)})
+            self._push(at, _DELIVER, dst, {"from": src.name, "raw": encode_message(msg)})
+
+    def _latency(self) -> int:
+        """One delivery delay in ticks: ``rng.randint(lo, hi)``, drawn by the
+        rejection sampling randint itself does over ``getrandbits`` (k bits
+        for a span of n values, redrawn while r >= n), so it consumes the
+        generator identically without randint's three Python frames."""
+        lo, hi = self.scenario.latency
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = self.rng.getrandbits(k)
+        while r >= n:
+            r = self.rng.getrandbits(k)
+        return lo + r
 
     def broadcast(self, src: Peer, msg) -> None:
         # encoded once, at the first copy the network does not drop; every
@@ -311,17 +332,19 @@ class Simulation:
     # -- run loop ----------------------------------------------------------------
 
     def run(self, until: int | None = None) -> SimResult:
-        while self._heap:
-            if until is not None and self._heap[0].at > until:
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0].at > until:
                 break
-            ev = heapq.heappop(self._heap)
-            self.clock = max(self.clock, ev.at)
+            ev = heapq.heappop(heap)
+            if ev.at > self.clock:
+                self.clock = ev.at
             self._process(ev)
         return SimResult(self.scenario, self.trace, self.peers, self.location, self.clock)
 
     def _process(self, ev: SimEvent) -> None:
         peer = self.peers.get(ev.target)
-        if ev.kind is EventKind.DELIVER:
+        if ev.kind is _DELIVER:
             # the first copy to arrive parses the bytes; later copies of the
             # same record share the frozen message and its trace text
             rec = ev.payload

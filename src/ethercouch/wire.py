@@ -12,28 +12,32 @@ prefixes, integers as 8-byte big-endian). Transport identity (who sent
 the message) is carried by the network layer, not the message body.
 
 The encoding is the only one accepted. Every message has a fixed head
-that is read with one struct unpack. A Response's chunks follow its head,
-each behind its width, then its proofs, each a fixed head and a run of
-fixed-width sibling records. A digest field (lineage, topic, sibling) of
-any width but 32 bytes or an integer field of any width but 8 is refused.
-Messages are frozen, so one parsed message may be handed to every
-recipient of the same bytes, and a caller may keep a table of the blocks
-it parsed: an announced block whose bytes hash to a key of that table is
-that block (its hash is the sha256 of those very bytes).
+that is read with one struct unpack, after the length check that covers
+it. A Response's chunks follow its head, each behind its width, then its
+proofs, each a fixed head and a run of fixed-width sibling records (none
+for the one proof of a one-chunk payload). A digest field (lineage, topic,
+sibling) of any width but 32 bytes or an integer field of any width but 8
+is refused.
+
+Messages are immutable named tuples, cheap to build on every hop, so one
+parsed message may be handed to every recipient of the same bytes, and a
+caller may keep a table of the blocks it parsed: an announced block whose
+bytes hash to a key of that table is that block (its hash is the sha256 of
+those very bytes). Being tuples, they compare by their fields alone;
+callers tell them apart by class (``isinstance``), never by equality.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .crypto import DIGEST_SIZE, Digest, MerkleProof, hash_bytes
 from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_block, serialize_tx
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """Ask a holder for the whole payload of one revision.
 
     declared_topics is the requester's interest filter; empty means
@@ -45,33 +49,28 @@ class Request:
     declared_topics: tuple[Digest, ...] = ()
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     lineage: Digest
     seq: int
     chunks: tuple[bytes, ...]
     proofs: tuple[MerkleProof, ...]
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(NamedTuple):
     lineage: Digest
     seq: int
     reason: str  # "not-held" | "filter-refused"
 
 
-@dataclass(frozen=True)
-class BlockAnnounce:
+class BlockAnnounce(NamedTuple):
     block: Block
 
 
-@dataclass(frozen=True)
-class BlockRequest:
+class BlockRequest(NamedTuple):
     from_height: int
 
 
-@dataclass(frozen=True)
-class TxAnnounce:
+class TxAnnounce(NamedTuple):
     tx: DbFunction
 
 
@@ -86,30 +85,26 @@ _TAG_TX_ANNOUNCE = 6
 
 # Fixed heads, tag first, each field after it behind its width prefix.
 # Request: lineage, seq, topic count; the topics follow, one width-prefixed
-# digest each.
-_REQUEST = struct.Struct(">BI32sIQIQ")
-_REQUEST_WIDTHS = (DIGEST_SIZE, 8, 8)
+# digest each. A Response's head has the same layout: lineage, seq, chunk
+# count; each chunk follows behind its width, then the proof count and the
+# proofs.
+_REQUEST = _RESPONSE = struct.Struct(">BI32sIQIQ")
+_HEAD_WIDTHS = (DIGEST_SIZE, 8, 8)
 _TOPIC = struct.Struct(">I32s")
 # Refusal: lineage, seq, then the reason's width; the reason follows
 _REFUSAL = struct.Struct(">BI32sIQI")
 _BLOCK_REQUEST = struct.Struct(">BIQ")
 # BlockAnnounce and TxAnnounce: the width of the one body that follows
 _FRAME = struct.Struct(">BI")
-# Response: lineage, seq, chunk count; each chunk follows behind its
-# width, then the proof count and the proofs
-_RESPONSE = struct.Struct(">BI32sIQIQ")
-_RESPONSE_WIDTHS = (DIGEST_SIZE, 8, 8)
 _WIDTH = struct.Struct(">I")
 _COUNT = struct.Struct(">IQ")
 # a proof: its width, then leaf index, leaf count and sibling count, then
-# one width-prefixed digest per sibling
+# one width-prefixed digest per sibling; the width covers all but itself
 _PROOF = struct.Struct(">IIQIQIQ")
+_PROOF_BODY = _PROOF.size - _WIDTH.size
 _SIBLING_SIZE = 4 + DIGEST_SIZE
 _SIBLING_WIDTH = struct.pack(">I", DIGEST_SIZE)
-
-
-def _proof_width(k: int) -> int:
-    return _PROOF.size - _WIDTH.size + _SIBLING_SIZE * k
+_BAD_DIGEST = f"digest field must be {DIGEST_SIZE} bytes"
 
 
 @lru_cache(maxsize=64)
@@ -117,36 +112,40 @@ def _siblings(k: int) -> struct.Struct:
     return struct.Struct(">" + "I32s" * k)
 
 
-def _digest(d: bytes) -> bytes:
-    # struct's "32s" would pad or cut any other width without a word
-    if len(d) != DIGEST_SIZE:
-        raise ValueError(f"digest field must be {DIGEST_SIZE} bytes")
-    return d
-
-
 def encode_message(msg: Message) -> bytes:
+    # struct's "32s" would pad or cut a digest of any other width without a
+    # word, so each digest field is checked first
     if isinstance(msg, Request):
-        topics = msg.declared_topics
-        head = _REQUEST.pack(
-            _TAG_REQUEST, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, 8, len(topics),
-        )
-        return head + b"".join([_TOPIC.pack(DIGEST_SIZE, _digest(t)) for t in topics])
+        lineage, topics = msg.lineage, msg.declared_topics
+        if len(lineage) != DIGEST_SIZE:
+            raise ValueError(_BAD_DIGEST)
+        head = _REQUEST.pack(_TAG_REQUEST, DIGEST_SIZE, lineage, 8, msg.seq, 8, len(topics))
+        if not topics:
+            return head
+        if set(map(len, topics)) - {DIGEST_SIZE}:
+            raise ValueError(_BAD_DIGEST)
+        return head + b"".join([_TOPIC.pack(DIGEST_SIZE, t) for t in topics])
     if isinstance(msg, Response):
-        out = [_RESPONSE.pack(_TAG_RESPONSE, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, 8, len(msg.chunks))]
-        for c in msg.chunks:
+        lineage, chunks, proofs = msg.lineage, msg.chunks, msg.proofs
+        if len(lineage) != DIGEST_SIZE:
+            raise ValueError(_BAD_DIGEST)
+        out = [_RESPONSE.pack(_TAG_RESPONSE, DIGEST_SIZE, lineage, 8, msg.seq, 8, len(chunks))]
+        for c in chunks:
             out += (_WIDTH.pack(len(c)), c)
-        out.append(_COUNT.pack(8, len(msg.proofs)))
-        for p in msg.proofs:
-            siblings = p.siblings
-            if set(map(len, siblings)) - {DIGEST_SIZE}:
-                raise ValueError(f"digest field must be {DIGEST_SIZE} bytes")
-            out.append(_PROOF.pack(_proof_width(len(siblings)), 8, p.leaf_index, 8, p.leaf_count, 8, len(siblings)))
-            if siblings:  # each sibling behind its width
+        out.append(_COUNT.pack(8, len(proofs)))
+        for index, count, siblings in proofs:
+            k = len(siblings)
+            out.append(_PROOF.pack(_PROOF_BODY + _SIBLING_SIZE * k, 8, index, 8, count, 8, k))
+            if k:  # each sibling behind its width
+                if set(map(len, siblings)) - {DIGEST_SIZE}:
+                    raise ValueError(_BAD_DIGEST)
                 out.append(_SIBLING_WIDTH + _SIBLING_WIDTH.join(siblings))
         return b"".join(out)
     if isinstance(msg, Refusal):
+        if len(msg.lineage) != DIGEST_SIZE:
+            raise ValueError(_BAD_DIGEST)
         reason = msg.reason.encode()
-        return _REFUSAL.pack(_TAG_REFUSAL, DIGEST_SIZE, _digest(msg.lineage), 8, msg.seq, len(reason)) + reason
+        return _REFUSAL.pack(_TAG_REFUSAL, DIGEST_SIZE, msg.lineage, 8, msg.seq, len(reason)) + reason
     if isinstance(msg, BlockAnnounce):
         body = serialize_block(msg.block)
         return _FRAME.pack(_TAG_BLOCK_ANNOUNCE, len(body)) + body
@@ -156,12 +155,6 @@ def encode_message(msg: Message) -> bytes:
         body = serialize_tx(msg.tx)
         return _FRAME.pack(_TAG_TX_ANNOUNCE, len(body)) + body
     raise TypeError(f"not a wire message: {type(msg).__name__}")
-
-
-def _head(s: struct.Struct, buf: bytes, pos: int = 0) -> tuple:
-    if len(buf) < pos + s.size:
-        raise ValueError("truncated message")
-    return s.unpack_from(buf, pos)
 
 
 def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Message:
@@ -175,12 +168,17 @@ def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Mes
     if not buf:
         raise ValueError("empty message")
     tag = buf[0]
+    # each fixed head is unpacked only after the length check that covers it
     if tag == _TAG_REQUEST:
-        _, w_lineage, lineage, w_seq, seq, w_n, n = _head(_REQUEST, buf)
-        if (w_lineage, w_seq, w_n) != _REQUEST_WIDTHS:
+        if len(buf) < _REQUEST.size:
+            raise ValueError("truncated message")
+        _, w_lineage, lineage, w_seq, seq, w_n, n = _REQUEST.unpack_from(buf)
+        if (w_lineage, w_seq, w_n) != _HEAD_WIDTHS:
             raise ValueError("bad request field width")
         if len(buf) != _REQUEST.size + n * _TOPIC.size:
             raise ValueError("bad request length")
+        if not n:
+            return Request(lineage, seq, ())
         topics = tuple(_TOPIC.iter_unpack(memoryview(buf)[_REQUEST.size :]))
         if any(w != DIGEST_SIZE for w, _ in topics):
             raise ValueError("bad topic width")
@@ -188,19 +186,25 @@ def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Mes
     if tag == _TAG_RESPONSE:
         return _decode_response(buf)
     if tag == _TAG_REFUSAL:
-        _, w_lineage, lineage, w_seq, seq, w_reason = _head(_REFUSAL, buf)
+        if len(buf) < _REFUSAL.size:
+            raise ValueError("truncated message")
+        _, w_lineage, lineage, w_seq, seq, w_reason = _REFUSAL.unpack_from(buf)
         if (w_lineage, w_seq) != (DIGEST_SIZE, 8):
             raise ValueError("bad refusal field width")
         if w_reason != len(buf) - _REFUSAL.size:
             raise ValueError("bad refusal length")
         return Refusal(lineage, seq, buf[_REFUSAL.size :].decode())
     if tag == _TAG_BLOCK_REQUEST:
-        _, w_height, height = _head(_BLOCK_REQUEST, buf)
-        if w_height != 8 or len(buf) != _BLOCK_REQUEST.size:
+        if len(buf) != _BLOCK_REQUEST.size:
+            raise ValueError("bad block request")
+        _, w_height, height = _BLOCK_REQUEST.unpack(buf)
+        if w_height != 8:
             raise ValueError("bad block request")
         return BlockRequest(height)
     if tag in (_TAG_BLOCK_ANNOUNCE, _TAG_TX_ANNOUNCE):
-        _, width = _head(_FRAME, buf)
+        if len(buf) < _FRAME.size:
+            raise ValueError("truncated message")
+        _, width = _FRAME.unpack_from(buf)
         if width != len(buf) - _FRAME.size:
             raise ValueError("bad message body length")
         body = buf[_FRAME.size :]
@@ -221,47 +225,60 @@ def _known_block(body: bytes, blocks: dict[Digest, Block]) -> Block:
 
 
 def _decode_response(buf: bytes) -> Response:
-    _, w_lineage, lineage, w_seq, seq, w_n, n = _head(_RESPONSE, buf)
-    if (w_lineage, w_seq, w_n) != _RESPONSE_WIDTHS:
+    end = len(buf)
+    if end < _RESPONSE.size:
+        raise ValueError("truncated message")
+    _, w_lineage, lineage, w_seq, seq, w_n, n = _RESPONSE.unpack_from(buf)
+    if (w_lineage, w_seq, w_n) != _HEAD_WIDTHS:
         raise ValueError("bad response field width")
     pos = _RESPONSE.size
     chunks = []
     for _ in range(n):
-        (w,) = _head(_WIDTH, buf, pos)
+        if pos + _WIDTH.size > end:
+            raise ValueError("truncated message")
+        (w,) = _WIDTH.unpack_from(buf, pos)
         pos += _WIDTH.size + w
-        if pos > len(buf):
+        if pos > end:
             raise ValueError("truncated message")
         chunks.append(buf[pos - w : pos])
-    w_m, m = _head(_COUNT, buf, pos)
+    if pos + _COUNT.size > end:
+        raise ValueError("truncated message")
+    w_m, m = _COUNT.unpack_from(buf, pos)
     if w_m != 8:
         raise ValueError("bad response field width")
     pos += _COUNT.size
     proofs = []
     for _ in range(m):
-        width, w_index, index, w_count, count, w_k, k = _head(_PROOF, buf, pos)
-        if (w_index, w_count, w_k) != (8, 8, 8) or width != _proof_width(k):
+        if pos + _PROOF.size > end:
+            raise ValueError("truncated message")
+        width, w_index, index, w_count, count, w_k, k = _PROOF.unpack_from(buf, pos)
+        if (w_index, w_count, w_k) != (8, 8, 8) or width != _PROOF_BODY + _SIBLING_SIZE * k:
             raise ValueError("bad proof width")
         # the sibling count is checked against the bytes before it sizes a struct
-        if pos + _WIDTH.size + width > len(buf):
+        if pos + _WIDTH.size + width > end:
             raise ValueError("truncated message")
-        fields = _siblings(k).unpack_from(buf, pos + _PROOF.size)
-        if fields[0::2].count(DIGEST_SIZE) != k:
-            raise ValueError("bad sibling width")
-        proofs.append(MerkleProof(index, count, fields[1::2]))
+        siblings = ()
+        if k:
+            fields = _siblings(k).unpack_from(buf, pos + _PROOF.size)
+            if fields[0::2].count(DIGEST_SIZE) != k:
+                raise ValueError("bad sibling width")
+            siblings = fields[1::2]
+        proofs.append(MerkleProof(index, count, siblings))
         pos += _WIDTH.size + width
-    if pos != len(buf):
+    if pos != end:
         raise ValueError("trailing bytes in message")
     return Response(lineage, seq, tuple(chunks), tuple(proofs))
 
 
 def describe(msg: Message) -> str:
     """Compact one-line summary for traces."""
+    # the first 6 bytes of a digest are its first 12 hex characters
     if isinstance(msg, Request):
-        return f"request {msg.lineage.hex()[:12]} seq={msg.seq}"
+        return f"request {msg.lineage[:6].hex()} seq={msg.seq}"
     if isinstance(msg, Response):
-        return f"response {msg.lineage.hex()[:12]} seq={msg.seq} chunks={len(msg.chunks)}"
+        return f"response {msg.lineage[:6].hex()} seq={msg.seq} chunks={len(msg.chunks)}"
     if isinstance(msg, Refusal):
-        return f"refusal {msg.lineage.hex()[:12]} seq={msg.seq} {msg.reason}"
+        return f"refusal {msg.lineage[:6].hex()} seq={msg.seq} {msg.reason}"
     if isinstance(msg, BlockAnnounce):
         return f"block h={msg.block.height} {msg.block.block_hash.hex()[:12]}"
     if isinstance(msg, BlockRequest):

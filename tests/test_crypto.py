@@ -332,6 +332,46 @@ def test_whole_set_check_refuses_what_the_loop_takes_from_a_longer_payload():
     assert payload_root(b"".join(full[:3]), 7) != root  # a store would refuse the bytes
 
 
+def tree_check(chunks, proofs, root):
+    """Reference: the whole-set check through a tree, as verify_proofs makes
+    it for more than one chunk."""
+    n = len(chunks)
+    if not n or len(proofs) != n:
+        return False
+    return merkle_root(list(chunks)) == root and tuple(proofs) == merkle_prove(list(chunks), range(n))
+
+
+def test_one_chunk_check_agrees_with_the_tree_check():
+    # one chunk is checked with one hash, without a tree
+    chunk = b"the only chunk"
+    root = hash_bytes(chunk)
+    two = [b"first of two", b"second of two"]
+    two_root = merkle_root(two)
+    sibling = hash_bytes(b"sibling")
+    cases = {
+        "right-proof": ([chunk], (MerkleProof(0, 1, ()),), root),
+        "plain-tuple-proof": ([chunk], ((0, 1, ()),), root),
+        "list-of-one": ((chunk,), [MerkleProof(0, 1, ())], root),
+        "wrong-leaf-index": ([chunk], (MerkleProof(1, 1, ()),), root),
+        "wrong-leaf-count": ([chunk], (MerkleProof(0, 2, ()),), root),
+        "zero-leaf-count": ([chunk], (MerkleProof(0, 0, ()),), root),
+        "a-sibling": ([chunk], (MerkleProof(0, 1, (sibling,)),), root),
+        "sibling-list": ([chunk], (MerkleProof(0, 1, []),), root),
+        "wrong-root": ([chunk], (MerkleProof(0, 1, ()),), hash_bytes(b"other")),
+        "empty-chunk": ([b""], (MerkleProof(0, 1, ()),), hash_bytes(b"")),
+        "empty-chunk-wrong-root": ([b""], (MerkleProof(0, 1, ()),), root),
+        "no-proof": ([chunk], (), root),
+        "two-proofs": ([chunk], (MerkleProof(0, 1, ()), MerkleProof(0, 1, ())), root),
+        "first-of-two-own-proof": (two[:1], merkle_prove(two, range(1)), two_root),
+        "first-of-two-one-leaf-proof": (two[:1], (MerkleProof(0, 1, ()),), two_root),
+        "first-of-two-under-its-leaf": (two[:1], (MerkleProof(0, 1, ()),), hash_bytes(two[0])),
+    }
+    accepted = {"right-proof", "plain-tuple-proof", "list-of-one", "empty-chunk", "first-of-two-under-its-leaf"}
+    for case, (chunks, proofs, root_) in cases.items():
+        assert tree_check(chunks, proofs, root_) is (case in accepted), case
+        assert verify_proofs(chunks, proofs, root_) is (case in accepted), case
+
+
 def test_whole_set_check_hashes_one_tree(monkeypatch):
     from ethercouch import crypto
 

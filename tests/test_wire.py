@@ -66,9 +66,9 @@ def test_garbage_rejected():
         decode_message(b"")
     with pytest.raises(ValueError):
         decode_message(b"\xff\x00\x00")
-    good = encode_message(BlockRequest(1))
-    with pytest.raises(ValueError):
-        decode_message(good + b"extra")
+    for good in (encode_message(BlockRequest(1)), encode_message(Request(LINEAGE, 1))):
+        with pytest.raises(ValueError):
+            decode_message(good + b"extra")
 
 
 def mined_block():
