@@ -69,7 +69,7 @@ def main():
     for block in rival.canonical_blocks()[1:]:
         report = fork.adopt_block(block)
         rolled_back += report.rolled_back
-        applied += report.applied_txs
+        applied += [tx for tx, _, _ in report.applied]
     print(f"    rival tip: h={fork.height} {digest_hex(fork.tip)[:20]}...")
     print(f"    rolled back: {[digest_hex(tx_digest(t))[:12] for t in rolled_back]}")
     print(f"    applied:     {[digest_hex(tx_digest(t))[:12] for t in applied]}")

@@ -45,7 +45,10 @@ def main():
 
     print("\nper-peer final state:")
     for name, peer in result.peers.items():
-        print(f"  {name}: {peer.describe_state()}")
+        print(
+            f"  {name}: tip={digest_hex(peer.chain.tip)[:12]} h={peer.chain.height} "
+            f"docs={len(peer.store.docs)} pending={len(peer.pending)}"
+        )
 
     tips = {p.chain.tip for p in result.peers.values()}
     stores = {p.store.dump_text() for p in result.peers.values()}

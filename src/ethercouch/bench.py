@@ -1,5 +1,5 @@
 """Insert-scaling benchmark across the three storage modes, plus the
-hash/mapping verifier used by the CLI.
+store/mapping verifier used by the CLI.
 
 Per (mode, count) cell, the ethercouch and chainonly modes drive a
 single-node scenario: publish ``count`` synthetic maintenance tickets,
@@ -30,7 +30,6 @@ from .crypto import ZERO_DIGEST, digest_hex, hash_bytes, payload_root
 from .docstore import Document, Revision, StoreState
 from .ledger import ChainState, serialize_tx
 from .peer import Mode, PeerConfig, topic_hash
-from .registry import DataRegistry
 from .simnet import Scenario, ScriptAction, Simulation
 
 TICKET_TOPIC = "maintenance-tickets"
@@ -157,7 +156,7 @@ def run_once(spec: BenchSpec, payloads: dict[int, bytes]) -> tuple[float, int, i
     sim.payload_overrides = payloads
     wall, result = _timed(sim.run)
     node = result.peer("node0")
-    if node.chain.mempool or node.unapplied_pending() or node.deferred:
+    if node.chain.mempool or node.pending or node.deferred:
         raise RuntimeError(f"benchmark cell did not quiesce: {spec.mode} count={len(payloads)}")
     return wall, result.clock, chain_tx_bytes(node.chain), node.store.payload_bytes()
 
@@ -231,40 +230,13 @@ def emit_csv(results: list[BenchResult], path) -> None:
 # -- verification -----------------------------------------------------------
 
 
-def verify_chain(chain: ChainState) -> list[str]:
-    """Recompute every canonical block's hash, target and linkage, and
-    re-validate the transaction sequence from scratch."""
-    return _chain_violations(chain, DataRegistry.rebuild(chain))
-
-
-def _chain_violations(chain: ChainState, reg: DataRegistry) -> list[str]:
-    from .crypto import hash_bytes
-    from .ledger import meets_target
-
-    violations: list[str] = []
-    prev = None
-    for blk in chain.canonical_blocks():
-        if hash_bytes(blk.preimage()) != blk.block_hash:
-            violations.append(f"block h={blk.height}: hash mismatch")
-        if not meets_target(blk.block_hash, chain.difficulty_bits):
-            violations.append(f"block h={blk.height}: misses difficulty target")
-        if prev is not None and (blk.parent != prev.block_hash or blk.height != prev.height + 1):
-            violations.append(f"block h={blk.height}: broken linkage")
-        prev = blk
-        for tx in blk.txs:
-            if tx.inline_payload is not None and payload_root(tx.inline_payload, chain.chunk_size) != tx.data_hash:
-                violations.append(f"block h={blk.height}: inline payload hash mismatch")
-    if reg.skipped:
-        violations.append(f"chain carries {reg.skipped} sequence-invalid transactions")
-    return violations
-
-
 def verify_pair(chain: ChainState, store: StoreState) -> list[str]:
-    """Chain checks plus store payload hashes plus the one-to-one mapping
-    between store revisions and accepted chain entries (scoped to the
-    store's topic filter and applied-upto mark)."""
-    reg = DataRegistry.rebuild(chain)
-    violations = _chain_violations(chain, reg)
+    """Store payload hashes plus the one-to-one mapping between store
+    revisions and the chain's registry entries (scoped to the store's topic
+    filter and applied-upto mark). The chain itself is not re-checked: a
+    ``ChainState`` holds only blocks that ``validate_block`` accepted, which
+    ``load`` enforces for a chain file."""
+    violations: list[str] = []
     for doc in store.docs.values():
         for rev in doc.revisions:
             if rev.payload is not None and payload_root(rev.payload, store.chunk_size) != rev.data_hash:
@@ -273,7 +245,7 @@ def verify_pair(chain: ChainState, store: StoreState) -> list[str]:
                 )
     expected = set()
     if store.applied_upto is not None:
-        for e in reg.entries:
+        for e in chain.registry.entries:
             if (e.height, e.index) > store.applied_upto:
                 continue
             if store.topics and e.tx.topic_id not in store.topics:
@@ -289,7 +261,9 @@ def verify_pair(chain: ChainState, store: StoreState) -> list[str]:
 
 def verify_dir(path) -> tuple[list[str], int]:
     """Verify every <name>.chain / <name>.store pair under a directory.
-    Returns (violations, number of pairs checked)."""
+    Returns (violations, number of chains checked). A chain with no store
+    is checked by loading it; a chain that fails to load raises
+    ``ValueError``."""
     from pathlib import Path
 
     root = Path(path)
@@ -301,9 +275,6 @@ def verify_dir(path) -> tuple[list[str], int]:
         store_file = root / f"{name}.store"
         checked += 1
         if store_file.exists():
-            store = StoreState.load(store_file)
-            found = verify_pair(chain, store)
-        else:
-            found = verify_chain(chain)
-        violations.extend(f"{name}: {v}" for v in found)
+            found = verify_pair(chain, StoreState.load(store_file))
+            violations.extend(f"{name}: {v}" for v in found)
     return violations, checked

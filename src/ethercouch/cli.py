@@ -4,10 +4,12 @@ Subcommands:
   bench          run the insert-scaling benchmark, write CSV
   run            execute a scenario file, write trace and node state dumps
   dump-chain     render a saved chain file as text, one block per line
-  dump-registry  rebuild and render the data registry from a chain file
+  dump-registry  render the data registry that loading a chain file
+                 builds, block by block, as it checks each block
   dump-store     render a store snapshot as text
-  verify         recompute all hashes, roots and the one-to-one mapping
-                 over a run's output directory; nonzero exit on violations
+  verify         load every chain (which checks each block) and recompute
+                 store payload roots and the one-to-one mapping over a
+                 run's output directory; nonzero exit on violations
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from pathlib import Path
 from .bench import MODES, emit_csv, run_matrix, verify_dir
 from .docstore import StoreState
 from .ledger import ChainState
-from .registry import DataRegistry
 from .simnet import Simulation, scenario_from_json
 
 
@@ -63,7 +64,7 @@ def _cmd_dump_chain(args) -> int:
 
 def _cmd_dump_registry(args) -> int:
     chain = ChainState.load(args.file)
-    sys.stdout.write(DataRegistry.rebuild(chain).dump_text())
+    sys.stdout.write(chain.registry.dump_text())
     return 0
 
 
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_dump_store)
 
-    p = sub.add_parser("verify", help="recompute hashes and mapping over a run directory")
+    p = sub.add_parser("verify", help="check chains, store roots and the mapping over a run directory")
     p.add_argument("dir")
     p.set_defaults(func=_cmd_verify)
 

@@ -341,10 +341,6 @@ class ReorgReport:
     def tip_changed(self) -> bool:
         return self.old_tip != self.new_tip
 
-    @property
-    def applied_txs(self) -> list[DbFunction]:
-        return [tx for tx, _, _ in self.applied]
-
 
 class ChainState:
     """One node's view of the ledger: block store, canonical tip, mempool.

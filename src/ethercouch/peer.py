@@ -102,13 +102,14 @@ class FetchState(Enum):
     AWAITING_CONFIRM = "awaiting-confirm"
     FETCHING = "fetching"
     BUFFERED = "buffered"
-    APPLIED = "applied"
     UNAVAILABLE = "unavailable"
 
 
 @dataclass(slots=True)
 class PendingFetch:
-    """Lifecycle of one confirmed mutation on its way into the store."""
+    """One mutation on its way into the store, from the block that holds
+    it until its revision lands there or can never land; the peer then
+    forgets it."""
 
     tx: DbFunction
     lineage: Digest
@@ -135,6 +136,11 @@ class Peer:
     and the ints ``poll_interval`` and ``fetch_timeout``. ``send`` returns a
     handle on the queued copy (or None) that a further ``send`` of the same
     message may pass back as ``raw``, so all copies share one encoding.
+
+    ``pending`` holds open work only, keyed by (lineage, seq) in the order
+    it opened: one entry per in-filter canonical mutation whose revision
+    has not landed in the store. It leaves once the revision lands or can
+    never land (stale, tombstoned, or erased by a confirmed delete).
     """
 
     def __init__(
@@ -162,9 +168,6 @@ class Peer:
         self.store = StoreState(chunk_size=chunk_size, topics=config.topics)
         self.online = True
         self.pending: dict[tuple[Digest, int], PendingFetch] = {}
-        # keys of pending entries that still need work; APPLIED entries leave
-        # this index so chain-event scans stay proportional to open work
-        self._active: dict[tuple[Digest, int], None] = {}
         self.push_cache: dict[tuple[Digest, int], bytes] = {}  # pushed, not yet usable
         self.own_unconfirmed: dict[Digest, DbFunction] = {}  # published, not yet mined
         self.own_mined: dict[Digest, tuple[DbFunction, int]] = {}  # mined, short of depth k
@@ -185,26 +188,9 @@ class Peer:
     def _has_peers(self) -> bool:
         return len(self.location.all_peers) > 1
 
-    def _track(self, key: tuple[Digest, int], pf: PendingFetch) -> None:
-        self.pending[key] = pf
-        if pf.state is FetchState.APPLIED:
-            self._active.pop(key, None)
-        else:
-            self._active[key] = None
-
-    def _set_state(self, pf: PendingFetch, state: FetchState) -> None:
-        pf.state = state
-        key = (pf.lineage, pf.tx.sequence_id)
-        if state is FetchState.APPLIED:
-            self._active.pop(key, None)
-        elif key in self.pending:
-            self._active[key] = None
-
-    def describe_state(self) -> str:
-        return (
-            f"tip={digest_hex(self.chain.tip)[:12]} h={self.chain.height} "
-            f"docs={len(self.store.docs)} pending={sum(1 for p in self.pending.values() if p.state is not FetchState.APPLIED)}"
-        )
+    def _close(self, pf: PendingFetch) -> None:
+        """Forget ``pf``: its revision landed or can never land."""
+        self.pending.pop((pf.lineage, pf.tx.sequence_id), None)
 
     # -- publishing -------------------------------------------------------
 
@@ -472,7 +458,7 @@ class Peer:
     def _start_fetch(self, pf: PendingFetch) -> None:
         pf.candidates = self._candidate_sources(pf.tx)
         pf.attempts = 0
-        self._set_state(pf, FetchState.FETCHING)
+        pf.state = FetchState.FETCHING
         pf.retry_gap = self.env.poll_interval
         self._send_fetch(pf)
 
@@ -488,7 +474,7 @@ class Peer:
             pf.sent_at = self.env.now()
             self.env.request_poll(self)
             return
-        self._set_state(pf, FetchState.UNAVAILABLE)
+        pf.state = FetchState.UNAVAILABLE
         pf.current_source = None
         pf.next_retry_at = self.env.now() + pf.retry_gap
         pf.retry_gap = min(pf.retry_gap * 2, self.env.poll_interval * 8)
@@ -500,12 +486,16 @@ class Peer:
         pf = self.pending.get(key)
         if pf is None:
             # pushed ahead of our chain view: keep raw, verify when the
-            # transaction confirms locally. Filtered peers never hoard
-            # bytes for documents they may not even subscribe to.
+            # transaction confirms locally. A revision the canonical chain
+            # already holds has landed or never will, so its bytes are
+            # stale. Filtered peers never hoard bytes for documents they
+            # may not even subscribe to.
             if not self.config.topics:
-                self._cache_push(key, b"".join(resp.chunks))
+                latest = self.chain.registry.latest(resp.lineage)
+                if latest is None or resp.seq > latest[0]:
+                    self._cache_push(key, b"".join(resp.chunks))
             return
-        if pf.state is FetchState.APPLIED or pf.state is FetchState.BUFFERED:
+        if pf.state is FetchState.BUFFERED:
             return
         payload = self.store.check_transfer(resp.chunks, resp.proofs, pf.tx.data_hash)
         if payload is None:
@@ -538,7 +528,7 @@ class Peer:
         try:
             if pf.refill:
                 self.store.fill_payload(pf.lineage, pf.tx.sequence_id, payload)
-                self._set_state(pf, FetchState.APPLIED)
+                self._close(pf)
                 self.env.note(self, f"refilled lineage={digest_hex(pf.lineage)[:12]} seq={pf.tx.sequence_id}")
                 return True
             if pf.tx.task is Task.ADD:
@@ -548,19 +538,17 @@ class Peer:
         except IntegrityError:
             return False
         except (StaleRevision, DuplicateDocument, TombstoneError) as e:
-            self._set_state(pf, FetchState.APPLIED)
+            self._close(pf)
             self.env.note(self, f"apply skipped ({type(e).__name__}) lineage={digest_hex(pf.lineage)[:12]}")
             return True
         if result.buffered:
-            self._set_state(pf, FetchState.BUFFERED)
+            pf.state = FetchState.BUFFERED
         self._mark_applied(result.applied)
         return True
 
     def _mark_applied(self, applied_pairs) -> None:
         for lineage, seq in applied_pairs:
-            entry = self.pending.get((lineage, seq))
-            if entry is not None:
-                self._set_state(entry, FetchState.APPLIED)
+            self.pending.pop((lineage, seq), None)
             self.env.note(self, f"applied lineage={digest_hex(lineage)[:12]} seq={seq}")
 
     def _confirm_delete(self, pf: PendingFetch) -> None:
@@ -571,16 +559,14 @@ class Peer:
                 continue
             result = self.store.apply_erased(entry.tx, (entry.height, entry.index), pf.lineage)
             self._mark_applied(result.applied)
-            waiting = self.pending.get((pf.lineage, entry.tx.sequence_id))
-            if waiting is not None and waiting.state is not FetchState.APPLIED:
-                self._set_state(waiting, FetchState.APPLIED)
+            self.pending.pop((pf.lineage, entry.tx.sequence_id), None)
         try:
             result = self.store.apply_delete(pf.tx, pf.coord)
         except (StaleRevision, TombstoneError):
-            self._set_state(pf, FetchState.APPLIED)
+            self._close(pf)
             return
         if result.buffered:
-            self._set_state(pf, FetchState.BUFFERED)
+            pf.state = FetchState.BUFFERED
         self._mark_applied(result.applied)
         # deletion reaches the staged payloads and push buffers too, but
         # bytes another live lineage of ours was published with stay staged
@@ -610,7 +596,6 @@ class Peer:
             self.env.note(self, f"rolled back {len(report.rolled_back)} txs to h={report.fork_height}")
             for key in [k for k, p in self.pending.items() if p.coord[0] > report.fork_height]:
                 del self.pending[key]
-                self._active.pop(key, None)
             for tx in report.rolled_back:
                 if tx.digest in self.own_mined:
                     self.own_unconfirmed[tx.digest] = self.own_mined.pop(tx.digest)[0]
@@ -619,7 +604,7 @@ class Peer:
                 self.own_mined[tx.digest] = (self.own_unconfirmed.pop(tx.digest), h)
             if not self._topic_ok(tx.topic_id):
                 continue
-            self._track((tx.doc_id, tx.sequence_id), PendingFetch(tx=tx, lineage=tx.doc_id, coord=(h, i)))
+            self.pending[(tx.doc_id, tx.sequence_id)] = PendingFetch(tx=tx, lineage=tx.doc_id, coord=(h, i))
         self._settle_own_txs()
         self._process_confirmations()
         if report.rolled_back:
@@ -663,10 +648,9 @@ class Peer:
     def _process_confirmations(self) -> None:
         tip_height = self.chain.height
         k = self.config.confirmation_depth
-        for key in list(self._active):
+        for key in list(self.pending):
             pf = self.pending.get(key)
             if pf is None:
-                self._active.pop(key, None)
                 continue
             if pf.state is FetchState.AWAITING_CONFIRM:
                 if tip_height - pf.coord[0] + 1 < k:
@@ -684,7 +668,7 @@ class Peer:
         if pf.tx.inline_payload is not None:
             if not self._apply_payload(pf, pf.tx.inline_payload):
                 self.env.note(self, f"inline payload corrupt lineage={digest_hex(pf.lineage)[:12]}")
-                self._set_state(pf, FetchState.UNAVAILABLE)
+                pf.state = FetchState.UNAVAILABLE
                 pf.next_retry_at = self.env.now() + self.env.poll_interval
             return
         local = self._local_payload(pf)
@@ -707,8 +691,7 @@ class Peer:
         to come back from peers that never applied the delete."""
         for lineage, seq, data_hash in self.store.missing_payload_revisions():
             key = (lineage, seq)
-            pf = self.pending.get(key)
-            if pf is not None and pf.state is not FetchState.APPLIED:
+            if key in self.pending:
                 continue
             tx = None
             coord = None
@@ -720,7 +703,7 @@ class Peer:
             if tx is None or tx.data_hash != data_hash:
                 continue
             refill = PendingFetch(tx=tx, lineage=lineage, coord=coord, refill=True)
-            self._track(key, refill)
+            self.pending[key] = refill
             local = self._local_payload(refill)
             if local is not None and self._apply_payload(refill, local):
                 continue
@@ -735,10 +718,7 @@ class Peer:
             return True
         if self.own_unconfirmed and self._has_peers():
             return True
-        return any(
-            self.pending[key].state in (FetchState.FETCHING, FetchState.UNAVAILABLE)
-            for key in self._active
-        )
+        return any(pf.state in (FetchState.FETCHING, FetchState.UNAVAILABLE) for pf in self.pending.values())
 
     def on_poll(self) -> None:
         if not self.online:
@@ -749,7 +729,7 @@ class Peer:
             if len(tried) >= len(self.location.registered()) - 1:
                 tried = ()  # everyone tried once; start the rotation over
             self._begin_resync(tried)
-        for key in list(self._active):
+        for key in list(self.pending):
             pf = self.pending.get(key)
             if pf is None:
                 continue
@@ -778,8 +758,3 @@ class Peer:
             if now >= self._next_reannounce.get(d, 0):
                 self.env.broadcast(self, TxAnnounce(tx))
                 self._next_reannounce[d] = now + self.env.poll_interval * 2
-
-    # -- verification hooks ---------------------------------------------------
-
-    def unapplied_pending(self) -> list[PendingFetch]:
-        return [self.pending[k] for k in self._active if self.pending[k].state is not FetchState.APPLIED]

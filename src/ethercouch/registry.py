@@ -108,7 +108,6 @@ class DataRegistry(_LineageRules):
         self.entries: list[RegistryEntry] = []
         self._by_lineage: dict[Digest, list[RegistryEntry]] = {}
         self._state: dict[Digest, tuple[int, bool]] = {}
-        self.skipped = 0
 
     def apply(self, tx: DbFunction, height: int, index: int) -> None:
         lineage = tx.doc_id
@@ -153,21 +152,6 @@ class DataRegistry(_LineageRules):
             same_lineage.pop()
             if not same_lineage:
                 del self._by_lineage[entry.lineage]
-
-    @classmethod
-    def rebuild(cls, chain) -> "DataRegistry":
-        """Fold the canonical chain into a fresh registry.
-
-        Invalid transactions inside adopted blocks (possible only when
-        importing foreign chains) are skipped deterministically and counted.
-        """
-        reg = cls()
-        for tx, height, index in chain.canonical_txs():
-            if reg.validate(tx) == OK:
-                reg.apply(tx, height, index)
-            else:
-                reg.skipped += 1
-        return reg
 
     def query_by_lineage(self, lineage: Digest) -> list[RegistryEntry]:
         return list(self._by_lineage.get(lineage, ()))

@@ -14,6 +14,7 @@ from ethercouch.ledger import (
     lineage_of,
     meets_target,
 )
+from ethercouch.registry import OK, DataRegistry
 
 EDITOR_A = hash_bytes(b"editor-a")
 EDITOR_B = hash_bytes(b"editor-b")
@@ -69,6 +70,19 @@ def raw_block(state: ChainState, parent_hash, height, txs, miner=EDITOR_A) -> Bl
         if meets_target(h, state.difficulty_bits):
             return Block(parent_hash, height, nonce, miner, tuple(txs), h)
         nonce += 1
+
+
+def rebuild_registry(chain) -> DataRegistry:
+    """Reference fold: a fresh registry built from ``chain.canonical_txs()``.
+
+    Every transaction on a canonical chain passed ``validate_block``, so
+    each must be valid in order here; the fold asserts it.
+    """
+    reg = DataRegistry()
+    for tx, height, index in chain.canonical_txs():
+        assert reg.validate(tx) == OK, (height, index, reg.validate(tx))
+        reg.apply(tx, height, index)
+    return reg
 
 
 def random_mutation_batch(rng: random.Random, n: int, editors=(EDITOR_A, EDITOR_B), topics=(TOPIC_T, TOPIC_U), live=None, payloads=None):
@@ -218,7 +232,8 @@ def run_convergence_scenario(seed: int):
         "digest1": r1.trace.digest(),
         "digest2": r2.trace.digest(),
         "filtered_ok": filtered_ok,
-        "leftover": sum(len(p.unapplied_pending()) for p in r1.peers.values()),
+        "leftover": sum(len(p.pending) for p in r1.peers.values()),
+        "cached": sum(len(p.push_cache) for p in r1.peers.values()),
     }
 
 

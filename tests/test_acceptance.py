@@ -6,6 +6,7 @@ fixture so criteria 3, 4 and 7 reuse the same 200 double runs.
 """
 
 import random
+import time
 
 from conftest import (
     CONVERGENCE_SEEDS,
@@ -16,6 +17,7 @@ from conftest import (
     make_edit,
     random_mutation_batch,
     raw_block,
+    rebuild_registry,
 )
 from ethercouch.bench import run_matrix
 from ethercouch.crypto import chunk_payload, merkle_prove, merkle_root, verify_chunk
@@ -33,13 +35,25 @@ def report(line: str) -> None:
 # -- criterion 1: scaling ordering ------------------------------------------
 
 
+def _clocked_matrix(modes, counts, repetitions):
+    """``run_matrix`` results, and a line giving this process's CPU time
+    beside the wall time of the call: CPU well short of wall means the
+    process waited for a CPU, so the machine was loaded."""
+    cpu, wall = time.process_time(), time.perf_counter()
+    results = run_matrix(modes, counts, doc_size=4096, repetitions=repetitions, seed=0)
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    counts_text = ",".join(str(c) for c in counts)
+    return results, f"n={counts_text} x{repetitions}: cpu={cpu:.2f}s wall={wall:.2f}s ({cpu / wall:.0%} of wall)"
+
+
 def test_criterion_1_scaling_ordering():
     counts = [10, 100, 1000, 10000]
     modes = ["plain", "ethercouch", "chainonly"]
     # a run at the small counts takes about a millisecond, so a burst of
     # machine load can decide a mean of 5: they get 25 repetitions
-    results = run_matrix(modes, counts[:2], doc_size=4096, repetitions=25, seed=0)
-    results += run_matrix(modes, counts[2:], doc_size=4096, repetitions=5, seed=0)
+    results, small_clock = _clocked_matrix(modes, counts[:2], repetitions=25)
+    large, large_clock = _clocked_matrix(modes, counts[2:], repetitions=5)
+    results += large
     means: dict = {}
     for r in results:
         means.setdefault(r.mode, {})[r.count] = r.mean_wall
@@ -50,6 +64,7 @@ def test_criterion_1_scaling_ordering():
         ordered = p < e < c
         ok = ok and ordered
         lines.append(f"n={count}: plain={p * 1000:.2f}ms ethercouch={e * 1000:.2f}ms chainonly={c * 1000:.2f}ms")
+    lines += [small_clock, large_clock]
     report(f"criterion 1 scaling ordering (plain < ethercouch < chainonly at every count): {'PASS' if ok else 'FAIL'}")
     for line in lines:
         report("  " + line)
@@ -79,10 +94,15 @@ def test_criterion_2_chain_byte_independence():
 
 
 def test_criterion_3_convergence_suite(convergence_suite):
-    failures = [s for s in convergence_suite if not (s["converged"] and s["filtered_ok"])]
+    # a converged peer has no open fetch, and caches no pushed bytes: a push
+    # for a revision its chain already holds is stale and must not be kept
+    failures = [
+        s for s in convergence_suite if not (s["converged"] and s["filtered_ok"]) or s["leftover"] or s["cached"]
+    ]
     report(
         f"criterion 3 convergence: {len(convergence_suite) - len(failures)}/{len(CONVERGENCE_SEEDS)} "
-        f"scenarios byte-equal in tip, registry dump and store dump: {'PASS' if not failures else 'FAIL'}"
+        f"scenarios byte-equal in tip, registry dump and store dump, with no open fetch "
+        f"and no cached push: {'PASS' if not failures else 'FAIL'}"
     )
     assert not failures, [s["seed"] for s in failures]
 
@@ -246,7 +266,7 @@ def test_criterion_8_reorg_repair():
         if store.snapshot_bytes() != oracle.snapshot_bytes():
             failures.append(seed)
             continue
-        if DataRegistry.rebuild(chain).dump_text() != chain.registry.dump_text():
+        if rebuild_registry(chain).dump_text() != chain.registry.dump_text():
             failures.append(seed)
     report(
         f"criterion 8 reorg repair: {fixtures - len(failures)}/{fixtures} fork fixtures "

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CHUNK, EDITOR_A, make_add, make_edit, raw_block
 from ethercouch.bench import (
     CSV_HEADER,
     BenchSpec,
@@ -15,12 +16,22 @@ from ethercouch.bench import (
     run_matrix,
     run_once,
     verify_dir,
-    verify_pair,
 )
 from ethercouch.cli import main
-from ethercouch.crypto import ZERO_DIGEST, hash_bytes
+from ethercouch.codec import lp, u64
+from ethercouch.crypto import ZERO_DIGEST, hash_bytes, payload_root
 from ethercouch.docstore import StoreState
-from ethercouch.ledger import ChainState, serialize_tx
+from ethercouch.ledger import (
+    Block,
+    ChainState,
+    DbFunction,
+    Task,
+    block_preimage,
+    lineage_of,
+    meets_target,
+    serialize_block,
+    serialize_tx,
+)
 
 # serialized record size of one hash-anchored mutation: seven length-prefixed
 # fields (task 1B, three digests 32B, sequence 8B, lineage 32B, absent payload 1B)
@@ -201,10 +212,63 @@ def test_cli_verify_flags_missing_revision(run_dir):
     assert any("missing revision" in v and lineage.hex() in v for v in violations)
 
 
-def test_verify_pair_catches_sequence_invalid_chain(run_dir):
-    chain = ChainState.load(run_dir / "p0.chain")
-    store = StoreState.load(run_dir / "p0.store")
-    assert verify_pair(chain, store) == []
+def _missing_target(state: ChainState, parent, height, txs) -> Block:
+    """A block whose hash misses ``state``'s difficulty target."""
+    nonce = 0
+    while True:
+        h = hash_bytes(block_preimage(parent, height, nonce, EDITOR_A, tuple(txs)))
+        if not meets_target(h, state.difficulty_bits):
+            return Block(parent, height, nonce, EDITOR_A, tuple(txs), h)
+        nonce += 1
+
+
+def _refused_block(case: str, state: ChainState) -> Block:
+    """One block on ``state``'s genesis that ``validate_block`` refuses."""
+    add = make_add(b"a new document")
+    if case == "sequence-invalid":
+        return raw_block(state, state.tip, 1, [add, make_edit(lineage_of(add), 5, b"skips ahead")])
+    if case == "inline-root-mismatch":
+        tx = DbFunction(Task.ADD, payload_root(b"other bytes", CHUNK), EDITOR_A, add.topic_id, 1, ZERO_DIGEST, b"inline bytes")
+        return raw_block(state, state.tip, 1, [tx])
+    if case == "misses-target":
+        return _missing_target(state, state.tip, 1, [add])
+    assert case == "orphan"
+    return raw_block(state, hash_bytes(b"no such parent"), 1, [add])
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        pytest.param("sequence-invalid", "tx-invalid:stale-sequence", id="sequence-invalid"),
+        pytest.param("inline-root-mismatch", "tx-invalid:inline-hash-mismatch", id="inline-root-mismatch"),
+        pytest.param("misses-target", "pow-target", id="misses-target"),
+        pytest.param("orphan", "unknown-parent", id="orphan"),
+    ],
+)
+def test_verify_refuses_a_chain_file_that_load_refuses(tmp_path, case, reason):
+    import os
+
+    # verify checks a chain by loading it: every block must pass
+    # validate_block, so a chain file with one refused block exits 1
+    state = ChainState(difficulty_bits=8 if case == "misses-target" else 0, chunk_size=CHUNK)
+    blob = lp(u64(state.difficulty_bits)) + lp(u64(CHUNK)) + lp(serialize_block(state.genesis))
+    block = _refused_block(case, state)
+    assert state.validate_block(block) == (False, reason)
+    blob += lp(serialize_block(block))
+    (tmp_path / "p0.chain").write_bytes(ChainState.CHAIN_MAGIC + blob)
+    with pytest.raises(ValueError):
+        ChainState.load(tmp_path / "p0.chain")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "ethercouch", "verify", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": str(root / "src")},
+        cwd=str(root),
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_unknown_flag_exits_2(capsys):

@@ -7,7 +7,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import EDITOR_A, EDITOR_B, make_add, make_delete, make_edit, random_mutation_batch, raw_block
+from conftest import (
+    EDITOR_A,
+    EDITOR_B,
+    make_add,
+    make_delete,
+    make_edit,
+    random_mutation_batch,
+    raw_block,
+    rebuild_registry,
+)
 from ethercouch import ledger
 from ethercouch.codec import lp
 from ethercouch.crypto import ZERO_DIGEST, hash_bytes, payload_root
@@ -392,7 +401,7 @@ def test_adopt_extends_tip():
     report = state.adopt_block(block)
     assert state.tip == block.block_hash
     assert report.rolled_back == []
-    assert report.applied_txs == [tx]
+    assert report.applied == [(tx, 1, 0)]
     assert state.mempool == []
 
 
@@ -406,7 +415,7 @@ def test_competing_blocks_tie_break_on_hash():
     report = state.adopt_block(lo)
     assert state.tip == lo.block_hash
     assert report.rolled_back == list(hi.txs)
-    assert report.applied_txs == list(lo.txs)
+    assert [tx for tx, _, _ in report.applied] == list(lo.txs)
 
 
 def test_two_block_branch_beats_one_block_chain():
@@ -420,7 +429,7 @@ def test_two_block_branch_beats_one_block_chain():
     report = state.adopt_block(n2)
     assert state.tip == n2.block_hash
     if report.tip_changed:
-        assert report.applied_txs[-1:] == list(n2.txs)
+        assert [tx for tx, _, _ in report.applied[-1:]] == list(n2.txs)
     # old branch txs are back in the mempool
     assert state.mempool == list(old.txs)
 
@@ -434,7 +443,7 @@ def test_orphan_buffered_until_parent_arrives():
     assert state.tip == state.genesis.block_hash
     report = state.adopt_block(b1)
     assert state.tip == b2.block_hash
-    assert [t for t in report.applied_txs] == list(b1.txs) + list(b2.txs)
+    assert [tx for tx, _, _ in report.applied] == list(b1.txs) + list(b2.txs)
 
 
 def oracle_tip(blocks: dict) -> bytes:
@@ -562,8 +571,7 @@ def test_fork_parent_validation_matches_replay_from_genesis():
         for adopted in order:
             state.adopt_block(adopted)
             # the canonical switch applies unchecked, yet folds as a replay
-            rebuilt = DataRegistry.rebuild(state)
-            assert (state.registry.dump_text(), rebuilt.skipped) == (rebuilt.dump_text(), 0)
+            assert state.registry.dump_text() == rebuild_registry(state).dump_text()
             for blk in order:
                 if blk.parent in state.blocks:
                     verdict = state.validate_block(blk)
@@ -573,7 +581,7 @@ def test_fork_parent_validation_matches_replay_from_genesis():
             canonical = state.canonical_blocks()
             for h in range(len(canonical)):
                 prefix = [(tx, b.height, i) for b in canonical[: h + 1] for i, tx in enumerate(b.txs)]
-                ref = DataRegistry.rebuild(SimpleNamespace(canonical_txs=lambda: iter(prefix)))
+                ref = rebuild_registry(SimpleNamespace(canonical_txs=lambda: iter(prefix)))
                 view = state.registry.fork_view(h)
                 assert {lin: view.latest(lin) for lin in lineages} == {lin: ref.latest(lin) for lin in lineages}
         # exactly the blocks whose whole path is valid were stored
@@ -597,7 +605,7 @@ def assert_mempool_invariant(state: ChainState, lineages: set) -> None:
     speculative state is that fold, and mining takes exactly a prefix. The
     fold starts from a registry rebuilt from the chain, because the
     speculative state reads through the live one."""
-    view = DataRegistry.rebuild(state).fork_view()
+    view = rebuild_registry(state).fork_view()
     for tx in state.mempool:
         if tx.inline_payload is not None:
             assert payload_root(tx.inline_payload, state.chunk_size) == tx.data_hash
@@ -614,8 +622,8 @@ def requeued(state: ChainState, report, queued: list) -> list:
     order, on a registry folded afresh from the canonical chain."""
     if not report.tip_changed:
         return queued
-    applied = {tx_digest(tx) for tx in report.applied_txs}
-    view = DataRegistry.rebuild(state).fork_view()
+    applied = {tx_digest(tx) for tx, _, _ in report.applied}
+    view = rebuild_registry(state).fork_view()
     kept = []
     for tx in report.rolled_back + queued:
         inline_ok = tx.inline_payload is None or payload_root(tx.inline_payload, state.chunk_size) == tx.data_hash
@@ -707,19 +715,20 @@ def test_mempool_stays_valid_on_the_canonical_chain():
             for blk in blocks:
                 queued = list(state.mempool)
                 report = state.adopt_block(blk)
+                applied = [tx for tx, _, _ in report.applied]
                 assert state.mempool == requeued(state, report, queued)
                 if not report.tip_changed:
                     paths["kept"] += 1
                 elif report.rolled_back:
                     paths["rollback"] += 1
                     paths["reinserted"] += any(tx in state.mempool for tx in report.rolled_back)
-                elif report.applied_txs == queued[: len(report.applied)]:
+                elif applied == queued[: len(applied)]:
                     paths["prefix"] += 1
-                elif set(report.applied_txs) <= set(queued):
+                elif set(applied) <= set(queued):
                     paths["filtered"] += 1
                 else:
                     paths["foreign"] += 1
-                paths["dropped"] += any(tx not in state.mempool and tx not in report.applied_txs for tx in queued)
+                paths["dropped"] += any(tx not in state.mempool and tx not in applied for tx in queued)
             assert_mempool_invariant(state, lineages)
     assert min(paths[p] for p in ("kept", "rollback", "reinserted", "prefix", "filtered", "foreign", "dropped")) >= 5, paths
 

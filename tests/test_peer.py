@@ -179,7 +179,7 @@ def test_other_topic_is_ignored():
     bob.handle_message(announce, "alice")
     assert bob.chain.tip == alice.chain.tip
     assert not bob.store.docs
-    assert not bob.unapplied_pending()
+    assert not bob.pending
     del tx
 
 
@@ -235,7 +235,8 @@ def test_corrupt_source_triggers_failover():
     assert bob.pending[key].current_source == "carol"
     assert key[0] not in bob.store.docs
     bob.handle_message(honest, "carol")
-    assert bob.pending[key].state is FetchState.APPLIED
+    assert key not in bob.pending
+    assert bob.store.revision(*key).payload == payload
     assert bob.store.get_active(key[0]) == payload
 
 
@@ -260,7 +261,8 @@ def test_fetched_payload_costs_one_tree_and_no_hash_on_apply(monkeypatch):
     monkeypatch.setattr(crypto, "_tree", lambda chunks: trees.append(len(chunks)) or real_tree(chunks))
     monkeypatch.setattr(docstore, "payload_root", lambda p, size: store_hashes.append(p) or real_root(p, size))
     bob.handle_message(honest, "alice")
-    assert bob.pending[key].state is FetchState.APPLIED
+    assert key not in bob.pending
+    assert bob.store.revision(*key).payload == payload
     assert bob.store.get_active(key[0]) == payload
     assert trees == [3] and store_hashes == []
 
@@ -307,8 +309,19 @@ def fetched_by_bob():
     bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
     key = (lineage_of(tx), 1)
     bob.handle_message(alice.serve_request(Request(*key, ()), "bob"), "alice")
-    assert bob.pending[key].state is FetchState.APPLIED
+    assert key not in bob.pending
+    assert bob.store.revision(*key).payload == payload
     return env, alice, bob, tx, payload
+
+
+def test_a_push_for_an_applied_revision_is_not_cached():
+    # the revision landed and left pending; a late copy of its bytes is
+    # stale and must not take a push-cache slot
+    _, alice, bob, tx, _ = fetched_by_bob()
+    late = alice.serve_request(Request(lineage_of(tx), 1, ()), "bob")
+    assert isinstance(late, Response)
+    bob.handle_message(late, "alice")
+    assert not bob.push_cache
 
 
 def test_receiver_builds_one_tree_to_serve_a_fetched_payload_twice(monkeypatch):
@@ -458,7 +471,8 @@ def test_corrupt_unsolicited_push_is_refused_by_the_store_then_fetched():
         ("bob", "alice", Request(*key, ()))
     ]
     bob.handle_message(honest, "alice")
-    assert bob.pending[key].state is FetchState.APPLIED
+    assert key not in bob.pending
+    assert bob.store.revision(*key).payload == payload
     assert bob.store.get_active(key[0]) == payload
 
 
@@ -487,7 +501,8 @@ def test_confirmed_delete_keeps_bytes_another_live_document_was_published_with()
     second = peer.publish(Task.ADD, OPS, payload)
     peer.on_mine_complete()  # the delete confirms first, then the second add, in one block
     lineage = lineage_of(second)
-    assert peer.pending[(lineage, 1)].state is FetchState.APPLIED
+    assert (lineage, 1) not in peer.pending
+    assert peer.store.revision(lineage, 1).payload == payload
     assert peer.store.get_active(lineage) == payload
     assert peer.store.get_active(lineage_of(first)) is None
     assert peer.store.staged_payload(second.data_hash) == payload

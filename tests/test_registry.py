@@ -12,6 +12,7 @@ from conftest import (
     make_delete,
     make_edit,
     random_mutation_batch,
+    rebuild_registry,
 )
 from ethercouch.crypto import hash_bytes
 from ethercouch.ledger import ChainState, lineage_of
@@ -80,9 +81,8 @@ def test_sequence_gap_is_stale():
 
 def test_rebuild_empty_chain():
     chain = ChainState(difficulty_bits=0)
-    reg = DataRegistry.rebuild(chain)
-    assert reg.entries == []
-    assert reg.skipped == 0
+    reg = rebuild_registry(chain)
+    assert reg.entries == [] == chain.registry.entries
 
 
 def test_rebuild_add_edit_delete_single_lineage():
@@ -92,24 +92,9 @@ def test_rebuild_add_edit_delete_single_lineage():
     chain.submit_tx(make_edit(lineage_of(add), 2, b"v2"))
     chain.submit_tx(make_delete(lineage_of(add), 3))
     chain.adopt_block(chain.mine_block(EDITOR_A))
-    reg = DataRegistry.rebuild(chain)
-    assert len(reg.entries) == 3
-    assert reg.latest(lineage_of(add)) == (3, True)
-
-
-def test_rebuild_skips_and_counts_invalid_txs():
-    # foreign chains are replayed tolerantly: sequence-invalid entries are
-    # dropped deterministically and counted, never chain-invalidating
-    class FakeChain:
-        def canonical_txs(self):
-            add = make_add(b"doc")
-            yield add, 1, 0
-            yield make_edit(lineage_of(add), 5, b"gap"), 1, 1  # skipped
-            yield make_edit(lineage_of(add), 2, b"v2"), 1, 2
-
-    reg = DataRegistry.rebuild(FakeChain())
-    assert reg.skipped == 1
-    assert [e.tx.sequence_id for e in reg.entries] == [1, 2]
+    for reg in (chain.registry, rebuild_registry(chain)):
+        assert len(reg.entries) == 3
+        assert reg.latest(lineage_of(add)) == (3, True)
 
 
 def test_rebuild_equals_incremental_on_random_chain():
@@ -123,7 +108,7 @@ def test_rebuild_equals_incremental_on_random_chain():
             chain.submit_tx(tx)
         chain.adopt_block(chain.mine_block(EDITOR_A, max_txs=len(batch)))
         i += len(batch)
-    rebuilt = DataRegistry.rebuild(chain)
+    rebuilt = rebuild_registry(chain)
     # the chain's own registry was maintained incrementally through adoption
     assert rebuilt.entries == chain.registry.entries
     assert rebuilt.dump_text() == chain.registry.dump_text()
@@ -143,7 +128,7 @@ def test_rebuild_after_reorg_equals_incremental():
     n2 = raw_block(chain, n1.block_hash, 2, [make_edit(lineage_of(c), 2, b"v2", editor=EDITOR_B)], miner=EDITOR_B)
     chain.adopt_block(n1)
     chain.adopt_block(n2)
-    rebuilt = DataRegistry.rebuild(chain)
+    rebuilt = rebuild_registry(chain)
     assert rebuilt.entries == chain.registry.entries
     assert rebuilt.dump_text() == chain.registry.dump_text()
 
@@ -217,8 +202,7 @@ def test_fork_views_copy_nothing_and_read_the_registry_at_their_height():
         above = sum(e.height > height for e in reg.entries)
         view, size = _allocated(lambda: reg.fork_view(height))
         assert size < small + per_entry * above, (height, above, size)
-        rebuilt = DataRegistry.rebuild(_ChainUpTo(reg, height))
-        assert rebuilt.skipped == 0
+        rebuilt = rebuild_registry(_ChainUpTo(reg, height))
         assert all(view.latest(lin) == rebuilt.latest(lin) for lin in lineages)
     # applying to a view leaves the registry and later views as they were
     deleted = reg.entries[-1]
@@ -229,7 +213,7 @@ def test_fork_views_copy_nothing_and_read_the_registry_at_their_height():
     fresh = make_add(b"not on chain")
     view.apply(fresh)
     assert reg.latest(lineage_of(fresh)) is None and reg.fork_view().latest(lineage_of(fresh)) is None
-    below_tip = DataRegistry.rebuild(_ChainUpTo(reg, tip - 1))
+    below_tip = rebuild_registry(_ChainUpTo(reg, tip - 1))
     assert reg.fork_view(tip - 1).latest(deleted.lineage) == below_tip.latest(deleted.lineage)
 
 

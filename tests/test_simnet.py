@@ -485,9 +485,10 @@ def profiled_calls(run) -> tuple[int, object]:
 # document id, 50.6 once a tx carries them, 47.6 once a one-chunk payload's
 # root is its single hash (5 fewer) and registry views read through
 # ``latest`` (2 more), 45.6 once a trace line is appended without a Python
-# frame (2 lines per insert). The count depends on the code alone, not on
-# the machine; Python 3.12's inlined comprehensions can only lower it.
-CALLS_PER_INSERT = 46
+# frame (2 lines per insert), 43.6 once a peer forgets an applied mutation
+# instead of tracking its state. The count depends on the code alone, not
+# on the machine; Python 3.12's inlined comprehensions can only lower it.
+CALLS_PER_INSERT = 44
 
 
 def test_an_insert_costs_a_bounded_number_of_python_calls():
@@ -495,6 +496,14 @@ def test_an_insert_costs_a_bounded_number_of_python_calls():
     calls, result = profiled_calls(one_node_inserts(n).run)
     assert len(result.peer("node0").store.docs) == n
     assert calls / n <= CALLS_PER_INSERT, calls / n
+
+
+def test_pending_holds_no_applied_mutation():
+    # an entry leaves pending once its revision lands, so a node that has
+    # applied everything it published holds none
+    node = one_node_inserts(2000).run().peer("node0")
+    assert len(node.store.docs) == 2000
+    assert node.pending == {}
 
 
 def test_the_speculative_view_is_empty_once_the_mempool_is():
@@ -513,8 +522,9 @@ def test_the_speculative_view_is_empty_once_the_mempool_is():
 # convergence scenarios of seeds 0-4, counted under Python 3.11.7: 43.9 while
 # messages were frozen dataclasses, decoders read each head through a helper
 # call and latency came from ``randint``; 36.4 with named-tuple messages,
-# flat decoders, the direct latency draw and frame-free trace appends.
-CALLS_PER_DELIVERY = 37
+# flat decoders, the direct latency draw and frame-free trace appends; 35.75
+# once fetch states change without a tracking call.
+CALLS_PER_DELIVERY = 36
 
 
 def test_a_delivery_costs_a_bounded_number_of_python_calls():
