@@ -633,5 +633,5 @@ class ChainState:
             blk = parse_block(r.field())
             state.adopt_block(blk)
             if blk.block_hash not in state.blocks:
-                raise InvalidBlock(f"rejected block at height {blk.height}")
+                raise InvalidBlock(f"rejected block at height {blk.height}: {state.validate_block(blk)[1]}")
         return state

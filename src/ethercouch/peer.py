@@ -101,27 +101,23 @@ class PeerConfig:
 class FetchState(Enum):
     AWAITING_CONFIRM = "awaiting-confirm"
     FETCHING = "fetching"
-    BUFFERED = "buffered"
     UNAVAILABLE = "unavailable"
 
 
 @dataclass(slots=True)
 class PendingFetch:
     """One mutation on its way into the store, from the block that holds
-    it until its revision lands there or can never land; the peer then
-    forgets it."""
+    it until its revision lands there, the store buffers it behind its
+    predecessor, or it can never land; the peer then forgets it."""
 
     tx: DbFunction
-    lineage: Digest
     coord: tuple[int, int]
     state: FetchState = FetchState.AWAITING_CONFIRM
     refill: bool = False  # payload restore for an already-present revision
-    candidates: list[Digest] = dc_field(default_factory=list)
+    candidates: list[str] = dc_field(default_factory=list)  # peer names, in asking order
     attempts: int = 0
     current_source: str | None = None
-    sent_at: int = 0
-    next_retry_at: int = 0
-    retry_gap: int = 0
+    due: int = 0  # fetching: the Request's timeout; unavailable: the retry
 
 
 ROLLBACK_ALL_OF_HEIGHT = 1 << 62  # tx index bound: keep everything in a block
@@ -139,8 +135,10 @@ class Peer:
 
     ``pending`` holds open work only, keyed by (lineage, seq) in the order
     it opened: one entry per in-filter canonical mutation whose revision
-    has not landed in the store. It leaves once the revision lands or can
-    never land (stale, tombstoned, or erased by a confirmed delete).
+    has not landed in the store. It leaves once the revision lands, the
+    store buffers it behind its predecessor (the store lands it and reports
+    it applied once the gap closes), or it can never land (stale,
+    tombstoned, or erased by a confirmed delete).
     """
 
     def __init__(
@@ -166,6 +164,7 @@ class Peer:
             allow_empty_blocks=allow_empty_blocks,
         )
         self.store = StoreState(chunk_size=chunk_size, topics=config.topics)
+        self._declared = tuple(sorted(config.topics))  # the topics each Request declares
         self.online = True
         self.pending: dict[tuple[Digest, int], PendingFetch] = {}
         self.push_cache: dict[tuple[Digest, int], bytes] = {}  # pushed, not yet usable
@@ -189,8 +188,9 @@ class Peer:
         return len(self.location.all_peers) > 1
 
     def _close(self, pf: PendingFetch) -> None:
-        """Forget ``pf``: its revision landed or can never land."""
-        self.pending.pop((pf.lineage, pf.tx.sequence_id), None)
+        """Forget ``pf``: its revision landed, waits in the store's buffer,
+        or can never land."""
+        self.pending.pop((pf.tx.doc_id, pf.tx.sequence_id), None)
 
     # -- publishing -------------------------------------------------------
 
@@ -315,23 +315,24 @@ class Peer:
         self.env.request_poll(self)
 
     def _begin_resync(self, tried: tuple[str, ...]) -> None:
-        source = self._pick_sync_source(exclude=tried)
+        source = next((name for name in self._sources() if name not in tried), None)
         if source is None:
             self._resync = None
             return
         self.env.send(self, source, BlockRequest(self.chain.height + 1))
-        self._resync = {"source": source, "sent_at": self.env.now(), "tried": tried + (source,)}
+        self._resync = {"sent_at": self.env.now(), "tried": tried + (source,)}
 
-    def _pick_sync_source(self, exclude: tuple[str, ...]) -> str | None:
+    def _sources(self, first: str | None = None) -> list[str]:
+        """The peers to ask, in order: ``first``, then the first up-to-date
+        peer, then every registered peer; each once, never this one."""
+        order = [] if first is None else [first]
         up = self.location.get_up_to_date_peer()
-        order: list[str] = []
         if up is not None:
             order.append(up.location)
-        order.extend(p.location for p in self.location.registered())
-        for name in order:
-            if name != self.name and name not in exclude:
-                return name
-        return None
+        order += [p.location for p in self.location.all_peers.values()]
+        names = dict.fromkeys(order)
+        names.pop(self.name, None)
+        return list(names)
 
     def announce_tip(self) -> None:
         if self.chain.height > 0:
@@ -440,45 +441,25 @@ class Peer:
 
     # -- fetching -------------------------------------------------------------
 
-    def _candidate_sources(self, tx: DbFunction) -> list[Digest]:
-        order = [tx.editor_hash]
-        up = self.location.get_up_to_date_peer()
-        if up is not None:
-            order.append(up.editor_hash)
-        order.extend(p.editor_hash for p in self.location.registered())
-        seen: set[Digest] = set()
-        out: list[Digest] = []
-        for editor in order:
-            if editor == self.editor_hash or editor in seen:
-                continue
-            seen.add(editor)
-            out.append(editor)
-        return out
-
     def _start_fetch(self, pf: PendingFetch) -> None:
-        pf.candidates = self._candidate_sources(pf.tx)
+        pf.candidates = self._sources(self.location.get_peer_location(pf.tx.editor_hash))
         pf.attempts = 0
         pf.state = FetchState.FETCHING
-        pf.retry_gap = self.env.poll_interval
         self._send_fetch(pf)
 
     def _send_fetch(self, pf: PendingFetch) -> None:
-        while pf.attempts < len(pf.candidates):
-            name = self.location.get_peer_location(pf.candidates[pf.attempts])
-            if name is None:
-                pf.attempts += 1
-                continue
-            declared = tuple(sorted(self.config.topics))
-            self.env.send(self, name, Request(pf.lineage, pf.tx.sequence_id, declared))
-            pf.current_source = name
-            pf.sent_at = self.env.now()
+        """Ask the next candidate; once every one was asked, the fetch is
+        unavailable until the next tip change or one poll interval on."""
+        if pf.attempts < len(pf.candidates):
+            name = pf.current_source = pf.candidates[pf.attempts]
+            self.env.send(self, name, Request(pf.tx.doc_id, pf.tx.sequence_id, self._declared))
+            pf.due = self.env.now() + self.env.fetch_timeout
             self.env.request_poll(self)
             return
         pf.state = FetchState.UNAVAILABLE
         pf.current_source = None
-        pf.next_retry_at = self.env.now() + pf.retry_gap
-        pf.retry_gap = min(pf.retry_gap * 2, self.env.poll_interval * 8)
-        self.env.note(self, f"unavailable lineage={digest_hex(pf.lineage)[:12]} seq={pf.tx.sequence_id}")
+        pf.due = self.env.now() + self.env.poll_interval
+        self.env.note(self, f"unavailable lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
         self.env.request_poll(self)
 
     def _on_response(self, resp: Response, sender: str) -> None:
@@ -494,8 +475,6 @@ class Peer:
                 latest = self.chain.registry.latest(resp.lineage)
                 if latest is None or resp.seq > latest[0]:
                     self._cache_push(key, b"".join(resp.chunks))
-            return
-        if pf.state is FetchState.BUFFERED:
             return
         payload = self.store.check_transfer(resp.chunks, resp.proofs, pf.tx.data_hash)
         if payload is None:
@@ -527,22 +506,22 @@ class Peer:
     def _apply_payload(self, pf: PendingFetch, payload: bytes) -> bool:
         try:
             if pf.refill:
-                self.store.fill_payload(pf.lineage, pf.tx.sequence_id, payload)
+                self.store.fill_payload(pf.tx.doc_id, pf.tx.sequence_id, payload)
                 self._close(pf)
-                self.env.note(self, f"refilled lineage={digest_hex(pf.lineage)[:12]} seq={pf.tx.sequence_id}")
+                self.env.note(self, f"refilled lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
                 return True
             if pf.tx.task is Task.ADD:
-                result = self.store.apply_add(pf.tx, payload, pf.coord, pf.lineage)
+                result = self.store.apply_add(pf.tx, payload, pf.coord, pf.tx.doc_id)
             else:
                 result = self.store.apply_edit(pf.tx, payload, pf.coord)
         except IntegrityError:
             return False
         except (StaleRevision, DuplicateDocument, TombstoneError) as e:
             self._close(pf)
-            self.env.note(self, f"apply skipped ({type(e).__name__}) lineage={digest_hex(pf.lineage)[:12]}")
+            self.env.note(self, f"apply skipped ({type(e).__name__}) lineage={digest_hex(pf.tx.doc_id)[:12]}")
             return True
         if result.buffered:
-            pf.state = FetchState.BUFFERED
+            self._close(pf)
         self._mark_applied(result.applied)
         return True
 
@@ -554,34 +533,35 @@ class Peer:
     def _confirm_delete(self, pf: PendingFetch) -> None:
         """Apply a confirmed delete; revisions nobody can supply anymore are
         materialized as erased metadata first so history stays complete."""
-        for entry in self.chain.registry.query_by_lineage(pf.lineage):
+        lineage = pf.tx.doc_id
+        for entry in self.chain.registry.query_by_lineage(lineage):
             if entry.tx.sequence_id >= pf.tx.sequence_id:
                 continue
-            result = self.store.apply_erased(entry.tx, (entry.height, entry.index), pf.lineage)
+            result = self.store.apply_erased(entry.tx, (entry.height, entry.index), lineage)
             self._mark_applied(result.applied)
-            self.pending.pop((pf.lineage, entry.tx.sequence_id), None)
+            self.pending.pop((lineage, entry.tx.sequence_id), None)
         try:
             result = self.store.apply_delete(pf.tx, pf.coord)
         except (StaleRevision, TombstoneError):
             self._close(pf)
             return
         if result.buffered:
-            pf.state = FetchState.BUFFERED
+            self._close(pf)
         self._mark_applied(result.applied)
         # deletion reaches the staged payloads and push buffers too, but
         # bytes another live lineage of ours was published with stay staged
-        for entry in self.chain.registry.query_by_lineage(pf.lineage):
+        for entry in self.chain.registry.query_by_lineage(lineage):
             root = entry.tx.data_hash
             holders = self._staged_by.get(root, ())
-            if pf.lineage not in holders:
+            if lineage not in holders:
                 continue
-            holders = tuple(h for h in holders if h != pf.lineage)
+            holders = tuple(h for h in holders if h != lineage)
             if holders:
                 self._staged_by[root] = holders
             else:
                 del self._staged_by[root]
                 self.store.unstage(root)
-        for key in [k for k in self.push_cache if k[0] == pf.lineage]:
+        for key in [k for k in self.push_cache if k[0] == lineage]:
             del self.push_cache[key]
 
     # -- chain events -------------------------------------------------------
@@ -604,7 +584,7 @@ class Peer:
                 self.own_mined[tx.digest] = (self.own_unconfirmed.pop(tx.digest), h)
             if not self._topic_ok(tx.topic_id):
                 continue
-            self.pending[(tx.doc_id, tx.sequence_id)] = PendingFetch(tx=tx, lineage=tx.doc_id, coord=(h, i))
+            self.pending[(tx.doc_id, tx.sequence_id)] = PendingFetch(tx=tx, coord=(h, i))
         self._settle_own_txs()
         self._process_confirmations()
         if report.rolled_back:
@@ -667,9 +647,9 @@ class Peer:
         # bytes held here apply at once, with no fetch state in between
         if pf.tx.inline_payload is not None:
             if not self._apply_payload(pf, pf.tx.inline_payload):
-                self.env.note(self, f"inline payload corrupt lineage={digest_hex(pf.lineage)[:12]}")
+                self.env.note(self, f"inline payload corrupt lineage={digest_hex(pf.tx.doc_id)[:12]}")
                 pf.state = FetchState.UNAVAILABLE
-                pf.next_retry_at = self.env.now() + self.env.poll_interval
+                pf.due = self.env.now() + self.env.poll_interval
             return
         local = self._local_payload(pf)
         if local is not None and self._apply_payload(pf, local):
@@ -683,7 +663,7 @@ class Peer:
         if payload is None:
             payload = self.store.retained_payload(pf.tx.data_hash)
         if payload is None:
-            payload = self.push_cache.pop((pf.lineage, pf.tx.sequence_id), None)
+            payload = self.push_cache.pop((pf.tx.doc_id, pf.tx.sequence_id), None)
         return payload
 
     def _queue_missing_refills(self) -> None:
@@ -702,7 +682,7 @@ class Peer:
                     break
             if tx is None or tx.data_hash != data_hash:
                 continue
-            refill = PendingFetch(tx=tx, lineage=lineage, coord=coord, refill=True)
+            refill = PendingFetch(tx=tx, coord=coord, refill=True)
             self.pending[key] = refill
             local = self._local_payload(refill)
             if local is not None and self._apply_payload(refill, local):
@@ -726,21 +706,18 @@ class Peer:
         now = self.env.now()
         if self._resync is not None and now - self._resync["sent_at"] >= self.env.fetch_timeout:
             tried = self._resync["tried"]
-            if len(tried) >= len(self.location.registered()) - 1:
+            if len(tried) >= len(self.location.all_peers) - 1:
                 tried = ()  # everyone tried once; start the rotation over
             self._begin_resync(tried)
         for key in list(self.pending):
             pf = self.pending.get(key)
             if pf is None:
                 continue
-            if pf.state is FetchState.FETCHING and now - pf.sent_at >= self.env.fetch_timeout:
+            if pf.state is FetchState.FETCHING and now >= pf.due:
                 pf.attempts += 1
                 self._send_fetch(pf)
-            elif pf.state is FetchState.UNAVAILABLE and now >= pf.next_retry_at:
-                gap = pf.retry_gap
+            elif pf.state is FetchState.UNAVAILABLE and now >= pf.due:
                 self._start_fetch(pf)
-                if pf.state is FetchState.UNAVAILABLE:
-                    pf.retry_gap = min(gap * 2, self.env.poll_interval * 8)
         self._reannounce_own(now)
         self._retry_deferred()
         self.env.request_poll(self)

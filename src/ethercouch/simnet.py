@@ -38,14 +38,13 @@ from .wire import decode_message, describe, encode_message
 
 
 class EventKind(Enum):
-    DELIVER = "deliver"
+    """What a heap event does: deliver a message, complete a mining
+    interval, poll a peer, or run one script entry."""
+
+    DELIVER = "deliver"  # payload: the delivery record
     MINE_COMPLETE = "mine"
-    GO_OFFLINE = "go-offline"
-    GO_ONLINE = "go-online"
-    PARTITION = "partition"
-    HEAL = "heal"
-    USER_ACTION = "user-action"
     POLL_TICK = "poll"
+    SCRIPT = "script"  # payload: the entry's index in the script
 
 
 # EventKind's metaclass defines __getattr__, which sends every read of a
@@ -61,7 +60,7 @@ class SimEvent(NamedTuple):
     seq: int
     kind: EventKind
     target: str
-    payload: dict
+    payload: object
 
 
 @dataclass
@@ -219,23 +218,14 @@ class Simulation:
         # (the benchmark keeps data generation out of the timed region)
         self.payload_overrides: dict[int, bytes] = {}
         for idx, act in enumerate(scenario.script):
-            args = dict(act.args)
-            args["action"] = act.action
-            args["_idx"] = idx
-            kind = {
-                "offline": EventKind.GO_OFFLINE,
-                "online": EventKind.GO_ONLINE,
-                "partition": EventKind.PARTITION,
-                "heal": EventKind.HEAL,
-            }.get(act.action, EventKind.USER_ACTION)
-            self._push(act.at, kind, act.peer, args)
+            self._push(act.at, EventKind.SCRIPT, act.peer, idx)
         if scenario.allow_empty_blocks:
             for peer in self.peers.values():
                 self.arm_mining(peer)
 
     # -- event plumbing ---------------------------------------------------
 
-    def _push(self, at: int, kind: EventKind, target: str, payload: dict) -> None:
+    def _push(self, at: int, kind: EventKind, target: str, payload: object) -> None:
         heapq.heappush(self._heap, SimEvent(at, self._seq, kind, target, payload))
         self._seq += 1
 
@@ -368,49 +358,48 @@ class Simulation:
             self._poll_armed[ev.target] = False
             if peer.online:
                 peer.on_poll()
-        elif ev.kind is EventKind.GO_OFFLINE:
-            self.trace.add(f"{ev.at:>7} event {ev.target:<8} goes offline")
-            peer.go_offline()
-        elif ev.kind is EventKind.GO_ONLINE:
-            self.trace.add(f"{ev.at:>7} event {ev.target:<8} comes online")
-            peer.go_online()
-        elif ev.kind is EventKind.PARTITION:
-            groups = ev.payload["groups"]
-            mapping: dict[str, int] = {}
-            for gid, members in enumerate(groups):
-                for name in members:
-                    mapping[name] = gid
-            rest = [n for n in self.peers if n not in mapping]
-            for name in rest:
-                mapping[name] = len(groups)
-            self.partition = mapping
-            self.trace.add(f"{ev.at:>7} event partition {groups}")
-        elif ev.kind is EventKind.HEAL:
-            self.partition = None
-            self.trace.add(f"{ev.at:>7} event heal")
-            for name, p in self.peers.items():
-                if p.online:
-                    p.announce_tip()
-                    self.request_poll(p)
-        elif ev.kind is EventKind.USER_ACTION:
-            self._user_action(peer, ev.payload)
+        else:  # EventKind.SCRIPT
+            self._script(ev.payload, peer)
 
     # -- script actions --------------------------------------------------------
 
-    def _payload_for(self, args: dict) -> bytes:
-        override = self.payload_overrides.get(args["_idx"])
+    def _payload_for(self, idx: int, args: dict) -> bytes:
+        override = self.payload_overrides.get(idx)
         if override is not None:
             return override
         if "data" in args:
             return args["data"].encode()
         size = int(args.get("size", 128))
-        return deterministic_bytes(f"{self.scenario.seed}:{args['_idx']}:{args.get('doc', '')}", size)
+        return deterministic_bytes(f"{self.scenario.seed}:{idx}:{args.get('doc', '')}", size)
 
-    def _user_action(self, peer: Peer, args: dict) -> None:
-        action = args["action"]
-        doc = args.get("doc", "")
-        if action == "publish":
-            payload = self._payload_for(args)
+    def _script(self, idx: int, peer: Peer | None) -> None:
+        """Run script entry ``idx``; ``peer`` is its target, if it names one.
+        ``Scenario.validate`` has refused unknown actions already."""
+        act = self.scenario.script[idx]
+        action, args = act.action, act.args
+        if action == "offline":
+            self.trace.add(f"{self.clock:>7} event {peer.name:<8} goes offline")
+            peer.go_offline()
+        elif action == "online":
+            self.trace.add(f"{self.clock:>7} event {peer.name:<8} comes online")
+            peer.go_online()
+        elif action == "partition":
+            groups = args["groups"]
+            mapping = {name: gid for gid, members in enumerate(groups) for name in members}
+            for name in self.peers:
+                mapping.setdefault(name, len(groups))
+            self.partition = mapping
+            self.trace.add(f"{self.clock:>7} event partition {groups}")
+        elif action == "heal":
+            self.partition = None
+            self.trace.add(f"{self.clock:>7} event heal")
+            for p in self.peers.values():
+                if p.online:
+                    p.announce_tip()
+                    self.request_poll(p)
+        elif action == "publish":
+            doc = args["doc"]
+            payload = self._payload_for(idx, args)
             topic = self._topic_ids.get(args["topic"])
             if topic is None:
                 topic = self._topic_ids[args["topic"]] = topic_hash(args["topic"])
@@ -422,51 +411,20 @@ class Simulation:
                 return
             self.doc_lineages[doc] = tx.doc_id
             self.doc_topics[doc] = topic
-        elif action in ("edit", "delete"):
+        else:
+            doc = args["doc"]
             lineage = self.doc_lineages.get(doc)
             if lineage is None:
                 self.note(peer, f"{action} {doc}: unknown document, skipped")
                 return
             topic = self.doc_topics[doc]
-            payload = self._payload_for(args) if action == "edit" else None
+            payload = self._payload_for(idx, args) if action == "edit" else None
             task = Task.EDIT if action == "edit" else Task.DELETE
             self.trace.add(f"{self.clock:>7} user  {peer.name:<8} {action} {doc}")
             peer.user_action(task, topic, payload, lineage)
-        else:
-            raise ValueError(f"bad user action {action!r}")
 
 
 # -- scenario files -------------------------------------------------------------
-
-
-def scenario_to_json(s: Scenario) -> str:
-    peers = []
-    for p in s.peers:
-        peers.append(
-            {
-                "name": p.name,
-                "mode": p.mode.value,
-                "topics": sorted(t.hex() for t in p.topics),
-                "confirmation_depth": p.confirmation_depth,
-            }
-        )
-    doc = {
-        "seed": s.seed,
-        "peers": peers,
-        "mining_power": s.mining_power,
-        "latency": list(s.latency),
-        "mean_block_interval": s.mean_block_interval,
-        "poll_interval": s.poll_interval,
-        "difficulty_bits": s.difficulty_bits,
-        "chunk_size": s.chunk_size,
-        "allow_empty_blocks": s.allow_empty_blocks,
-        "max_txs_per_block": s.max_txs_per_block,
-        "script": [
-            {"at": a.at, "action": a.action, **({"peer": a.peer} if a.peer else {}), **a.args}
-            for a in s.script
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 _REQUIRED = object()

@@ -249,14 +249,15 @@ def test_verify_refuses_a_chain_file_that_load_refuses(tmp_path, case, reason):
     import os
 
     # verify checks a chain by loading it: every block must pass
-    # validate_block, so a chain file with one refused block exits 1
+    # validate_block, so a chain file with one refused block exits 1 with
+    # an error that names why
     state = ChainState(difficulty_bits=8 if case == "misses-target" else 0, chunk_size=CHUNK)
     blob = lp(u64(state.difficulty_bits)) + lp(u64(CHUNK)) + lp(serialize_block(state.genesis))
     block = _refused_block(case, state)
     assert state.validate_block(block) == (False, reason)
     blob += lp(serialize_block(block))
     (tmp_path / "p0.chain").write_bytes(ChainState.CHAIN_MAGIC + blob)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=reason):
         ChainState.load(tmp_path / "p0.chain")
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -268,6 +269,7 @@ def test_verify_refuses_a_chain_file_that_load_refuses(tmp_path, case, reason):
     )
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert reason in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

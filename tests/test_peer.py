@@ -5,9 +5,9 @@ import pytest
 from ethercouch.crypto import ZERO_DIGEST, chunk_payload, merkle_prove, merkle_root, payload_root, verify_chunk
 from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, editor_hash_for, topic_hash
-from ethercouch.registry import LocationRegistry
+from ethercouch.registry import LocationRegistry, PeerLocation
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
-from ethercouch.wire import Refusal, Request, Response
+from ethercouch.wire import BlockAnnounce, Refusal, Request, Response
 
 NEWS = topic_hash("news")
 OPS = topic_hash("ops")
@@ -394,11 +394,85 @@ def test_all_candidates_exhausted_goes_unavailable():
     bob.handle_message(Refusal(key[0], 1, "not-held"), "carol")
     assert bob.pending[key].state is FetchState.UNAVAILABLE
     # a later poll retries the whole candidate cycle
-    env.t = bob.pending[key].next_retry_at
+    env.t = bob.pending[key].due
     env.sent.clear()
     bob.on_poll()
     assert bob.pending[key].state is FetchState.FETCHING
     assert any(isinstance(m, Request) for (_, _, m) in env.sent)
+
+
+def test_an_exhausted_fetch_retries_one_poll_interval_later_every_time():
+    env = FakeEnv()
+    alice = Peer(PeerConfig(name="alice"), env=env, location=LocationRegistry())
+    directory = LocationRegistry()  # bob's directory knows nobody else yet
+    bob = Peer(PeerConfig(name="bob"), env=env, location=directory)
+    tx = alice.publish(Task.ADD, NEWS, b"nobody bob knows holds this")
+    alice.on_mine_complete()
+    env.t = 10
+    bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+    key = (lineage_of(tx), 1)
+    assert bob.pending[key].state is FetchState.UNAVAILABLE
+
+    def requests():
+        return [(dst, m) for (src, dst, m) in env.sent if src == "bob" and isinstance(m, Request)]
+
+    def poll_at(t):
+        env.t = t
+        env.sent.clear()
+        bob.on_poll()
+
+    # each restart finds no source again, and each retry waits exactly one
+    # poll interval, not a growing gap
+    for _ in range(2):
+        start = env.t
+        poll_at(start + env.poll_interval - 1)
+        assert bob.pending[key].state is FetchState.UNAVAILABLE and not requests()
+        poll_at(start + env.poll_interval)
+        assert bob.pending[key].state is FetchState.UNAVAILABLE and not requests()
+    # once a source is known, Requests resume at the next retry tick
+    directory.register_peer(PeerLocation(alice.editor_hash, "alice"))
+    start = env.t
+    poll_at(start + env.poll_interval - 1)
+    assert not requests()
+    poll_at(start + env.poll_interval)
+    assert bob.pending[key].state is FetchState.FETCHING
+    assert requests() == [("alice", Request(*key, ()))]
+
+
+def test_an_edit_buffered_behind_its_add_leaves_pending_and_lands_after_it():
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice = Peer(PeerConfig(name="alice"), env=env, location=location)
+    bob = Peer(PeerConfig(name="bob"), env=env, location=location)
+    add = alice.publish(Task.ADD, NEWS, b"v1")
+    alice.on_mine_complete()
+    lineage = lineage_of(add)
+    alice.publish(Task.EDIT, NEWS, b"v2", lineage)
+    alice.on_mine_complete()
+    for announce in [m for (_, dst, m) in env.sent if isinstance(m, BlockAnnounce)]:
+        bob.handle_message(announce, "alice")
+    assert bob.pending[(lineage, 1)].state is FetchState.FETCHING
+    assert bob.pending[(lineage, 2)].state is FetchState.FETCHING
+    # the edit's bytes arrive first: the store buffers them behind the add
+    edit_resp = alice.serve_request(Request(lineage, 2, ()), "bob")
+    bob.handle_message(edit_resp, "alice")
+    assert (lineage, 2) not in bob.pending
+    assert lineage not in bob.store.docs
+    # a repeated Response is neither applied nor cached
+    bob.handle_message(edit_resp, "alice")
+    assert lineage not in bob.store.docs
+    assert not bob.push_cache
+    env.notes.clear()
+    bob.handle_message(alice.serve_request(Request(lineage, 1, ()), "bob"), "alice")
+    assert not bob.pending
+    assert [r.seq for r in bob.store.history(lineage)] == [1, 2]
+    assert bob.store.get_active(lineage) == b"v2"
+    applied = [text for (name, text) in env.notes if name == "bob" and text.startswith("applied")]
+    short = lineage.hex()[:12]
+    assert applied == [f"applied lineage={short} seq=1", f"applied lineage={short} seq=2"]
+    bob.handle_message(edit_resp, "alice")
+    assert [r.seq for r in bob.store.history(lineage)] == [1, 2]
+    assert not bob.push_cache
 
 
 def test_filtered_peer_ignores_unsolicited_foreign_push():
