@@ -31,6 +31,11 @@ from .crypto import (
 )
 from .ledger import DbFunction, Task
 
+# Enum's metaclass defines __getattr__, which sends every read of a member
+# through its class (Task.ADD) down a slower lookup; the function bodies of
+# this module read these names instead
+_ADD, _DELETE = Task.ADD, Task.DELETE
+
 Origin = tuple[int, int]  # (block height, index in block)
 
 
@@ -246,7 +251,7 @@ class StoreState:
         """
         doc = self.docs.get(lineage)
         if doc is None:
-            if tx.task is not Task.ADD:
+            if tx.task is not _ADD:
                 raise UnknownLineage(digest_hex(lineage))
             return self._create(tx, None, origin, lineage)
         if tx.sequence_id <= doc.max_seq:
@@ -273,7 +278,7 @@ class StoreState:
     def _land(self, doc: Document, tx: DbFunction, payload: bytes | None, origin: Origin) -> None:
         doc.revisions.append(Revision(tx.sequence_id, tx.data_hash, payload, origin))
         self._advance_mark(origin)
-        if tx.task is Task.DELETE:
+        if tx.task is _DELETE:
             self._erase(doc, tx.sequence_id)
 
     def _erase(self, doc: Document, delete_seq: int) -> None:

@@ -55,6 +55,11 @@ class Task(Enum):
         return self.name.lower()
 
 
+# Enum's metaclass defines __getattr__, which sends every read of a member
+# through its class (Task.ADD) down a slower lookup; the function bodies of
+# this module read this name instead
+_ADD = Task.ADD
+
 _TASK_BY_CODE = {t.value: t for t in Task}
 
 
@@ -116,7 +121,7 @@ class DbFunction:
             h.update(b"\x01")
             h.update(inline_payload)
             self.digest = h.digest()
-        self.doc_id = self.digest if task is Task.ADD else lineage
+        self.doc_id = self.digest if task is _ADD else lineage
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DbFunction):
@@ -561,7 +566,7 @@ class ChainState:
         if not rolled_back and applied_digests <= self._mempool_set:
             k = len(applied_digests)
             if {t.digest for t in self.mempool[:k]} == applied_digests:
-                self.mempool = self.mempool[k:]  # FIFO mining took the prefix
+                del self.mempool[:k]  # FIFO mining took the prefix
             else:
                 self.mempool = [tx for tx in self.mempool if tx.digest not in applied_digests]
             self._mempool_set -= applied_digests

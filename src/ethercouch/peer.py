@@ -104,6 +104,14 @@ class FetchState(Enum):
     UNAVAILABLE = "unavailable"
 
 
+# Enum's metaclass defines __getattr__, which sends every read of a member
+# through its class (Task.ADD) down a slower lookup; the function bodies of
+# this module read these names instead
+_ADD, _DELETE = Task.ADD, Task.DELETE
+_ETHERCOUCH, _CHAIN_ONLY = Mode.ETHERCOUCH, Mode.CHAIN_ONLY
+_AWAITING_CONFIRM, _FETCHING, _UNAVAILABLE = FetchState.AWAITING_CONFIRM, FetchState.FETCHING, FetchState.UNAVAILABLE
+
+
 @dataclass(slots=True)
 class PendingFetch:
     """One mutation on its way into the store, from the block that holds
@@ -207,7 +215,7 @@ class Peer:
         revision. In ethercouch mode the store stages the payload and gives
         its root.
         """
-        if task is Task.ADD:
+        if task is _ADD:
             seq, lineage = 1, ZERO_DIGEST
         else:
             latest = self.chain.speculative_latest(lineage)
@@ -216,14 +224,14 @@ class Peer:
             if latest[1]:
                 raise TxRejected("already-deleted")
             seq = latest[0] + 1
-        staged = task is not Task.DELETE and self.config.mode is Mode.ETHERCOUCH
-        if task is Task.DELETE:
+        staged = task is not _DELETE and self.config.mode is _ETHERCOUCH
+        if task is _DELETE:
             data_hash = ZERO_DIGEST
         elif staged:
             data_hash = self.store.stage(payload)
         else:
             data_hash = payload_root(payload, self.chunk_size)
-        inline = payload if self.config.mode is Mode.CHAIN_ONLY and task is not Task.DELETE else None
+        inline = payload if self.config.mode is _CHAIN_ONLY and task is not _DELETE else None
         tx = DbFunction(task, data_hash, self.editor_hash, topic, seq, lineage, inline)
         try:
             self.chain.submit_tx(tx)
@@ -260,7 +268,7 @@ class Peer:
         """Script-level publish with deferral: an edit or delete the peer
         cannot legitimately make yet is queued and retried as the local
         replica catches up; it is dropped once the document is deleted."""
-        if task is Task.ADD:
+        if task is _ADD:
             return self.publish(task, topic, payload, lineage)
         if self.holds_latest(lineage):
             try:
@@ -444,7 +452,7 @@ class Peer:
     def _start_fetch(self, pf: PendingFetch) -> None:
         pf.candidates = self._sources(self.location.get_peer_location(pf.tx.editor_hash))
         pf.attempts = 0
-        pf.state = FetchState.FETCHING
+        pf.state = _FETCHING
         self._send_fetch(pf)
 
     def _send_fetch(self, pf: PendingFetch) -> None:
@@ -456,7 +464,7 @@ class Peer:
             pf.due = self.env.now() + self.env.fetch_timeout
             self.env.request_poll(self)
             return
-        pf.state = FetchState.UNAVAILABLE
+        pf.state = _UNAVAILABLE
         pf.current_source = None
         pf.due = self.env.now() + self.env.poll_interval
         self.env.note(self, f"unavailable lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
@@ -479,11 +487,11 @@ class Peer:
         payload = self.store.check_transfer(resp.chunks, resp.proofs, pf.tx.data_hash)
         if payload is None:
             self.env.note(self, f"bad chunks from {sender} lineage={digest_hex(resp.lineage)[:12]}")
-            if pf.state is FetchState.FETCHING and pf.current_source == sender:
+            if pf.state is _FETCHING and pf.current_source == sender:
                 pf.attempts += 1
                 self._send_fetch(pf)
             return
-        if pf.state is FetchState.AWAITING_CONFIRM:
+        if pf.state is _AWAITING_CONFIRM:
             # mined-before-apply rule: hold the bytes until depth k
             self._cache_push(key, payload)
             return
@@ -496,7 +504,7 @@ class Peer:
 
     def _on_refusal(self, ref: Refusal, sender: str) -> None:
         pf = self.pending.get((ref.lineage, ref.seq))
-        if pf is None or pf.state is not FetchState.FETCHING or pf.current_source != sender:
+        if pf is None or pf.state is not _FETCHING or pf.current_source != sender:
             return
         pf.attempts += 1
         self._send_fetch(pf)
@@ -510,7 +518,7 @@ class Peer:
                 self._close(pf)
                 self.env.note(self, f"refilled lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
                 return True
-            if pf.tx.task is Task.ADD:
+            if pf.tx.task is _ADD:
                 result = self.store.apply_add(pf.tx, payload, pf.coord, pf.tx.doc_id)
             else:
                 result = self.store.apply_edit(pf.tx, payload, pf.coord)
@@ -595,13 +603,13 @@ class Peer:
 
     def _settle_own_txs(self) -> None:
         tip_height = self.chain.height
-        pushes = self.config.mode is Mode.ETHERCOUCH
+        pushes = self.config.mode is _ETHERCOUCH
         recipients = None  # read once per chain event, at the first push
         for d, (tx, h) in list(self.own_mined.items()):
             if tip_height - h + 1 < self.config.confirmation_depth:
                 continue
             del self.own_mined[d]
-            if pushes and tx.task is not Task.DELETE:
+            if pushes and tx.task is not _DELETE:
                 if recipients is None:
                     recipients = self._push_recipients()
                 if recipients:
@@ -632,23 +640,23 @@ class Peer:
             pf = self.pending.get(key)
             if pf is None:
                 continue
-            if pf.state is FetchState.AWAITING_CONFIRM:
+            if pf.state is _AWAITING_CONFIRM:
                 if tip_height - pf.coord[0] + 1 < k:
                     continue
                 self._dispatch_confirmed(pf)
-            elif pf.state is FetchState.UNAVAILABLE:
+            elif pf.state is _UNAVAILABLE:
                 # fresh chain activity: sources may have changed, retry now
                 self._start_fetch(pf)
 
     def _dispatch_confirmed(self, pf: PendingFetch) -> None:
-        if pf.tx.task is Task.DELETE:
+        if pf.tx.task is _DELETE:
             self._confirm_delete(pf)
             return
         # bytes held here apply at once, with no fetch state in between
         if pf.tx.inline_payload is not None:
             if not self._apply_payload(pf, pf.tx.inline_payload):
                 self.env.note(self, f"inline payload corrupt lineage={digest_hex(pf.tx.doc_id)[:12]}")
-                pf.state = FetchState.UNAVAILABLE
+                pf.state = _UNAVAILABLE
                 pf.due = self.env.now() + self.env.poll_interval
             return
         local = self._local_payload(pf)
@@ -698,7 +706,7 @@ class Peer:
             return True
         if self.own_unconfirmed and self._has_peers():
             return True
-        return any(pf.state in (FetchState.FETCHING, FetchState.UNAVAILABLE) for pf in self.pending.values())
+        return any(pf.state in (_FETCHING, _UNAVAILABLE) for pf in self.pending.values())
 
     def on_poll(self) -> None:
         if not self.online:
@@ -713,10 +721,10 @@ class Peer:
             pf = self.pending.get(key)
             if pf is None:
                 continue
-            if pf.state is FetchState.FETCHING and now >= pf.due:
+            if pf.state is _FETCHING and now >= pf.due:
                 pf.attempts += 1
                 self._send_fetch(pf)
-            elif pf.state is FetchState.UNAVAILABLE and now >= pf.due:
+            elif pf.state is _UNAVAILABLE and now >= pf.due:
                 self._start_fetch(pf)
         self._reannounce_own(now)
         self._retry_deferred()

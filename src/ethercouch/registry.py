@@ -22,6 +22,11 @@ from typing import NamedTuple
 from .crypto import Digest, ZERO_DIGEST, digest_hex
 from .ledger import DbFunction, Task
 
+# Enum's metaclass defines __getattr__, which sends every read of a member
+# through its class (Task.ADD) down a slower lookup; the function bodies of
+# this module read these names instead
+_ADD, _DELETE = Task.ADD, Task.DELETE
+
 OK = "ok"
 UNKNOWN_LINEAGE = "unknown-lineage"
 STALE_SEQUENCE = "stale-sequence"
@@ -35,7 +40,7 @@ class _LineageRules:
     (latest accepted sequence, deleted flag) per lineage."""
 
     def validate(self, tx: DbFunction) -> str:
-        if tx.task is Task.ADD:
+        if tx.task is _ADD:
             if tx.lineage != ZERO_DIGEST:
                 return MALFORMED_ADD
             if tx.sequence_id != 1:
@@ -62,7 +67,7 @@ def _undo(entry: RegistryEntry) -> tuple[int, bool] | None:
     """The lineage state an accepted entry replaced, when undone from the
     end of the chain: none for an add (the lineage is forgotten), the
     previous revision for an edit or delete. The exact inverse of apply."""
-    if entry.tx.task is Task.ADD:
+    if entry.tx.task is _ADD:
         return None
     return (entry.tx.sequence_id - 1, False)
 
@@ -91,7 +96,7 @@ class MempoolView(_LineageRules):
         return self._base.get(lineage)
 
     def apply(self, tx: DbFunction) -> None:
-        self._diff[tx.doc_id] = (tx.sequence_id, tx.task is Task.DELETE)
+        self._diff[tx.doc_id] = (tx.sequence_id, tx.task is _DELETE)
 
 
 class RegistryEntry(NamedTuple):
@@ -114,7 +119,7 @@ class DataRegistry(_LineageRules):
         entry = RegistryEntry(tx, lineage, height, index)
         self.entries.append(entry)
         self._by_lineage.setdefault(lineage, []).append(entry)
-        self._state[lineage] = (tx.sequence_id, tx.task is Task.DELETE)
+        self._state[lineage] = (tx.sequence_id, tx.task is _DELETE)
 
     def latest(self, lineage: Digest) -> tuple[int, bool] | None:
         return self._state.get(lineage)
@@ -220,6 +225,3 @@ class LocationRegistry:
 
     def up_to_date_peers(self) -> list[PeerLocation]:
         return [self.all_peers[e] for e in self._up_peers]
-
-    def registered(self) -> list[PeerLocation]:
-        return list(self.all_peers.values())

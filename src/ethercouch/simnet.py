@@ -1,11 +1,15 @@
 """Deterministic discrete-event network simulator.
 
-Time is integer ticks. Events are processed in (time, insertion-sequence)
-order from a single heap, all randomness (latency draws, mining intervals)
-comes from one seeded generator consumed in processing order, and peers are
-advanced strictly one event at a time, so a (scenario, horizon) pair always
-produces a bit-identical trace and final state. A latency draw consumes the
-generator exactly as ``randint`` does, without its call overhead.
+Time is integer ticks. Scheduled events (deliveries, mining completions,
+poll ticks) are processed in (time, insertion-sequence) order from a heap.
+The scenario's script is already in time order, so it is read from a cursor
+and merged with the heap: an entry runs before every heap event of its tick,
+as if it had been scheduled before them. All randomness (latency draws,
+mining intervals) comes from one seeded generator consumed in processing
+order, and peers are advanced strictly one event at a time, so a (scenario,
+horizon) pair always produces a bit-identical trace and final state. A
+latency draw consumes the generator exactly as ``randint`` does, without
+its call overhead.
 
 Every message crosses the network as its canonical bytes, encoded once per
 distinct message and parsed once at the first copy to arrive; each
@@ -26,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,18 +44,20 @@ from .wire import decode_message, describe, encode_message
 
 class EventKind(Enum):
     """What a heap event does: deliver a message, complete a mining
-    interval, poll a peer, or run one script entry."""
+    interval, or poll a peer."""
 
     DELIVER = "deliver"  # payload: the delivery record
     MINE_COMPLETE = "mine"
     POLL_TICK = "poll"
-    SCRIPT = "script"  # payload: the entry's index in the script
 
 
 # EventKind's metaclass defines __getattr__, which sends every read of a
 # member through the class (EventKind.DELIVER) down a slower lookup; the
-# per-message paths read this name instead
+# function bodies of this module read these names instead
 _DELIVER = EventKind.DELIVER
+_MINE_COMPLETE = EventKind.MINE_COMPLETE
+_POLL_TICK = EventKind.POLL_TICK
+_ADD, _EDIT, _DELETE = Task.ADD, Task.EDIT, Task.DELETE
 
 
 class SimEvent(NamedTuple):
@@ -217,8 +224,7 @@ class Simulation:
         # script-index -> payload, for callers that pre-build payloads
         # (the benchmark keeps data generation out of the timed region)
         self.payload_overrides: dict[int, bytes] = {}
-        for idx, act in enumerate(scenario.script):
-            self._push(act.at, EventKind.SCRIPT, act.peer, idx)
+        self._next_script = 0  # index of the first script entry not yet run
         if scenario.allow_empty_blocks:
             for peer in self.peers.values():
                 self.arm_mining(peer)
@@ -311,25 +317,45 @@ class Simulation:
         rate = (w / self._total_weight) / self.scenario.mean_block_interval
         interval = max(1, round(self.rng.expovariate(rate)))
         self._mine_armed[peer.name] = True
-        self._push(self.clock + interval, EventKind.MINE_COMPLETE, peer.name, {})
+        self._push(self.clock + interval, _MINE_COMPLETE, peer.name, {})
 
     def request_poll(self, peer: Peer) -> None:
         if self._poll_armed[peer.name] or not peer.online or not peer.wants_poll():
             return
         self._poll_armed[peer.name] = True
-        self._push(self.clock + self.poll_interval, EventKind.POLL_TICK, peer.name, {})
+        self._push(self.clock + self.poll_interval, _POLL_TICK, peer.name, {})
 
     # -- run loop ----------------------------------------------------------------
 
     def run(self, until: int | None = None) -> SimResult:
+        """Process events up to tick ``until`` (every event, if None): heap
+        events in (tick, seq) order, merged with the script from its cursor.
+        A script entry runs first at a tie, since it was due before anything
+        it or the heap could schedule at its tick."""
         heap = self._heap
-        while heap:
-            if until is not None and heap[0].at > until:
-                break
-            ev = heapq.heappop(heap)
-            if ev.at > self.clock:
-                self.clock = ev.at
-            self._process(ev)
+        script = self.scenario.script
+        end = len(script)
+        stop = math.inf if until is None else until
+        i = self._next_script
+        nxt = script[i].at if i < end else math.inf
+        while True:
+            if heap and heap[0].at < nxt:
+                if heap[0].at > stop:
+                    break
+                ev = heapq.heappop(heap)
+                if ev.at > self.clock:
+                    self.clock = ev.at
+                self._process(ev)
+            else:
+                # the heap is empty or starts at or after the next entry
+                if i == end or nxt > stop:
+                    break
+                if nxt > self.clock:
+                    self.clock = nxt
+                self._next_script = i + 1
+                self._script(i, self.peers.get(script[i].peer))
+                i += 1
+                nxt = script[i].at if i < end else math.inf
         return SimResult(self.scenario, self.trace, self.peers, self.location, self.clock)
 
     def _process(self, ev: SimEvent) -> None:
@@ -347,19 +373,17 @@ class Simulation:
                 return
             self.trace.add(f"{ev.at:>7} recv  {ev.target:<8} from {rec['from']}: {rec['text']}")
             peer.handle_message(msg, rec["from"])
-        elif ev.kind is EventKind.MINE_COMPLETE:
+        elif ev.kind is _MINE_COMPLETE:
             self._mine_armed[ev.target] = False
             if not peer.online:
                 self.trace.add(f"{ev.at:>7} skip  {ev.target:<8} mine while offline")
                 return
             peer.on_mine_complete()
             self.arm_mining(peer)
-        elif ev.kind is EventKind.POLL_TICK:
+        else:  # _POLL_TICK
             self._poll_armed[ev.target] = False
             if peer.online:
                 peer.on_poll()
-        else:  # EventKind.SCRIPT
-            self._script(ev.payload, peer)
 
     # -- script actions --------------------------------------------------------
 
@@ -405,7 +429,7 @@ class Simulation:
                 topic = self._topic_ids[args["topic"]] = topic_hash(args["topic"])
             self.trace.add(f"{self.clock:>7} user  {peer.name:<8} publish {doc} ({len(payload)}B)")
             try:
-                tx = peer.user_action(Task.ADD, topic, payload, None)
+                tx = peer.user_action(_ADD, topic, payload, None)
             except TxRejected as e:
                 self.note(peer, f"publish {doc} rejected: {e.reason}")
                 return
@@ -419,7 +443,7 @@ class Simulation:
                 return
             topic = self.doc_topics[doc]
             payload = self._payload_for(idx, args) if action == "edit" else None
-            task = Task.EDIT if action == "edit" else Task.DELETE
+            task = _EDIT if action == "edit" else _DELETE
             self.trace.add(f"{self.clock:>7} user  {peer.name:<8} {action} {doc}")
             peer.user_action(task, topic, payload, lineage)
 

@@ -268,7 +268,7 @@ def test_unbounded_registration():
     reg = LocationRegistry()
     for i in range(101):
         reg.register_peer(loc(f"peer-{i}"))
-    assert len(reg.registered()) == 101
+    assert len(reg.all_peers) == 101
 
 
 def test_mark_up_to_date_and_tip_eviction():

@@ -1,15 +1,18 @@
 """Simulator tests: determinism, delivery rules, mining fairness."""
 
+import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import build_convergence_scenario
 from ethercouch.crypto import hash_bytes
 from ethercouch.ledger import DbFunction, Task
-from ethercouch.peer import Mode, PeerConfig, topic_hash
+from ethercouch.peer import FetchState, Mode, PeerConfig, topic_hash
 from ethercouch.simnet import (
+    EventKind,
     Scenario,
     ScriptAction,
     Simulation,
@@ -230,6 +233,80 @@ def test_trace_times_non_decreasing():
         if head.isdigit():
             times.append(int(head))
     assert times == sorted(times)
+
+
+def test_a_script_entry_runs_before_every_event_of_its_tick():
+    # a harmless entry (one group holding every peer) put at a delivery's
+    # tick and at a mining completion's tick must come first at that tick,
+    # and leave every other line as it was; payloads are given as data, so
+    # they do not depend on the entries' indices
+    def scenario(marks=()):
+        sc = three_peer_scenario(seed=7)
+        for act in sc.script:
+            act.args["data"] = f"{act.action} {act.args['doc']}"
+        sc.script = sorted(sc.script + list(marks), key=lambda a: a.at)
+        return sc
+
+    base = run_scenario(scenario())
+    recv_tick = next(line[:7] for line in base.trace.lines if line[8:12] == "recv")
+    mine_tick = next(line[:7] for line in base.trace.lines if " mined h=" in line)
+    assert recv_tick != mine_tick
+    marks = [ScriptAction(int(t), "partition", "", {"groups": [["p0", "p1", "p2"]]}) for t in (recv_tick, mine_tick)]
+    lines = run_scenario(scenario(marks)).trace.lines
+    for tick in (recv_tick, mine_tick):
+        at_tick = [line for line in lines if line[:7] == tick]
+        assert at_tick[0].endswith("event partition [['p0', 'p1', 'p2']]") and len(at_tick) > 1
+    assert [line for line in lines if " event partition " not in line] == base.trace.lines
+
+
+def test_stepping_one_tick_at_a_time_matches_one_run():
+    # late entries come after the network has gone quiet, so stepping also
+    # runs script entries while the heap is empty
+    def scenario():
+        sc = three_peer_scenario(seed=3)
+        sc.script += [
+            ScriptAction(3000, "edit", "p0", {"doc": "b", "size": 90}),
+            ScriptAction(3000, "publish", "p1", {"doc": "c", "topic": "news", "size": 60}),
+            ScriptAction(6000, "delete", "p2", {"doc": "a"}),
+        ]
+        return sc
+
+    whole = run_scenario(scenario())
+    sim = Simulation(scenario())
+    quiet_before_entry = 0
+    for t in range(whole.clock + 1):
+        if t in (3000, 6000):
+            # no delivery, mining completion or poll is scheduled
+            quiet_before_entry += not any(e.kind.name in ("DELIVER", "MINE_COMPLETE", "POLL_TICK") for e in sim._heap)
+        stepped = sim.run(until=t)
+    assert quiet_before_entry == 2
+    assert sim.run().clock == stepped.clock == whole.clock
+    assert stepped.trace.digest() == whole.trace.digest()
+    assert sum(" user " in line for line in whole.trace.lines) == 6
+    for name, peer in whole.peers.items():
+        assert stepped.peer(name).chain.dump_text() == peer.chain.dump_text()
+        assert stepped.peer(name).store.snapshot_bytes() == peer.store.snapshot_bytes()
+
+
+def test_a_quiet_network_leaves_its_last_blocks_unconfirmed_at_depth_two():
+    # no block is mined once the queue is empty, so the last block never
+    # gets the one block on top of it that depth 2 needs
+    scenario = Scenario(
+        seed=8,
+        peers=[PeerConfig(name="node0", confirmation_depth=2)],
+        script=[
+            ScriptAction(0, "publish", "node0", {"doc": "a", "topic": "t"}),
+            ScriptAction(2000, "publish", "node0", {"doc": "b", "topic": "t"}),
+        ],
+        mean_block_interval=50,
+    )
+    sim = Simulation(scenario)
+    result = sim.run()
+    node = result.peer("node0")
+    assert node.chain.height == 2 and not sim._heap
+    a, b = sim.doc_lineages["a"], sim.doc_lineages["b"]
+    assert set(node.store.docs) == {a}
+    assert [pf.tx.doc_id for pf in node.pending.values()] == [b]
 
 
 def test_mining_shares_follow_weights():
@@ -504,9 +581,11 @@ def profiled_calls(run) -> tuple[int, object]:
 # root is its single hash (5 fewer) and registry views read through
 # ``latest`` (2 more), 45.6 once a trace line is appended without a Python
 # frame (2 lines per insert), 43.6 once a peer forgets an applied mutation
-# instead of tracking its state. The count depends on the code alone, not
-# on the machine; Python 3.12's inlined comprehensions can only lower it.
-CALLS_PER_INSERT = 44
+# instead of tracking its state, 42.6 once a script entry runs from the
+# simulator's cursor instead of being pushed onto its heap and popped off it.
+# The count depends on the code alone, not on the machine; Python 3.12's
+# inlined comprehensions can only lower it.
+CALLS_PER_INSERT = 43
 
 
 def test_an_insert_costs_a_bounded_number_of_python_calls():
@@ -536,13 +615,42 @@ def test_the_speculative_view_is_empty_once_the_mempool_is():
     assert all(chain.speculative_latest(lin) == registry.latest(lin) for lin in registry.lineages())
 
 
+def enum_member_reads(module) -> list[str]:
+    """``file:line`` of every read of a ``Task``, ``FetchState``, ``Mode`` or
+    ``EventKind`` member through its class inside a function body of
+    ``module``. Such a read is no Python call, so the call counts above do
+    not see it, but it costs several times a module global's read."""
+    members = {cls.__name__: set(cls.__members__) for cls in (Task, FetchState, Mode, EventKind)}
+    path = Path(module.__file__)
+    sites = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in fn.body:
+                for node in ast.walk(stmt):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.attr in members.get(node.value.id, ())
+                    ):
+                        sites.add((node.lineno, node.col_offset))
+    return [f"{path.name}:{line}" for line, _ in sorted(sites)]
+
+
+def test_no_function_reads_an_enum_member_through_its_class():
+    from ethercouch import docstore, ledger, peer, registry, simnet
+
+    sites = [site for module in (docstore, ledger, peer, registry, simnet) for site in enum_member_reads(module)]
+    assert sites == []
+
+
 # Python-level calls per delivered message (one "recv" trace line) over the
 # convergence scenarios of seeds 0-4, counted under Python 3.11.7: 43.9 while
 # messages were frozen dataclasses, decoders read each head through a helper
 # call and latency came from ``randint``; 36.4 with named-tuple messages,
 # flat decoders, the direct latency draw and frame-free trace appends; 35.75
 # once fetch states change without a tracking call; 34.51 once a fetch's
-# source order is one list built without a generator.
+# source order is one list built without a generator; 34.45 once script
+# entries no longer pass through the heap.
 CALLS_PER_DELIVERY = 35
 
 
