@@ -43,7 +43,7 @@ def main():
 
     add = mutation(Task.ADD, 1, b"pump 4 is leaking")
     lineage = lineage_of(add)
-    store.apply_add(add, b"pump 4 is leaking", origin=(1, 0), lineage=lineage)
+    store.apply_add(add, b"pump 4 is leaking", origin=(1, 0))
     print("\n[1] after the add:")
     show(store, lineage)
 

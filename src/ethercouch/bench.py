@@ -100,7 +100,6 @@ def _bench_scenario(spec: BenchSpec, count: int) -> Scenario:
         latency=(1, 1),
         mean_block_interval=50,
         poll_interval=25,
-        difficulty_bits=0,
     )
 
 
@@ -250,7 +249,7 @@ def verify_pair(chain: ChainState, store: StoreState) -> list[str]:
                 continue
             if store.topics and e.tx.topic_id not in store.topics:
                 continue
-            expected.add((e.lineage, e.tx.sequence_id, e.tx.data_hash))
+            expected.add((e.tx.doc_id, e.tx.sequence_id, e.tx.data_hash))
     stored = store.revision_triples()
     for lineage, seq, _ in sorted(expected - stored):
         violations.append(f"missing revision lineage={digest_hex(lineage)} seq={seq}")

@@ -73,11 +73,14 @@ class Revision:
 
 @dataclass(slots=True)
 class Document:
+    """One document's revisions, numbered 1..n in order, so revision
+    ``seq`` is ``revisions[seq - 1]``. A deleted document's last revision
+    is its delete."""
+
     lineage: Digest
     topic_id: Digest
     revisions: list[Revision] = field(default_factory=list)
     deleted: bool = False
-    deleted_seq: int | None = None
 
     @property
     def max_seq(self) -> int:
@@ -209,12 +212,12 @@ class StoreState:
         if self.applied_upto is None or origin > self.applied_upto:
             self.applied_upto = origin
 
-    def apply_add(self, tx: DbFunction, payload: bytes, origin: Origin, lineage: Digest) -> ApplyResult:
+    def apply_add(self, tx: DbFunction, payload: bytes, origin: Origin) -> ApplyResult:
         """Create a document at revision 1 from a confirmed add."""
         self._verify(payload, tx.data_hash)
-        if lineage in self.docs:
-            raise DuplicateDocument(digest_hex(lineage))
-        return self._create(tx, payload, origin, lineage)
+        if tx.doc_id in self.docs:
+            raise DuplicateDocument(digest_hex(tx.doc_id))
+        return self._create(tx, payload, origin)
 
     def apply_edit(self, tx: DbFunction, payload: bytes, origin: Origin) -> ApplyResult:
         """Append a confirmed edit as the new active revision.
@@ -242,26 +245,27 @@ class StoreState:
             raise StaleRevision(f"{digest_hex(lineage)}:{tx.sequence_id}")
         return self._land_or_buffer(doc, tx, payload, origin)
 
-    def apply_erased(self, tx: DbFunction, origin: Origin, lineage: Digest) -> ApplyResult:
+    def apply_erased(self, tx: DbFunction, origin: Origin) -> ApplyResult:
         """Record a revision whose payload is gone for good.
 
         Used when catching up past a delete: the bytes were erased
         network-wide, only the chain reference remains. Idempotent for
         revisions already present.
         """
-        doc = self.docs.get(lineage)
+        doc = self.docs.get(tx.doc_id)
         if doc is None:
             if tx.task is not _ADD:
-                raise UnknownLineage(digest_hex(lineage))
-            return self._create(tx, None, origin, lineage)
+                raise UnknownLineage(digest_hex(tx.doc_id))
+            return self._create(tx, None, origin)
         if tx.sequence_id <= doc.max_seq:
             return ApplyResult()
         if doc.deleted:
-            raise TombstoneError(digest_hex(lineage))
+            raise TombstoneError(digest_hex(tx.doc_id))
         return self._land_or_buffer(doc, tx, None, origin)
 
-    def _create(self, tx: DbFunction, payload: bytes | None, origin: Origin, lineage: Digest) -> ApplyResult:
+    def _create(self, tx: DbFunction, payload: bytes | None, origin: Origin) -> ApplyResult:
         """Start a document at revision 1, then land what waited for it."""
+        lineage = tx.doc_id
         doc = self.docs[lineage] = Document(lineage=lineage, topic_id=tx.topic_id)
         doc.revisions.append(Revision(1, tx.data_hash, payload, origin))
         self._advance_mark(origin)
@@ -279,11 +283,10 @@ class StoreState:
         doc.revisions.append(Revision(tx.sequence_id, tx.data_hash, payload, origin))
         self._advance_mark(origin)
         if tx.task is _DELETE:
-            self._erase(doc, tx.sequence_id)
+            self._erase(doc)
 
-    def _erase(self, doc: Document, delete_seq: int) -> None:
+    def _erase(self, doc: Document) -> None:
         doc.deleted = True
-        doc.deleted_seq = delete_seq
         for rev in doc.revisions:
             # side-buffer copies and proof sets go too, even for revisions
             # already emptied
@@ -329,12 +332,9 @@ class StoreState:
 
     def revision(self, lineage: Digest, seq: int) -> Revision | None:
         doc = self.docs.get(lineage)
-        if doc is None:
+        if doc is None or not 0 < seq <= len(doc.revisions):
             return None
-        for rev in doc.revisions:
-            if rev.seq == seq:
-                return rev
-        return None
+        return doc.revisions[seq - 1]
 
     # -- reorg repair ----------------------------------------------------
 
@@ -360,9 +360,7 @@ class StoreState:
                 self._pending.pop(lineage, None)
                 continue
             doc.revisions = kept
-            if doc.deleted and doc.deleted_seq is not None and doc.deleted_seq > doc.max_seq:
-                doc.deleted = False
-                doc.deleted_seq = None
+            doc.deleted = False  # a deleted document's last revision, its delete, is gone
         for lineage, waiting in list(self._pending.items()):
             for seq in [s for s, (_, _, o) in waiting.items() if o > mark]:
                 del waiting[seq]
@@ -460,7 +458,7 @@ class StoreState:
             out.append(lp(doc.lineage))
             out.append(lp(doc.topic_id))
             out.append(lp(bytes([int(doc.deleted)])))
-            out.append(lp(u64(doc.deleted_seq or 0)))
+            out.append(lp(u64(doc.max_seq if doc.deleted else 0)))
             out.append(lp(u64(len(doc.revisions))))
             for rev in doc.revisions:
                 out.append(lp(u64(rev.seq)))
@@ -497,8 +495,8 @@ class StoreState:
             deleted = r.field()
             if deleted not in (b"\x00", b"\x01"):
                 raise ValueError("bad deleted flag")
-            deleted_seq = r.u64_field() or None
-            doc = Document(lineage=lineage, topic_id=topic, deleted=deleted == b"\x01", deleted_seq=deleted_seq)
+            delete_field = r.u64_field()
+            doc = Document(lineage=lineage, topic_id=topic, deleted=deleted == b"\x01")
             nrevs = r.u64_field()
             for _ in range(nrevs):
                 seq = r.u64_field()
@@ -509,7 +507,13 @@ class StoreState:
                 if body != b"\x00" and body[:1] != b"\x01":
                     raise ValueError("bad revision body")
                 payload = body[1:] if body[:1] == b"\x01" else None
+                if seq != len(doc.revisions) + 1:
+                    raise ValueError("revisions not numbered 1..n")
                 doc.revisions.append(Revision(seq, data_hash, payload, (h, i)))
+            if not doc.revisions:
+                raise ValueError("document without revisions")
+            if delete_field != (doc.max_seq if doc.deleted else 0):
+                raise ValueError("delete field is not the last revision of a deleted document")
             store.docs[lineage] = doc
         if not r.done():
             raise ValueError("trailing bytes in snapshot")

@@ -267,13 +267,8 @@ def block_preimage(
     return _block_head(parent, height, nonce, miner, len(txs)) + _tx_body(txs)
 
 
-def serialize_block(block: Block) -> bytes:
-    """Full canonical block encoding; the hash is recomputed on parse."""
-    return block.preimage()
-
-
 def parse_block(buf: bytes, block_hash: Digest | None = None) -> Block:
-    """Strict inverse of ``serialize_block``. ``block_hash``, if given, is
+    """Strict inverse of ``Block.preimage``. ``block_hash``, if given, is
     the caller's sha256 of ``buf``, so the bytes are not hashed again."""
     if len(buf) < _BLOCK_HEAD.size:
         raise ValueError("truncated block")
@@ -320,31 +315,20 @@ class TxRejected(ValueError):
         self.reason = reason
 
 
-class InvalidBlock(ValueError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 @dataclass
 class ReorgReport:
     """What one adoption did to the canonical chain.
 
-    ``applied`` lists newly canonical transactions with their chain
-    coordinates; ``rolled_back`` lists transactions that fell off the old
-    branch, in their old chain order. A plain tip extension has an empty
-    ``rolled_back``.
+    ``applied`` holds the registry entries of the newly canonical
+    transactions, each a (tx, height, index) tuple; ``rolled_back`` lists
+    transactions that fell off the old branch, in their old chain order. A
+    plain tip extension has an empty ``rolled_back``.
     """
 
-    old_tip: Digest
-    new_tip: Digest
+    tip_changed: bool
     fork_height: int
     rolled_back: list[DbFunction] = field(default_factory=list)
     applied: list[tuple[DbFunction, int, int]] = field(default_factory=list)
-
-    @property
-    def tip_changed(self) -> bool:
-        return self.old_tip != self.new_tip
 
 
 class ChainState:
@@ -505,14 +489,13 @@ class ChainState:
         The report describes exactly how the canonical transaction sequence
         changed so a document store can repair itself.
         """
-        old_tip = self.tip
         if block.block_hash in self.blocks:
-            return ReorgReport(old_tip, old_tip, self.tip_block.height)
+            return ReorgReport(False, self.tip_block.height)
         if block.parent not in self.blocks:
             bucket = self.orphans.setdefault(block.parent, [])
             if block not in bucket:
                 bucket.append(block)
-            return ReorgReport(old_tip, old_tip, self.tip_block.height)
+            return ReorgReport(False, self.tip_block.height)
 
         # The old tip already beat every earlier block, so fork choice (longest
         # chain, ties to the smaller hash) only weighs it against the new ones.
@@ -529,21 +512,16 @@ class ChainState:
             queue.extend(self.orphans.pop(blk.block_hash, []))
             best = min(best, blk, key=lambda b: (-b.height, b.block_hash))
 
-        if best.block_hash == old_tip:
-            return ReorgReport(old_tip, old_tip, self.tip_block.height)
+        if best.block_hash == self.tip:
+            return ReorgReport(False, self.tip_block.height)
         return self._switch_tip(best.block_hash)
 
     def _switch_tip(self, new_tip: Digest) -> ReorgReport:
         """Make a stored block canonical. Its branch applies unchecked: every
         stored block was validated against the state at its parent."""
-        old_tip = self.tip
         fork_height, new_branch = self._side_branch(new_tip)
         old_branch = [self.blocks[h] for h in self.canonical_hashes[fork_height + 1 :]]
-
         rolled_back = [tx for blk in old_branch for tx in blk.txs]
-        applied = [
-            (tx, blk.height, i) for blk in new_branch for i, tx in enumerate(blk.txs)
-        ]
 
         # canonical bookkeeping
         del self.canonical_hashes[fork_height + 1 :]
@@ -552,8 +530,7 @@ class ChainState:
 
         # derived registry follows the canonical chain
         self.registry.rollback_to_height(fork_height)
-        for tx, h, i in applied:
-            self.registry.apply(tx, h, i)
+        applied = [self.registry.apply(tx, blk.height, i) for blk in new_branch for i, tx in enumerate(blk.txs)]
 
         # mempool maintenance. A pure tip extension by queued transactions
         # took, for each lineage, a prefix of its queued chain, so what is
@@ -582,7 +559,7 @@ class ChainState:
                 except TxRejected:
                     pass
 
-        return ReorgReport(old_tip, new_tip, fork_height, rolled_back, applied)
+        return ReorgReport(True, fork_height, rolled_back, applied)
 
     def confirmations(self, tx: DbFunction) -> int:
         """0 while queued or unknown; 1 for the tip block; +1 per block on top.
@@ -591,10 +568,10 @@ class ChainState:
         transactions: every stored block was validated against the state
         at its parent, so every canonical transaction applies.
         """
-        for entry in self.registry.query_by_lineage(tx.doc_id):
-            if entry.tx.digest == tx.digest:
-                return 1 + self.height - entry.height
-        return 0
+        entry = self.registry.entry(tx.doc_id, tx.sequence_id)
+        if entry is None or entry.tx.digest != tx.digest:
+            return 0
+        return 1 + self.height - entry.height
 
     # -- persistence ---------------------------------------------------
 
@@ -610,7 +587,7 @@ class ChainState:
             f.write(lp(u64(self.difficulty_bits)))
             f.write(lp(u64(self.chunk_size)))
             for blk in self.canonical_blocks():
-                f.write(lp(serialize_block(blk)))
+                f.write(lp(blk.preimage()))
 
     @classmethod
     def load(cls, path) -> "ChainState":
@@ -638,5 +615,5 @@ class ChainState:
             blk = parse_block(r.field())
             state.adopt_block(blk)
             if blk.block_hash not in state.blocks:
-                raise InvalidBlock(f"rejected block at height {blk.height}: {state.validate_block(blk)[1]}")
+                raise ValueError(f"rejected block at height {blk.height}: {state.validate_block(blk)[1]}")
         return state

@@ -54,7 +54,7 @@ from .docstore import (
     TombstoneError,
 )
 from .ledger import ChainState, DbFunction, Task, TxRejected
-from .registry import LocationRegistry, PeerLocation
+from .registry import LocationRegistry
 from .wire import (
     BlockAnnounce,
     BlockRequest,
@@ -116,7 +116,10 @@ _AWAITING_CONFIRM, _FETCHING, _UNAVAILABLE = FetchState.AWAITING_CONFIRM, FetchS
 class PendingFetch:
     """One mutation on its way into the store, from the block that holds
     it until its revision lands there, the store buffers it behind its
-    predecessor, or it can never land; the peer then forgets it."""
+    predecessor, or it can never land; the peer then forgets it.
+
+    While fetching, the peer asked last is ``candidates[attempts]``, and
+    only its answer moves the fetch on."""
 
     tx: DbFunction
     coord: tuple[int, int]
@@ -124,7 +127,6 @@ class PendingFetch:
     refill: bool = False  # payload restore for an already-present revision
     candidates: list[str] = dc_field(default_factory=list)  # peer names, in asking order
     attempts: int = 0
-    current_source: str | None = None
     due: int = 0  # fetching: the Request's timeout; unavailable: the retry
 
 
@@ -154,7 +156,6 @@ class Peer:
         config: PeerConfig,
         env,
         location: LocationRegistry,
-        difficulty_bits: int = 0,
         chunk_size: int = 4096,
         allow_empty_blocks: bool = False,
         max_txs_per_block: int = 100,
@@ -166,11 +167,8 @@ class Peer:
         self.location = location
         self.chunk_size = chunk_size
         self.max_txs_per_block = max_txs_per_block
-        self.chain = ChainState(
-            difficulty_bits=difficulty_bits,
-            chunk_size=chunk_size,
-            allow_empty_blocks=allow_empty_blocks,
-        )
+        # the environment's delay between mining completions stands in for the work
+        self.chain = ChainState(difficulty_bits=0, chunk_size=chunk_size, allow_empty_blocks=allow_empty_blocks)
         self.store = StoreState(chunk_size=chunk_size, topics=config.topics)
         self._declared = tuple(sorted(config.topics))  # the topics each Request declares
         self.online = True
@@ -185,7 +183,7 @@ class Peer:
         self._next_reannounce: dict[Digest, int] = {}
         self.deferred: list[dict] = []
         self._resync: dict | None = None
-        location.register_peer(PeerLocation(self.editor_hash, config.name))
+        location.register_peer(self.editor_hash, config.name)
 
     # -- identity --------------------------------------------------------
 
@@ -334,11 +332,8 @@ class Peer:
         """The peers to ask, in order: ``first``, then the first up-to-date
         peer, then every registered peer; each once, never this one."""
         order = [] if first is None else [first]
-        up = self.location.get_up_to_date_peer()
-        if up is not None:
-            order.append(up.location)
-        order += [p.location for p in self.location.all_peers.values()]
-        names = dict.fromkeys(order)
+        order += self.location.up_to_date_peers()[:1]
+        names = dict.fromkeys([*order, *self.location.all_peers.values()])
         names.pop(self.name, None)
         return list(names)
 
@@ -426,11 +421,10 @@ class Peer:
             if rev is not None:
                 root, payload = rev.data_hash, rev.payload
         if payload is None:
-            for entry in self.chain.registry.query_by_lineage(req.lineage):
-                if entry.tx.sequence_id == req.seq:
-                    topic, root = entry.tx.topic_id, entry.tx.data_hash
-                    payload = self.store.staged_payload(root)
-                    break
+            entry = self.chain.registry.entry(req.lineage, req.seq)
+            if entry is not None:
+                topic, root = entry.tx.topic_id, entry.tx.data_hash
+                payload = self.store.staged_payload(root)
         if topic is None:
             return Refusal(req.lineage, req.seq, "not-held")
         if req.declared_topics and topic not in req.declared_topics:
@@ -450,7 +444,7 @@ class Peer:
     # -- fetching -------------------------------------------------------------
 
     def _start_fetch(self, pf: PendingFetch) -> None:
-        pf.candidates = self._sources(self.location.get_peer_location(pf.tx.editor_hash))
+        pf.candidates = self._sources(self.location.all_peers.get(pf.tx.editor_hash))
         pf.attempts = 0
         pf.state = _FETCHING
         self._send_fetch(pf)
@@ -459,13 +453,11 @@ class Peer:
         """Ask the next candidate; once every one was asked, the fetch is
         unavailable until the next tip change or one poll interval on."""
         if pf.attempts < len(pf.candidates):
-            name = pf.current_source = pf.candidates[pf.attempts]
-            self.env.send(self, name, Request(pf.tx.doc_id, pf.tx.sequence_id, self._declared))
+            self.env.send(self, pf.candidates[pf.attempts], Request(pf.tx.doc_id, pf.tx.sequence_id, self._declared))
             pf.due = self.env.now() + self.env.fetch_timeout
             self.env.request_poll(self)
             return
         pf.state = _UNAVAILABLE
-        pf.current_source = None
         pf.due = self.env.now() + self.env.poll_interval
         self.env.note(self, f"unavailable lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
         self.env.request_poll(self)
@@ -487,7 +479,7 @@ class Peer:
         payload = self.store.check_transfer(resp.chunks, resp.proofs, pf.tx.data_hash)
         if payload is None:
             self.env.note(self, f"bad chunks from {sender} lineage={digest_hex(resp.lineage)[:12]}")
-            if pf.state is _FETCHING and pf.current_source == sender:
+            if pf.state is _FETCHING and pf.candidates[pf.attempts] == sender:
                 pf.attempts += 1
                 self._send_fetch(pf)
             return
@@ -504,7 +496,7 @@ class Peer:
 
     def _on_refusal(self, ref: Refusal, sender: str) -> None:
         pf = self.pending.get((ref.lineage, ref.seq))
-        if pf is None or pf.state is not _FETCHING or pf.current_source != sender:
+        if pf is None or pf.state is not _FETCHING or pf.candidates[pf.attempts] != sender:
             return
         pf.attempts += 1
         self._send_fetch(pf)
@@ -519,7 +511,7 @@ class Peer:
                 self.env.note(self, f"refilled lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
                 return True
             if pf.tx.task is _ADD:
-                result = self.store.apply_add(pf.tx, payload, pf.coord, pf.tx.doc_id)
+                result = self.store.apply_add(pf.tx, payload, pf.coord)
             else:
                 result = self.store.apply_edit(pf.tx, payload, pf.coord)
         except IntegrityError:
@@ -542,10 +534,8 @@ class Peer:
         """Apply a confirmed delete; revisions nobody can supply anymore are
         materialized as erased metadata first so history stays complete."""
         lineage = pf.tx.doc_id
-        for entry in self.chain.registry.query_by_lineage(lineage):
-            if entry.tx.sequence_id >= pf.tx.sequence_id:
-                continue
-            result = self.store.apply_erased(entry.tx, (entry.height, entry.index), lineage)
+        for entry in self.chain.registry.query_by_lineage(lineage)[: pf.tx.sequence_id - 1]:
+            result = self.store.apply_erased(entry.tx, (entry.height, entry.index))
             self._mark_applied(result.applied)
             self.pending.pop((lineage, entry.tx.sequence_id), None)
         try:
@@ -618,7 +608,7 @@ class Peer:
 
     def _push_recipients(self) -> list[str]:
         """The other peers currently marked up to date."""
-        return [loc.location for loc in self.location.up_to_date_peers() if loc.location != self.name]
+        return [name for name in self.location.up_to_date_peers() if name != self.name]
 
     def _push_payload(self, tx: DbFunction, recipients: list[str]) -> None:
         """Off-chain broadcast after mining: hand the fresh payload to
@@ -681,16 +671,10 @@ class Peer:
             key = (lineage, seq)
             if key in self.pending:
                 continue
-            tx = None
-            coord = None
-            for entry in self.chain.registry.query_by_lineage(lineage):
-                if entry.tx.sequence_id == seq:
-                    tx = entry.tx
-                    coord = (entry.height, entry.index)
-                    break
-            if tx is None or tx.data_hash != data_hash:
+            entry = self.chain.registry.entry(lineage, seq)
+            if entry is None or entry.tx.data_hash != data_hash:
                 continue
-            refill = PendingFetch(tx=tx, coord=coord, refill=True)
+            refill = PendingFetch(tx=entry.tx, coord=(entry.height, entry.index), refill=True)
             self.pending[key] = refill
             local = self._local_payload(refill)
             if local is not None and self._apply_payload(refill, local):

@@ -16,7 +16,6 @@ deleted document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .crypto import Digest, ZERO_DIGEST, digest_hex
@@ -100,26 +99,32 @@ class MempoolView(_LineageRules):
 
 
 class RegistryEntry(NamedTuple):
+    """One canonical mutation and its chain coordinates. Its document is
+    ``tx.doc_id``."""
+
     tx: DbFunction
-    lineage: Digest
     height: int
     index: int
 
 
 class DataRegistry(_LineageRules):
-    """All accepted mutation records in canonical-chain order."""
+    """All accepted mutation records in canonical-chain order.
+
+    The sequence rules number a document's entries 1..n in chain order, so
+    its entry of revision ``seq`` is the ``seq``-th (``entry``).
+    """
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
         self._by_lineage: dict[Digest, list[RegistryEntry]] = {}
         self._state: dict[Digest, tuple[int, bool]] = {}
 
-    def apply(self, tx: DbFunction, height: int, index: int) -> None:
-        lineage = tx.doc_id
-        entry = RegistryEntry(tx, lineage, height, index)
+    def apply(self, tx: DbFunction, height: int, index: int) -> RegistryEntry:
+        entry = RegistryEntry(tx, height, index)
         self.entries.append(entry)
-        self._by_lineage.setdefault(lineage, []).append(entry)
-        self._state[lineage] = (tx.sequence_id, tx.task is _DELETE)
+        self._by_lineage.setdefault(tx.doc_id, []).append(entry)
+        self._state[tx.doc_id] = (tx.sequence_id, tx.task is _DELETE)
+        return entry
 
     def latest(self, lineage: Digest) -> tuple[int, bool] | None:
         return self._state.get(lineage)
@@ -141,31 +146,37 @@ class DataRegistry(_LineageRules):
             for e in reversed(self.entries):
                 if e.height <= height:
                     break
-                diff[e.lineage] = _undo(e)
+                diff[e.tx.doc_id] = _undo(e)
         return MempoolView(self._state, diff)
 
     def rollback_to_height(self, height: int) -> None:
         """Drop entries above a block height, undoing their state effects."""
         while self.entries and self.entries[-1].height > height:
             entry = self.entries.pop()
+            lineage = entry.tx.doc_id
             before = _undo(entry)
             if before is None:
-                del self._state[entry.lineage]
+                del self._state[lineage]
             else:
-                self._state[entry.lineage] = before
-            same_lineage = self._by_lineage[entry.lineage]
+                self._state[lineage] = before
+            same_lineage = self._by_lineage[lineage]
             same_lineage.pop()
             if not same_lineage:
-                del self._by_lineage[entry.lineage]
+                del self._by_lineage[lineage]
 
     def query_by_lineage(self, lineage: Digest) -> list[RegistryEntry]:
         return list(self._by_lineage.get(lineage, ()))
+
+    def entry(self, lineage: Digest, seq: int) -> RegistryEntry | None:
+        """The entry of revision ``seq`` of ``lineage``, or None."""
+        same_lineage = self._by_lineage.get(lineage, ())
+        return same_lineage[seq - 1] if 0 < seq <= len(same_lineage) else None
 
     def dump_text(self) -> str:
         """Line-oriented rendering (dump-registry format): one accepted entry
         per line with its chain coordinates, in chain order."""
         lines = [
-            f"{e.height}:{e.index} {e.tx.task.label} lineage={digest_hex(e.lineage)} "
+            f"{e.height}:{e.index} {e.tx.task.label} lineage={digest_hex(e.tx.doc_id)} "
             f"seq={e.tx.sequence_id} topic={digest_hex(e.tx.topic_id)} "
             f"editor={digest_hex(e.tx.editor_hash)} data={digest_hex(e.tx.data_hash)}"
             for e in self.entries
@@ -173,22 +184,13 @@ class DataRegistry(_LineageRules):
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PeerLocation:
-    editor_hash: Digest
-    location: str
-
-    def __post_init__(self) -> None:
-        if len(self.location.encode()) > 32:
-            raise ValueError("location token longer than 32 bytes")
-
-
 class UnknownPeer(KeyError):
     pass
 
 
 class LocationRegistry:
-    """Peer directory: registration, lookup, and tip-scoped currency marks.
+    """Peer directory: each registered editor hash maps to its location
+    token (at most 32 bytes), and some are marked up to date.
 
     A peer is "up to date" only for the most recently reported tip; marking
     any other tip evicts everyone recorded for the previous one. The first
@@ -196,18 +198,14 @@ class LocationRegistry:
     """
 
     def __init__(self):
-        self.all_peers: dict[Digest, PeerLocation] = {}
+        self.all_peers: dict[Digest, str] = {}
         self._up_tip: Digest | None = None
         self._up_peers: dict[Digest, None] = {}
 
-    def register_peer(self, peer: PeerLocation) -> None:
-        self.all_peers[peer.editor_hash] = peer
-
-    def get_peer_location(self, editor_hash: Digest) -> str | None:
-        """The registered location, or None: unknown peers are reported
-        explicitly instead of falling through to a default value."""
-        peer = self.all_peers.get(editor_hash)
-        return peer.location if peer is not None else None
+    def register_peer(self, editor_hash: Digest, location: str) -> None:
+        if len(location.encode()) > 32:
+            raise ValueError("location token longer than 32 bytes")
+        self.all_peers[editor_hash] = location
 
     def mark_up_to_date(self, editor_hash: Digest, tip: Digest) -> None:
         if editor_hash not in self.all_peers:
@@ -217,11 +215,6 @@ class LocationRegistry:
             self._up_peers = {}
         self._up_peers.setdefault(editor_hash, None)
 
-    def get_up_to_date_peer(self) -> PeerLocation | None:
-        """First up-to-date peer in insertion order, or None."""
-        for editor in self._up_peers:
-            return self.all_peers[editor]
-        return None
-
-    def up_to_date_peers(self) -> list[PeerLocation]:
+    def up_to_date_peers(self) -> list[str]:
+        """The locations of the up-to-date peers, in insertion order."""
         return [self.all_peers[e] for e in self._up_peers]

@@ -87,7 +87,6 @@ class Scenario:
     latency: tuple[int, int] = (1, 10)
     mean_block_interval: int = 100
     poll_interval: int = 25
-    difficulty_bits: int = 0
     chunk_size: int = 4096
     allow_empty_blocks: bool = False
     max_txs_per_block: int = 100
@@ -210,7 +209,6 @@ class Simulation:
                 cfg,
                 env=self,
                 location=self.location,
-                difficulty_bits=scenario.difficulty_bits,
                 chunk_size=scenario.chunk_size,
                 allow_empty_blocks=scenario.allow_empty_blocks,
                 max_txs_per_block=scenario.max_txs_per_block,
@@ -525,7 +523,6 @@ def scenario_from_json(text: str) -> Scenario:
         latency=tuple(_typed(v, int, "scenario 'latency' bound") for v in latency),
         mean_block_interval=_field(doc, "mean_block_interval", int, "scenario", 100),
         poll_interval=_field(doc, "poll_interval", int, "scenario", 25),
-        difficulty_bits=_field(doc, "difficulty_bits", int, "scenario", 0),
         chunk_size=_field(doc, "chunk_size", int, "scenario", 4096),
         allow_empty_blocks=_field(doc, "allow_empty_blocks", bool, "scenario", False),
         max_txs_per_block=_field(doc, "max_txs_per_block", int, "scenario", 100),

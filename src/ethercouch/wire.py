@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .crypto import DIGEST_SIZE, Digest, MerkleProof, hash_bytes
-from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_block, serialize_tx
+from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_tx
 
 
 class Request(NamedTuple):
@@ -147,7 +147,7 @@ def encode_message(msg: Message) -> bytes:
         reason = msg.reason.encode()
         return _REFUSAL.pack(_TAG_REFUSAL, DIGEST_SIZE, msg.lineage, 8, msg.seq, len(reason)) + reason
     if isinstance(msg, BlockAnnounce):
-        body = serialize_block(msg.block)
+        body = msg.block.preimage()
         return _FRAME.pack(_TAG_BLOCK_ANNOUNCE, len(body)) + body
     if isinstance(msg, BlockRequest):
         return _BLOCK_REQUEST.pack(_TAG_BLOCK_REQUEST, 8, msg.from_height)

@@ -22,7 +22,7 @@ from conftest import (
 from ethercouch.bench import run_matrix
 from ethercouch.crypto import chunk_payload, merkle_prove, merkle_root, verify_chunk
 from ethercouch.docstore import StoreState
-from ethercouch.ledger import ChainState, Task, lineage_of
+from ethercouch.ledger import ChainState, Task
 from ethercouch.registry import OK, ALREADY_DELETED, DataRegistry
 
 RECORD_SIZE = 166  # serialized size of one payload-less mutation record
@@ -159,7 +159,7 @@ def test_criterion_5_revision_semantics():
             coord += 1
     per_lineage: dict = {}
     for e in reg.entries:
-        per_lineage.setdefault(e.lineage, []).append(e.tx.sequence_id)
+        per_lineage.setdefault(e.tx.doc_id, []).append(e.tx.sequence_id)
     gaps = sum(1 for seqs in per_lineage.values() if seqs != list(range(1, len(seqs) + 1)))
     report(
         f"criterion 5 revision semantics: {cases} random ops, {gaps} sequence gaps, "
@@ -204,7 +204,7 @@ def test_criterion_6_tamper_detection():
 def apply_txs(store: StoreState, triples, payloads) -> None:
     for tx, h, i in triples:
         if tx.task is Task.ADD:
-            store.apply_add(tx, payloads[tx.data_hash], (h, i), lineage_of(tx))
+            store.apply_add(tx, payloads[tx.data_hash], (h, i))
         elif tx.task is Task.EDIT:
             payload = store.retained_payload(tx.data_hash) or payloads[tx.data_hash]
             store.apply_edit(tx, payload, (h, i))

@@ -29,7 +29,6 @@ from ethercouch.ledger import (
     block_preimage,
     lineage_of,
     meets_target,
-    serialize_block,
     serialize_tx,
 )
 
@@ -252,10 +251,10 @@ def test_verify_refuses_a_chain_file_that_load_refuses(tmp_path, case, reason):
     # validate_block, so a chain file with one refused block exits 1 with
     # an error that names why
     state = ChainState(difficulty_bits=8 if case == "misses-target" else 0, chunk_size=CHUNK)
-    blob = lp(u64(state.difficulty_bits)) + lp(u64(CHUNK)) + lp(serialize_block(state.genesis))
+    blob = lp(u64(state.difficulty_bits)) + lp(u64(CHUNK)) + lp(state.genesis.preimage())
     block = _refused_block(case, state)
     assert state.validate_block(block) == (False, reason)
-    blob += lp(serialize_block(block))
+    blob += lp(block.preimage())
     (tmp_path / "p0.chain").write_bytes(ChainState.CHAIN_MAGIC + blob)
     with pytest.raises(ValueError, match=reason):
         ChainState.load(tmp_path / "p0.chain")

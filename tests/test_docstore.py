@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import pytest
 
 from conftest import CHUNK, EDITOR_A, TOPIC_T, TOPIC_U, make_add, make_delete, make_edit
+from ethercouch.cli import main
+from ethercouch.codec import lp, u64
 from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root
 from ethercouch.docstore import (
     Document,
@@ -24,7 +26,7 @@ from ethercouch.ledger import DbFunction, Task, lineage_of
 def add_doc(store, payload, origin=(1, 0), **kw):
     tx = make_add(payload, **kw)
     lineage = lineage_of(tx)
-    store.apply_add(tx, payload, origin, lineage)
+    store.apply_add(tx, payload, origin)
     return tx, lineage
 
 
@@ -40,7 +42,7 @@ def test_add_rejects_flipped_byte():
     tx = make_add(b"payload")
     bad = b"qayload"
     with pytest.raises(IntegrityError):
-        store.apply_add(tx, bad, (1, 0), lineage_of(tx))
+        store.apply_add(tx, bad, (1, 0))
     assert lineage_of(tx) not in store.docs
 
 
@@ -56,7 +58,7 @@ def test_duplicate_add_rejected():
     store = StoreState(chunk_size=CHUNK)
     tx, lineage = add_doc(store, b"doc")
     with pytest.raises(DuplicateDocument):
-        store.apply_add(tx, b"doc", (2, 0), lineage)
+        store.apply_add(tx, b"doc", (2, 0))
 
 
 def test_edit_becomes_active_and_history_grows():
@@ -90,7 +92,7 @@ def test_edit_before_add_buffers_under_lineage():
     lineage = lineage_of(tx)
     res = store.apply_edit(make_edit(lineage, 2, b"v2"), b"v2", (2, 0))
     assert res.buffered
-    res = store.apply_add(tx, b"v1", (1, 0), lineage)
+    res = store.apply_add(tx, b"v1", (1, 0))
     assert res.applied == ((lineage, 1), (lineage, 2))
 
 
@@ -137,7 +139,7 @@ def test_delete_on_unknown_lineage_buffers():
     lineage = lineage_of(tx)
     res = store.apply_delete(make_delete(lineage, 2), (2, 0))
     assert res.buffered
-    res = store.apply_add(tx, b"v1", (1, 0), lineage)
+    res = store.apply_add(tx, b"v1", (1, 0))
     assert (lineage, 2) in res.applied
     assert store.docs[lineage].deleted
 
@@ -179,15 +181,15 @@ def test_erased_revision_catchup_past_delete():
     add_tx = make_add(b"v1")
     lineage = lineage_of(add_tx)
     edit_tx = make_edit(lineage, 2, b"v2")
-    store.apply_erased(add_tx, (1, 0), lineage)
-    store.apply_erased(edit_tx, (2, 0), lineage)
+    store.apply_erased(add_tx, (1, 0))
+    store.apply_erased(edit_tx, (2, 0))
     store.apply_delete(make_delete(lineage, 3), (3, 0))
     doc = store.docs[lineage]
     assert doc.deleted
     assert [r.seq for r in doc.revisions] == [1, 2, 3]
     assert all(r.payload is None for r in doc.revisions)
     # idempotent for revisions already present
-    assert store.apply_erased(add_tx, (1, 0), lineage).applied == ()
+    assert store.apply_erased(add_tx, (1, 0)).applied == ()
 
 
 # -- rollback ------------------------------------------------------------
@@ -220,7 +222,7 @@ def test_rollback_then_reapply_equals_never_rolled_back():
     e2 = make_edit(lineage, 2, b"v2")
     e3 = make_edit(lineage, 3, b"v3")
     for store in (store_a, store_b):
-        store.apply_add(add_tx, b"v1", (1, 0), lineage)
+        store.apply_add(add_tx, b"v1", (1, 0))
         store.apply_edit(e2, b"v2", (2, 0))
         store.apply_edit(e3, b"v3", (3, 0))
     store_a.rollback_to((1, 2**62))
@@ -284,6 +286,39 @@ def test_snapshot_roundtrip():
     assert loaded.applied_upto == store.applied_upto
 
 
+def one_doc_snapshot(deleted: int, delete_field: int, seqs: tuple[int, ...]) -> bytes:
+    """A store snapshot holding one document, written field by field."""
+    out = [StoreState.SNAPSHOT_MAGIC, lp(u64(CHUNK)), lp(b""), lp(b"\x00"), lp(u64(1))]
+    out += [lp(hash_bytes(b"doc")), lp(TOPIC_T), lp(bytes([deleted])), lp(u64(delete_field)), lp(u64(len(seqs)))]
+    for seq in seqs:
+        out += [lp(u64(seq)), lp(ZERO_DIGEST), lp(u64(seq)), lp(u64(0)), lp(b"\x00")]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize(
+    "deleted, delete_field, seqs",
+    [
+        pytest.param(0, 0, (1, 3), id="revision-gap"),
+        pytest.param(0, 0, (1, 1), id="revision-repeat"),
+        pytest.param(1, 1, (1, 2), id="delete-field-not-last-revision"),
+        pytest.param(0, 2, (1, 2), id="live-with-delete-field"),
+        pytest.param(0, 0, (), id="no-revisions"),
+    ],
+)
+def test_snapshot_refuses_misnumbered_revisions_and_delete_fields(tmp_path, capsys, deleted, delete_field, seqs):
+    # revisions are numbered 1..n with n >= 1, and the delete field holds n
+    # for a deleted document and 0 for a live one; these well-formed ones load
+    for good in (one_doc_snapshot(0, 0, (1, 2)), one_doc_snapshot(1, 2, (1, 2))):
+        assert StoreState.from_snapshot(good).snapshot_bytes() == good
+    bad = one_doc_snapshot(deleted, delete_field, seqs)
+    with pytest.raises(ValueError):
+        StoreState.from_snapshot(bad)
+    (tmp_path / "p0.store").write_bytes(bad)
+    assert main(["dump-store", str(tmp_path / "p0.store")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # -- replay model --------------------------------------------------------
 
 
@@ -336,12 +371,12 @@ def deliver(store: StoreState, m: Mutation, chain: list[Mutation]) -> set:
     ``Peer._confirm_delete`` sends it: every earlier revision as erased,
     then the delete."""
     if m.tx.task is Task.ADD:
-        results = [store.apply_add(m.tx, m.payload, m.origin, m.lineage)]
+        results = [store.apply_add(m.tx, m.payload, m.origin)]
     elif m.tx.task is Task.EDIT:
         results = [store.apply_edit(m.tx, m.payload, m.origin)]
     else:
         earlier = [e for e in chain if e.lineage == m.lineage and e.tx.sequence_id < m.tx.sequence_id]
-        results = [store.apply_erased(e.tx, e.origin, m.lineage) for e in earlier]
+        results = [store.apply_erased(e.tx, e.origin) for e in earlier]
         results.append(store.apply_delete(m.tx, m.origin))
     return {pair for r in results for pair in r.applied}
 
@@ -398,7 +433,7 @@ class StoreModel:
             doc = store.docs.setdefault(m.lineage, Document(m.lineage, m.tx.topic_id))
             doc.revisions.append(Revision(m.tx.sequence_id, m.tx.data_hash, self.held[m.key], m.origin))
             if m.tx.task is Task.DELETE:
-                doc.deleted, doc.deleted_seq = True, m.tx.sequence_id
+                doc.deleted = True
         return store
 
 
@@ -469,13 +504,17 @@ def test_store_matches_a_replay_model(seed):
         expected = model.fold()
         assert store.dump_text() == expected.dump_text(), (seed, step)
         assert store.snapshot_bytes() == expected.snapshot_bytes(), (seed, step)
+        # revision seq of a document is the one history lists under seq
+        for lineage, seq in set(model.held) | {(lin, len(doc.revisions) + 1) for lin, doc in store.docs.items()}:
+            scan = store.history(lineage) if lineage in store.docs else []
+            assert store.revision(lineage, seq) is next((r for r in scan if r.seq == seq), None), (seed, step)
 
 
 def test_add_doc_respects_chunked_payloads():
     store = StoreState(chunk_size=8)
     payload = bytes(range(64))
     tx = make_add(payload, chunk=8)
-    store.apply_add(tx, payload, (1, 0), lineage_of(tx))
+    store.apply_add(tx, payload, (1, 0))
     assert store.get_active(lineage_of(tx)) == payload
 
 
@@ -512,10 +551,10 @@ def test_applying_staged_bytes_skips_the_hash(monkeypatch):
     add = make_add(v1, chunk=8)
     lineage = lineage_of(add)
     assert add.data_hash == roots[0]
-    store.apply_add(add, v1, (1, 0), lineage)
+    store.apply_add(add, v1, (1, 0))
     store.apply_edit(make_edit(lineage, 2, v2, chunk=8), bytes(bytearray(v2)), (2, 0))  # equal, not identical
     # a payload-less revision, as after a rollback past its delete
-    store.apply_erased(make_edit(lineage, 3, v3, chunk=8), (3, 0), lineage)
+    store.apply_erased(make_edit(lineage, 3, v3, chunk=8), (3, 0))
     store.fill_payload(lineage, 3, v3)
     assert hashed == []
     assert [r.payload for r in store.history(lineage)] == [v1, v2, v3]
@@ -529,13 +568,13 @@ def test_bytes_that_differ_from_the_staged_ones_are_hashed_and_refused(monkeypat
     tx = make_add(payload, chunk=8)
     bad = bytes([payload[0] ^ 1]) + payload[1:]
     with pytest.raises(IntegrityError):
-        store.apply_add(tx, bad, (1, 0), lineage_of(tx))
+        store.apply_add(tx, bad, (1, 0))
     assert hashed == [bad]
     assert lineage_of(tx) not in store.docs
     # staged bytes offered for another root are checked against that root
     other = make_add(bytes(range(3, 43)), chunk=8)
     with pytest.raises(IntegrityError):
-        store.apply_add(other, payload, (1, 1), lineage_of(other))
+        store.apply_add(other, payload, (1, 1))
     assert hashed == [bad, payload]
 
 
@@ -547,7 +586,7 @@ def test_unstaged_payload_is_hashed_once(monkeypatch):
     hashed = count_store_hashes(monkeypatch)
     for i, payload in enumerate((never, dropped)):
         tx = make_add(payload, chunk=8)
-        store.apply_add(tx, payload, (1, i), lineage_of(tx))
+        store.apply_add(tx, payload, (1, i))
         assert store.get_active(lineage_of(tx)) == payload
     assert hashed == [never, dropped]
 
@@ -583,7 +622,7 @@ def test_checked_transfer_applies_without_a_second_hash(monkeypatch, payload):
     checked = store.check_transfer(chunks, proofs, root)
     assert checked == payload
     tx = make_add(payload, chunk=8)
-    store.apply_add(tx, checked, (1, 0), lineage_of(tx))
+    store.apply_add(tx, checked, (1, 0))
     assert hashed == []
     assert store.get_active(lineage_of(tx)) == payload
 
@@ -620,7 +659,7 @@ def test_non_canonical_split_is_hashed_on_apply_and_refused(monkeypatch, chunks)
     tx = DbFunction(Task.ADD, root, EDITOR_A, TOPIC_T, 1, ZERO_DIGEST, None)
     hashed = count_store_hashes(monkeypatch)
     with pytest.raises(IntegrityError):
-        store.apply_add(tx, payload, (1, 0), lineage_of(tx))
+        store.apply_add(tx, payload, (1, 0))
     assert hashed == [payload]
     assert lineage_of(tx) not in store.docs
 
@@ -634,12 +673,12 @@ def test_bytes_other_than_the_checked_object_are_hashed(monkeypatch):
     tx = make_add(payload, chunk=8)
     bad = bytes([payload[0] ^ 1]) + payload[1:]
     with pytest.raises(IntegrityError):
-        store.apply_add(tx, bad, (1, 0), lineage_of(tx))
+        store.apply_add(tx, bad, (1, 0))
     # the checked object offered for another root is checked against that root
     other = make_add(bytes(range(1, 21)), chunk=8)
     with pytest.raises(IntegrityError):
-        store.apply_add(other, checked, (1, 1), lineage_of(other))
+        store.apply_add(other, checked, (1, 1))
     copy = bytes(bytearray(checked))  # equal, but not the object that was checked
-    store.apply_add(tx, copy, (1, 2), lineage_of(tx))
+    store.apply_add(tx, copy, (1, 2))
     assert hashed == [bad, checked, copy]
     assert lineage_of(other) not in store.docs

@@ -16,7 +16,7 @@ import pytest
 from conftest import EDITOR_A, TOPIC_T, TOPIC_U, build_convergence_scenario, make_add, make_delete, make_edit, raw_block
 from ethercouch.crypto import chunk_payload, hash_bytes, merkle_prove
 from ethercouch.docstore import StoreState
-from ethercouch.ledger import ChainState, lineage_of, parse_block, parse_tx, serialize_block, serialize_tx
+from ethercouch.ledger import Block, ChainState, lineage_of, parse_block, parse_tx, serialize_tx
 from ethercouch.simnet import deterministic_bytes, run_scenario, scenario_from_json
 from ethercouch.wire import (
     BlockAnnounce,
@@ -94,7 +94,7 @@ BLOCK = raw_block(ChainState(difficulty_bits=0), hash_bytes(b"parent"), 7, [make
     "value, encode, parse, seed",
     [
         pytest.param(TX, serialize_tx, parse_tx, 3, id="tx"),
-        pytest.param(BLOCK, serialize_block, parse_block, 4, id="block"),
+        pytest.param(BLOCK, Block.preimage, parse_block, 4, id="block"),
         pytest.param(Request(LINEAGE, 2, (TOPIC_T, TOPIC_U)), encode_message, decode_canonical, 5, id="request"),
         pytest.param(Request(LINEAGE, 2), encode_message, decode_canonical, 12, id="request-no-topics"),
         pytest.param(Refusal(LINEAGE, 2, "filter-refused"), encode_message, decode_canonical, 6, id="refusal"),

@@ -30,7 +30,6 @@ from ethercouch.ledger import (
     meets_target,
     parse_block,
     parse_tx,
-    serialize_block,
     serialize_tx,
     tx_digest,
 )
@@ -65,7 +64,7 @@ def test_block_roundtrip():
     state = fresh()
     state.submit_tx(make_add(b"data"))
     block = state.mine_block(EDITOR_A)
-    parsed = parse_block(serialize_block(block))
+    parsed = parse_block(block.preimage())
     assert parsed == block
 
 
@@ -164,7 +163,7 @@ def test_mining_encodes_each_tx_once_not_once_per_nonce(monkeypatch):
     assert len(block.txs) == 100 and block.nonce > 1000  # thousands of attempts
     assert len(encoded) <= len(block.txs)
     monkeypatch.undo()
-    raw = serialize_block(block)
+    raw = block.preimage()
     parsed = parse_block(raw)
     assert parsed == block and parsed.block_hash == block.block_hash == hash_bytes(raw)
     assert meets_target(block.block_hash, 12)
@@ -197,10 +196,10 @@ def test_canonical_bytes_are_the_only_encoding():
             state._mine_raw(hash_bytes(b"p"), start + 1, EDITOR_B, tuple(txs[start : start + 7])),
         ]
         for blk in blocks:
-            buf = serialize_block(blk)
+            buf = blk.preimage()
             parsed = parse_block(buf)
             assert parsed == blk
-            assert serialize_block(parsed) == buf == blk.preimage()
+            assert parsed.preimage() == buf == blk.preimage()
             assert parsed.block_hash == hash_bytes(buf) == blk.block_hash
 
 
@@ -221,7 +220,7 @@ def test_mined_and_parsed_blocks_hash_the_bytes_they_keep():
     block = state.mine_block(EDITOR_A)
     assert block.preimage() is block.preimage()
     assert hash_bytes(block.preimage()) == block.block_hash
-    buf = bytes(bytearray(serialize_block(block)))  # a copy of its own
+    buf = bytes(bytearray(block.preimage()))  # a copy of its own
     parsed = parse_block(buf)
     assert parsed.preimage() is buf
     assert state.validate_block(parsed) == (True, "ok")
@@ -234,7 +233,7 @@ def test_mined_and_parsed_blocks_hash_the_bytes_they_keep():
     for width in (31, 33):
         for parent, miner in ((bytes(width), EDITOR_A), (block.parent, bytes(width))):
             with pytest.raises(ValueError):
-                serialize_block(Block(parent, 1, 0, miner, (), block.block_hash))
+                Block(parent, 1, 0, miner, (), block.block_hash).preimage()
 
 
 # -- submission ---------------------------------------------------------
@@ -794,8 +793,8 @@ def test_replay_is_bit_identical():
     assert s1.tip == s2.tip
     assert s1.mempool == s2.mempool
     assert s1.dump_text() == s2.dump_text()
-    assert [serialize_block(b) for b in s1.canonical_blocks()] == [
-        serialize_block(b) for b in s2.canonical_blocks()
+    assert [b.preimage() for b in s1.canonical_blocks()] == [
+        b.preimage() for b in s2.canonical_blocks()
     ]
 
 

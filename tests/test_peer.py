@@ -2,10 +2,10 @@
 
 import pytest
 
-from ethercouch.crypto import ZERO_DIGEST, chunk_payload, merkle_prove, merkle_root, payload_root, verify_chunk
+from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root, verify_chunk
 from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, editor_hash_for, topic_hash
-from ethercouch.registry import LocationRegistry, PeerLocation
+from ethercouch.registry import LocationRegistry
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
 from ethercouch.wire import BlockAnnounce, Refusal, Request, Response
 
@@ -223,7 +223,8 @@ def failover_setup():
 def test_corrupt_source_triggers_failover():
     env, alice, bob, carol, tx, payload = failover_setup()
     key = (lineage_of(tx), 1)
-    assert bob.pending[key].current_source == "alice"
+    pf = bob.pending[key]
+    assert pf.candidates[pf.attempts] == "alice"
     # alice answers with a flipped byte in the first chunk
     honest = alice.serve_request(Request(*key, ()), "bob")
     bad_chunk = bytearray(honest.chunks[0])
@@ -232,7 +233,7 @@ def test_corrupt_source_triggers_failover():
     bob.handle_message(corrupted, "alice")
     # moved on to the next candidate instead of storing bad bytes
     assert bob.pending[key].state is FetchState.FETCHING
-    assert bob.pending[key].current_source == "carol"
+    assert pf.candidates[pf.attempts] == "carol"
     assert key[0] not in bob.store.docs
     bob.handle_message(honest, "carol")
     assert key not in bob.pending
@@ -374,7 +375,8 @@ def test_non_canonical_split_under_its_own_root_is_never_stored():
     announce = [m for (_, dst, m) in env.sent if dst == "*"][-1]
     bob.handle_message(announce, "mallory")
     key = (lineage_of(tx), 1)
-    assert bob.pending[key].current_source == "mallory"
+    pf = bob.pending[key]
+    assert pf.candidates[pf.attempts] == "mallory"
     bob.handle_message(Response(key[0], 1, chunks, proofs), "mallory")
     assert key[0] not in bob.store.docs
     assert bob.pending[key].state is FetchState.FETCHING
@@ -384,7 +386,8 @@ def test_refusal_advances_candidate():
     env, alice, bob, carol, tx, payload = failover_setup()
     key = (lineage_of(tx), 1)
     bob.handle_message(Refusal(key[0], 1, "not-held"), "alice")
-    assert bob.pending[key].current_source == "carol"
+    pf = bob.pending[key]
+    assert pf.candidates[pf.attempts] == "carol"
 
 
 def test_all_candidates_exhausted_goes_unavailable():
@@ -430,7 +433,7 @@ def test_an_exhausted_fetch_retries_one_poll_interval_later_every_time():
         poll_at(start + env.poll_interval)
         assert bob.pending[key].state is FetchState.UNAVAILABLE and not requests()
     # once a source is known, Requests resume at the next retry tick
-    directory.register_peer(PeerLocation(alice.editor_hash, "alice"))
+    directory.register_peer(alice.editor_hash, "alice")
     start = env.t
     poll_at(start + env.poll_interval - 1)
     assert not requests()
@@ -486,6 +489,16 @@ def test_filtered_peer_ignores_unsolicited_foreign_push():
     bob.handle_message(push, "alice")
     assert not bob.push_cache
     assert not bob.store.docs
+
+
+def test_the_push_cache_keeps_the_last_256_unsolicited_pushes_in_arrival_order():
+    bob, _ = make_peer("bob")
+    keys = [(hash_bytes(b"unknown-%d" % i), 1) for i in range(257)]
+    for key in keys:
+        bob.handle_message(Response(*key, (b"bytes for " + key[0],), ()), "alice")
+    # the 257th evicts the oldest
+    assert list(bob.push_cache) == keys[1:]
+    assert bob.push_cache[keys[-1]] == b"bytes for " + keys[-1][0]
 
 
 def test_unsolicited_push_applies_once_confirmed():

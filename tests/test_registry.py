@@ -24,7 +24,6 @@ from ethercouch.registry import (
     UNKNOWN_LINEAGE,
     DataRegistry,
     LocationRegistry,
-    PeerLocation,
     UnknownPeer,
 )
 
@@ -209,12 +208,12 @@ def test_fork_views_copy_nothing_and_read_the_registry_at_their_height():
     view = reg.fork_view(tip - 1)
     assert view.validate(deleted.tx) == OK
     view.apply(deleted.tx)
-    assert view.latest(deleted.lineage) == reg.latest(deleted.lineage) == (deleted.tx.sequence_id, True)
+    assert view.latest(deleted.tx.doc_id) == reg.latest(deleted.tx.doc_id) == (deleted.tx.sequence_id, True)
     fresh = make_add(b"not on chain")
     view.apply(fresh)
     assert reg.latest(lineage_of(fresh)) is None and reg.fork_view().latest(lineage_of(fresh)) is None
     below_tip = rebuild_registry(_ChainUpTo(reg, tip - 1))
-    assert reg.fork_view(tip - 1).latest(deleted.lineage) == below_tip.latest(deleted.lineage)
+    assert reg.fork_view(tip - 1).latest(deleted.tx.doc_id) == below_tip.latest(deleted.tx.doc_id)
 
 
 # -- queries ------------------------------------------------------------
@@ -238,51 +237,54 @@ def test_query_by_lineage_matches_a_scan_across_rollbacks(seed):
                     reg.apply(tx, height, index)
                     seen.add(lineage_of(tx))
         for lineage in seen | {hash_bytes(b"never seen")}:
-            assert reg.query_by_lineage(lineage) == [e for e in reg.entries if e.lineage == lineage]
+            scan = [e for e in reg.entries if e.tx.doc_id == lineage]
+            assert reg.query_by_lineage(lineage) == scan
+            for s in range(len(scan) + 2):
+                assert reg.entry(lineage, s) == next((e for e in scan if e.tx.sequence_id == s), None)
     assert any(not reg.query_by_lineage(lineage) for lineage in seen)  # some were rolled away
 
 
 # -- location registry --------------------------------------------------
 
 
-def loc(name: str) -> PeerLocation:
-    return PeerLocation(hash_bytes(name.encode()), name)
+def loc(name: str) -> tuple[bytes, str]:
+    return hash_bytes(name.encode()), name
 
 
 def test_register_and_lookup():
     reg = LocationRegistry()
-    reg.register_peer(loc("node-1"))
-    assert reg.get_peer_location(hash_bytes(b"node-1")) == "node-1"
-    assert reg.get_peer_location(hash_bytes(b"ghost")) is None
+    reg.register_peer(*loc("node-1"))
+    assert reg.all_peers.get(hash_bytes(b"node-1")) == "node-1"
+    assert reg.all_peers.get(hash_bytes(b"ghost")) is None
 
 
 def test_reregistration_updates_location():
     reg = LocationRegistry()
     editor = hash_bytes(b"node-1")
-    reg.register_peer(PeerLocation(editor, "addr-old"))
-    reg.register_peer(PeerLocation(editor, "addr-new"))
-    assert reg.get_peer_location(editor) == "addr-new"
+    reg.register_peer(editor, "addr-old")
+    reg.register_peer(editor, "addr-new")
+    assert reg.all_peers.get(editor) == "addr-new"
 
 
 def test_unbounded_registration():
     reg = LocationRegistry()
     for i in range(101):
-        reg.register_peer(loc(f"peer-{i}"))
+        reg.register_peer(*loc(f"peer-{i}"))
     assert len(reg.all_peers) == 101
 
 
 def test_mark_up_to_date_and_tip_eviction():
     reg = LocationRegistry()
-    reg.register_peer(loc("a"))
-    reg.register_peer(loc("b"))
+    reg.register_peer(*loc("a"))
+    reg.register_peer(*loc("b"))
     tip1, tip2 = hash_bytes(b"tip-1"), hash_bytes(b"tip-2")
     reg.mark_up_to_date(hash_bytes(b"a"), tip1)
-    assert [p.location for p in reg.up_to_date_peers()] == ["a"]
+    assert reg.up_to_date_peers() == ["a"]
     reg.mark_up_to_date(hash_bytes(b"b"), tip2)
-    assert [p.location for p in reg.up_to_date_peers()] == ["b"]
+    assert reg.up_to_date_peers() == ["b"]
     # marking the current tip again adds to its set instead of evicting it
     reg.mark_up_to_date(hash_bytes(b"a"), tip2)
-    assert [p.location for p in reg.up_to_date_peers()] == ["b", "a"]
+    assert reg.up_to_date_peers() == ["b", "a"]
 
 
 def test_mark_unregistered_peer_fails():
@@ -294,24 +296,24 @@ def test_mark_unregistered_peer_fails():
 def test_up_to_date_peer_index_zero_semantics():
     reg = LocationRegistry()
     for name in ("a", "b"):
-        reg.register_peer(loc(name))
+        reg.register_peer(*loc(name))
     tip = hash_bytes(b"tip")
     reg.mark_up_to_date(hash_bytes(b"a"), tip)
     reg.mark_up_to_date(hash_bytes(b"b"), tip)
-    assert reg.get_up_to_date_peer().location == "a"
+    assert reg.up_to_date_peers()[:1] == ["a"]
     # eviction by a new tip leaves only the fresh reporter
     reg.mark_up_to_date(hash_bytes(b"b"), hash_bytes(b"tip2"))
-    assert reg.get_up_to_date_peer().location == "b"
+    assert reg.up_to_date_peers()[:1] == ["b"]
 
 
 def test_empty_up_to_date_set():
     reg = LocationRegistry()
-    assert reg.get_up_to_date_peer() is None
+    assert reg.up_to_date_peers()[:1] == []
 
 
 def test_location_token_length_capped():
     with pytest.raises(ValueError):
-        PeerLocation(hash_bytes(b"x"), "y" * 33)
+        LocationRegistry().register_peer(hash_bytes(b"x"), "y" * 33)
 
 
 def test_sequence_monotonicity_property():
@@ -326,7 +328,7 @@ def test_sequence_monotonicity_property():
             coord += 1
     per_lineage = {}
     for e in reg.entries:
-        per_lineage.setdefault(e.lineage, []).append(e.tx.sequence_id)
+        per_lineage.setdefault(e.tx.doc_id, []).append(e.tx.sequence_id)
     for lineage, seqs in per_lineage.items():
         assert seqs == list(range(1, len(seqs) + 1))
         assert reg.latest(lineage)[0] == seqs[-1]

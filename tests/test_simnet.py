@@ -1,6 +1,7 @@
 """Simulator tests: determinism, delivery rules, mining fairness."""
 
 import ast
+import json
 import random
 import sys
 from pathlib import Path
@@ -415,6 +416,15 @@ def test_scenario_file_reads_as_the_built_scenario():
     assert r1.trace.digest() == r2.trace.digest()
 
 
+def test_a_64_character_topic_is_a_digest_only_when_it_is_hex():
+    digest = hash_bytes(b"some topic")
+    name = "z" * 64  # 64 characters, but not hex: a topic name
+    read = scenario_from_json(
+        json.dumps({"seed": 1, "peers": [{"name": "p0", "topics": [digest.hex(), name, "news"]}]})
+    )
+    assert read.peers[0].topics == {digest, topic_hash(name), topic_hash("news")}
+
+
 def test_deterministic_bytes_properties():
     a = deterministic_bytes("tag", 100)
     assert deterministic_bytes("tag", 100) == a
@@ -582,7 +592,9 @@ def profiled_calls(run) -> tuple[int, object]:
 # ``latest`` (2 more), 45.6 once a trace line is appended without a Python
 # frame (2 lines per insert), 43.6 once a peer forgets an applied mutation
 # instead of tracking its state, 42.6 once a script entry runs from the
-# simulator's cursor instead of being pushed onto its heap and popped off it.
+# simulator's cursor instead of being pushed onto its heap and popped off it
+# (42.633), 42.623 once a chain event's ``tip_changed`` is a field, not a
+# property (one call fewer per block).
 # The count depends on the code alone, not on the machine; Python 3.12's
 # inlined comprehensions can only lower it.
 CALLS_PER_INSERT = 43
@@ -650,7 +662,9 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # flat decoders, the direct latency draw and frame-free trace appends; 35.75
 # once fetch states change without a tracking call; 34.51 once a fetch's
 # source order is one list built without a generator; 34.45 once script
-# entries no longer pass through the heap.
+# entries no longer pass through the heap; 33.91 once ``tip_changed`` is a
+# field, a fetch reads its editor's location from the directory's dict, and
+# a block is encoded without the ``serialize_block`` forwarder.
 CALLS_PER_DELIVERY = 35
 
 

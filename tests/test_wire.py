@@ -5,7 +5,7 @@ import pytest
 from conftest import EDITOR_A, TOPIC_T, make_add, make_edit
 from ethercouch.codec import lp, u64
 from ethercouch.crypto import MerkleProof, chunk_payload, hash_bytes, merkle_prove
-from ethercouch.ledger import ChainState, lineage_of, serialize_block
+from ethercouch.ledger import ChainState, lineage_of
 from ethercouch.wire import (
     BlockAnnounce,
     BlockRequest,
@@ -110,7 +110,7 @@ def response_bytes(lineage=LINEAGE, seq=SEQ, first_proof=None) -> bytes:
 
 
 def block_with_parent(width: int) -> bytes:
-    buf = serialize_block(mined_block())
+    buf = mined_block().preimage()
     return lp(bytes(width)) + buf[4 + 32 :]
 
 
