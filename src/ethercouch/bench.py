@@ -25,36 +25,16 @@ import gc
 import statistics
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from .crypto import ZERO_DIGEST, digest_hex, hash_bytes, payload_root
 from .docstore import Document, Revision, StoreState
 from .ledger import ChainState, serialize_tx
 from .peer import Mode, PeerConfig, topic_hash
-from .simnet import Scenario, ScriptAction, Simulation
+from .simnet import Scenario, ScriptAction, Simulation, deterministic_bytes
 
 TICKET_TOPIC = "maintenance-tickets"
 MODES = ("ethercouch", "chainonly", "plain")
-
-
-@dataclass
-class BenchSpec:
-    mode: str  # one of MODES
-    counts: list[int]
-    doc_size: int = 4096
-    repetitions: int = 5
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {', '.join(MODES)}")
-        if not self.counts:
-            raise ValueError("counts must be non-empty")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("counts must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.doc_size < 1:
-            raise ValueError("doc_size must be positive")
 
 
 @dataclass
@@ -75,8 +55,6 @@ class BenchResult:
 def make_ticket(seed: int, index: int, size: int) -> bytes:
     """One synthetic maintenance ticket: a small structured header padded
     with seeded pseudo-random bytes to the requested size."""
-    from .simnet import deterministic_bytes
-
     header = f"ticket-{index:08d}|seed={seed}|".encode()
     if len(header) >= size:
         return header[:size]
@@ -87,14 +65,13 @@ def _tickets(seed: int, size: int, count: int) -> dict[int, bytes]:
     return {i: make_ticket(seed, i, size) for i in range(count)}
 
 
-def _bench_scenario(spec: BenchSpec, count: int) -> Scenario:
-    script = [
-        ScriptAction(0, "publish", "node0", {"doc": f"ticket-{i}", "topic": TICKET_TOPIC, "size": spec.doc_size})
-        for i in range(count)
-    ]
+def _bench_scenario(mode: str, seed: int, count: int) -> Scenario:
+    """One node publishing ``count`` tickets at tick 0; the payloads come
+    from the simulation's ``payload_overrides``."""
+    script = [ScriptAction(0, "publish", "node0", {"doc": f"ticket-{i}", "topic": TICKET_TOPIC}) for i in range(count)]
     return Scenario(
-        seed=spec.seed,
-        peers=[PeerConfig(name="node0", mode=Mode(spec.mode))],
+        seed=seed,
+        peers=[PeerConfig(name="node0", mode=Mode(mode))],
         mining_power={"node0": 1.0},
         script=script,
         latency=(1, 1),
@@ -139,7 +116,7 @@ def _timed(run):
             gc.enable()
 
 
-def run_once(spec: BenchSpec, payloads: dict[int, bytes]) -> tuple[float, int, int, int]:
+def run_once(mode: str, seed: int, payloads: dict[int, bytes]) -> tuple[float, int, int, int]:
     """One timed pipeline run over the tickets ``payloads`` (index ->
     bytes): (wall seconds, ticks, chain bytes, store bytes).
 
@@ -148,16 +125,16 @@ def run_once(spec: BenchSpec, payloads: dict[int, bytes]) -> tuple[float, int, i
     outside it, and a garbage collection runs first so earlier cells cannot
     pause this one.
     """
-    if spec.mode == "plain":
+    if mode == "plain":
         wall, store = _timed(lambda: plain_store(payloads))
         return wall, 0, 0, store.payload_bytes()
-    sim = Simulation(_bench_scenario(spec, len(payloads)))
+    sim = Simulation(_bench_scenario(mode, seed, len(payloads)))
     sim.payload_overrides = payloads
-    wall, result = _timed(sim.run)
-    node = result.peer("node0")
+    wall, _ = _timed(sim.run)
+    node = sim.peer("node0")
     if node.chain.mempool or node.pending or node.deferred:
-        raise RuntimeError(f"benchmark cell did not quiesce: {spec.mode} count={len(payloads)}")
-    return wall, result.clock, chain_tx_bytes(node.chain), node.store.payload_bytes()
+        raise RuntimeError(f"benchmark cell did not quiesce: {mode} count={len(payloads)}")
+    return wall, sim.clock, chain_tx_bytes(node.chain), node.store.payload_bytes()
 
 
 def run_matrix(
@@ -166,7 +143,6 @@ def run_matrix(
     doc_size: int = 4096,
     repetitions: int = 5,
     seed: int = 0,
-    warmup: bool = True,
 ) -> list[BenchResult]:
     """Run one or more modes over the same counts with repetitions
     interleaved round-robin across the modes.
@@ -176,18 +152,23 @@ def run_matrix(
     one contiguous block lets a slow phase land entirely on one mode. With
     interleaving every repetition index samples all modes back to back.
     Each count's tickets are built once, outside the timed regions, for
-    every mode and repetition. ``warmup`` first runs each mode once,
-    untimed, on at most 10 tickets, so import and allocator effects do not
-    land on the first cell. Results come back in (mode, count) order, one
-    per cell.
+    every mode and repetition. Each mode first runs once, untimed, on at
+    most 10 tickets, so import and allocator effects do not land on the
+    first cell. Results come back in (mode, count) order, one per cell.
     """
-    specs = {m: BenchSpec(m, counts, doc_size, repetitions, seed) for m in modes}
-    for spec in specs.values():
-        spec.validate()
-    if warmup:
-        payloads = _tickets(seed, doc_size, min(min(counts), 10))
-        for spec in specs.values():
-            run_once(spec, payloads)
+    if any(m not in MODES for m in modes):
+        raise ValueError(f"mode must be one of {', '.join(MODES)}")
+    if not counts:
+        raise ValueError("counts must be non-empty")
+    if any(c < 1 for c in counts):
+        raise ValueError("counts must be positive")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if doc_size < 1:
+        raise ValueError("doc_size must be positive")
+    payloads = _tickets(seed, doc_size, min(min(counts), 10))
+    for mode in modes:
+        run_once(mode, seed, payloads)
     cells: dict[tuple[str, int], BenchResult] = {
         (m, c): BenchResult(m, c, doc_size, [], [], 0, 0) for m in modes for c in counts
     }
@@ -195,7 +176,7 @@ def run_matrix(
         payloads = _tickets(seed, doc_size, count)
         for _rep in range(repetitions):
             for mode in modes:
-                wall, tick, chain_b, store_b = run_once(specs[mode], payloads)
+                wall, tick, chain_b, store_b = run_once(mode, seed, payloads)
                 cell = cells[(mode, count)]
                 cell.wall_seconds.append(wall)
                 cell.ticks.append(tick)
@@ -219,11 +200,6 @@ def results_to_csv(results: list[BenchResult]) -> str:
             f"{r.mode},{r.count},{r.doc_size},mean,{r.mean_wall * 1000:.3f},{r.ticks[0]},{r.chain_bytes},{r.store_bytes}"
         )
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(results: list[BenchResult], path) -> None:
-    with open(path, "w") as f:
-        f.write(results_to_csv(results))
 
 
 # -- verification -----------------------------------------------------------
@@ -261,19 +237,19 @@ def verify_pair(chain: ChainState, store: StoreState) -> list[str]:
 def verify_dir(path) -> tuple[list[str], int]:
     """Verify every <name>.chain / <name>.store pair under a directory.
     Returns (violations, number of chains checked). A chain with no store
-    is checked by loading it; a chain that fails to load raises
-    ``ValueError``."""
-    from pathlib import Path
-
+    is checked by loading it. A chain that fails to load, a directory with
+    no chain, or a store with no chain beside it raises ``ValueError``."""
     root = Path(path)
+    chains = sorted(root.glob("*.chain"))
+    if not chains:
+        raise ValueError(f"no .chain file in {root}")
+    for store_file in sorted(root.glob("*.store")):
+        if not store_file.with_suffix(".chain").exists():
+            raise ValueError(f"{store_file.name} has no .chain file beside it")
     violations: list[str] = []
-    checked = 0
-    for chain_file in sorted(root.glob("*.chain")):
-        name = chain_file.stem
+    for chain_file in chains:
         chain = ChainState.load(chain_file)
-        store_file = root / f"{name}.store"
-        checked += 1
+        store_file = chain_file.with_suffix(".store")
         if store_file.exists():
-            found = verify_pair(chain, StoreState.load(store_file))
-            violations.extend(f"{name}: {v}" for v in found)
-    return violations, checked
+            violations.extend(f"{chain_file.stem}: {v}" for v in verify_pair(chain, StoreState.load(store_file)))
+    return violations, len(chains)

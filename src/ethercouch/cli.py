@@ -18,10 +18,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import MODES, emit_csv, run_matrix, verify_dir
+from .bench import MODES, results_to_csv, run_matrix, verify_dir
 from .docstore import StoreState
 from .ledger import ChainState
-from .simnet import Simulation, scenario_from_json
+from .simnet import run_scenario, scenario_from_json
 
 
 def _cmd_bench(args) -> int:
@@ -35,15 +35,13 @@ def _cmd_bench(args) -> int:
             f"ticks={r.ticks[0]} chain_bytes={r.chain_bytes} store_bytes={r.store_bytes}"
         )
     if args.out:
-        emit_csv(all_results, args.out)
+        Path(args.out).write_text(results_to_csv(all_results))
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    scenario = scenario_from_json(Path(args.scenario).read_text())
-    sim = Simulation(scenario)
-    result = sim.run(until=args.until)
+    result = run_scenario(scenario_from_json(Path(args.scenario).read_text()), args.until)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trace.log").write_text(result.trace.text())

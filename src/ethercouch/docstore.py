@@ -105,8 +105,9 @@ class StoreState:
 
     ``topics`` is the peer's interest filter (empty set means everything);
     it is carried here so serialized stores are self-describing for
-    verification. ``applied_upto`` is the chain coordinate below which this
-    store is complete; the owner advances it as mutations land in order.
+    verification. ``applied_upto`` is the highest chain coordinate of any
+    revision that has landed, in whatever order they landed; a rollback
+    lowers it to its mark. A revision below it may still be in flight.
 
     Payloads the peer publishes are staged here by their merkle root, so
     they can be served before they apply and applied without a second
@@ -480,18 +481,24 @@ class StoreState:
         r = Reader(buf[8:])
         chunk_size = r.u64_field()
         topics_blob = r.field()
-        if len(topics_blob) % 32:
-            raise ValueError("bad topic filter block")
-        topics = frozenset(topics_blob[i : i + 32] for i in range(0, len(topics_blob), 32))
+        topics = [topics_blob[i : i + 32] for i in range(0, len(topics_blob), 32)]
+        if len(topics_blob) % 32 or topics != sorted(set(topics)):
+            raise ValueError("topic filter is not strictly increasing 32-byte entries")
         markf = r.field()
         if markf != b"\x00" and (len(markf) != 17 or markf[0] != 1):
             raise ValueError("bad applied-upto mark")
         mark = struct.unpack(">QQ", markf[1:]) if len(markf) == 17 else None
         store = cls(chunk_size=chunk_size, topics=topics)
         ndocs = r.u64_field()
+        last = b""
         for _ in range(ndocs):
             lineage = r.field()
             topic = r.field()
+            if len(lineage) != 32 or len(topic) != 32:
+                raise ValueError("document lineage or topic is not 32 bytes")
+            if lineage <= last:
+                raise ValueError("documents not in strictly increasing lineage order")
+            last = lineage
             deleted = r.field()
             if deleted not in (b"\x00", b"\x01"):
                 raise ValueError("bad deleted flag")
@@ -501,6 +508,8 @@ class StoreState:
             for _ in range(nrevs):
                 seq = r.u64_field()
                 data_hash = r.field()
+                if len(data_hash) != 32:
+                    raise ValueError("revision data hash is not 32 bytes")
                 h = r.u64_field()
                 i = r.u64_field()
                 body = r.field()

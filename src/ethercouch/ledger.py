@@ -613,7 +613,10 @@ class ChainState:
             raise ValueError("genesis mismatch")
         while not r.done():
             blk = parse_block(r.field())
+            tip = state.tip
             state.adopt_block(blk)
             if blk.block_hash not in state.blocks:
                 raise ValueError(f"rejected block at height {blk.height}: {state.validate_block(blk)[1]}")
+            if blk.parent != tip:
+                raise ValueError(f"block at height {blk.height} does not extend the block before it")
         return state

@@ -136,12 +136,11 @@ ROLLBACK_ALL_OF_HEIGHT = 1 << 62  # tx index bound: keep everything in a block
 class Peer:
     """One network participant. Single-threaded; driven by its environment.
 
-    The environment must provide: ``now()``, ``send(src, dst_name, msg,
-    raw=None)``, ``send_batch(src, dst_name, msgs)``, ``broadcast(src,
-    msg)``, ``note(src, text)``, ``arm_mining(peer)``, ``request_poll(peer)``
-    and the ints ``poll_interval`` and ``fetch_timeout``. ``send`` returns a
-    handle on the queued copy (or None) that a further ``send`` of the same
-    message may pass back as ``raw``, so all copies share one encoding.
+    The environment must provide: ``now()``, ``send(src, dst_name, msg)``,
+    ``send_batch(src, dst_name, msgs)``, ``broadcast(src, msg, names=None)``
+    (to the peers named, or to every peer), ``note(src, text)``,
+    ``arm_mining(peer)``, ``request_poll(peer)`` and the ints
+    ``poll_interval`` and ``fetch_timeout``.
 
     ``pending`` holds open work only, keyed by (lineage, seq) in the order
     it opened: one entry per in-filter canonical mutation whose revision
@@ -618,10 +617,7 @@ class Peer:
         if payload is None:
             return
         chunks, proofs = self._proved_chunks(tx.data_hash, payload)
-        resp = Response(tx.doc_id, tx.sequence_id, tuple(chunks), proofs)
-        raw = None
-        for name in recipients:
-            raw = self.env.send(self, name, resp, raw)
+        self.env.broadcast(self, Response(tx.doc_id, tx.sequence_id, tuple(chunks), proofs), recipients)
 
     def _process_confirmations(self) -> None:
         tip_height = self.chain.height

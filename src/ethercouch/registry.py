@@ -34,11 +34,34 @@ ALREADY_DELETED = "already-deleted"
 MALFORMED_ADD = "malformed-add"
 
 
-class _LineageRules:
-    """Sequence validity against the lineage state that ``latest`` reads:
-    (latest accepted sequence, deleted flag) per lineage."""
+def _undo(entry: RegistryEntry) -> tuple[int, bool] | None:
+    """The lineage state an accepted entry replaced, when undone from the
+    end of the chain: none for an add (the lineage is forgotten), the
+    previous revision for an edit or delete. The exact inverse of apply."""
+    if entry.tx.task is _ADD:
+        return None
+    return (entry.tx.sequence_id - 1, False)
+
+
+class MempoolView:
+    """Scratch lineage state for validating queued or candidate transactions
+    on top of a registry, which it reads and never writes.
+
+    It holds only what differs from the registry's lineage map: the undo of
+    each entry above its height (None for an undone add, which reads as
+    absent), then whatever is applied to the view. So it copies nothing, and
+    it stays right only while the registry changes no lineage it does not
+    override. ``ChainState._spec`` keeps that invariant: a tip extension by
+    queued transactions touches only lineages the view has applied, and
+    every other canonical switch builds a new view.
+    """
+
+    def __init__(self, base: dict[Digest, tuple[int, bool]], diff: dict[Digest, tuple[int, bool] | None]):
+        self._base = base
+        self._diff = diff
 
     def validate(self, tx: DbFunction) -> str:
+        """``OK``, or the sequence rule ``tx`` breaks on top of this view."""
         if tx.task is _ADD:
             if tx.lineage != ZERO_DIGEST:
                 return MALFORMED_ADD
@@ -59,36 +82,6 @@ class _LineageRules:
 
     def latest(self, lineage: Digest) -> tuple[int, bool] | None:
         """(latest sequence, deleted flag) or None for unknown documents."""
-        raise NotImplementedError
-
-
-def _undo(entry: RegistryEntry) -> tuple[int, bool] | None:
-    """The lineage state an accepted entry replaced, when undone from the
-    end of the chain: none for an add (the lineage is forgotten), the
-    previous revision for an edit or delete. The exact inverse of apply."""
-    if entry.tx.task is _ADD:
-        return None
-    return (entry.tx.sequence_id - 1, False)
-
-
-class MempoolView(_LineageRules):
-    """Scratch lineage state for validating queued or candidate transactions
-    on top of a registry, which it reads and never writes.
-
-    It holds only what differs from the registry's lineage map: the undo of
-    each entry above its height (None for an undone add, which reads as
-    absent), then whatever is applied to the view. So it copies nothing, and
-    it stays right only while the registry changes no lineage it does not
-    override. ``ChainState._spec`` keeps that invariant: a tip extension by
-    queued transactions touches only lineages the view has applied, and
-    every other canonical switch builds a new view.
-    """
-
-    def __init__(self, base: dict[Digest, tuple[int, bool]], diff: dict[Digest, tuple[int, bool] | None]):
-        self._base = base
-        self._diff = diff
-
-    def latest(self, lineage: Digest) -> tuple[int, bool] | None:
         diff = self._diff
         if lineage in diff:
             return diff[lineage]
@@ -107,7 +100,7 @@ class RegistryEntry(NamedTuple):
     index: int
 
 
-class DataRegistry(_LineageRules):
+class DataRegistry:
     """All accepted mutation records in canonical-chain order.
 
     The sequence rules number a document's entries 1..n in chain order, so

@@ -33,30 +33,14 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .ledger import Block, Task, TxRejected
 from .peer import Mode, Peer, PeerConfig, topic_hash
 from .registry import LocationRegistry
 from .wire import decode_message, describe, encode_message
 
-
-class EventKind(Enum):
-    """What a heap event does: deliver a message, complete a mining
-    interval, or poll a peer."""
-
-    DELIVER = "deliver"  # payload: the delivery record
-    MINE_COMPLETE = "mine"
-    POLL_TICK = "poll"
-
-
-# EventKind's metaclass defines __getattr__, which sends every read of a
-# member through the class (EventKind.DELIVER) down a slower lookup; the
-# function bodies of this module read these names instead
-_DELIVER = EventKind.DELIVER
-_MINE_COMPLETE = EventKind.MINE_COMPLETE
-_POLL_TICK = EventKind.POLL_TICK
+# function bodies read these names, not Task's members: an enum member read is slow
 _ADD, _EDIT, _DELETE = Task.ADD, Task.EDIT, Task.DELETE
 
 
@@ -65,9 +49,9 @@ class SimEvent(NamedTuple):
     # the fields after it are never compared
     at: int
     seq: int
-    kind: EventKind
+    handle: Callable  # Simulation._deliver, _mine or _poll
     target: str
-    payload: object
+    payload: object  # a delivery's record; None for the others
 
 
 @dataclass
@@ -166,21 +150,6 @@ class Trace:
         return "\n".join(self.lines + [f"digest {self.digest()}"]) + "\n"
 
 
-@dataclass
-class SimResult:
-    scenario: Scenario
-    trace: Trace
-    peers: dict[str, Peer]
-    location: LocationRegistry
-    clock: int
-
-    def peer(self, name: str) -> Peer:
-        return self.peers[name]
-
-    def unfiltered_peers(self) -> list[Peer]:
-        return [p for p in self.peers.values() if not p.config.topics]
-
-
 class Simulation:
     """Owns the clock, the event heap, the peers and the shared directory."""
 
@@ -229,16 +198,21 @@ class Simulation:
 
     # -- event plumbing ---------------------------------------------------
 
-    def _push(self, at: int, kind: EventKind, target: str, payload: object) -> None:
-        heapq.heappush(self._heap, SimEvent(at, self._seq, kind, target, payload))
+    def _push(self, at: int, handle: Callable, target: str, payload: object) -> None:
+        heapq.heappush(self._heap, SimEvent(at, self._seq, handle, target, payload))
         self._seq += 1
 
     def now(self) -> int:
         return self.clock
 
-    def note(self, src, text: str) -> None:
-        name = src.name if isinstance(src, Peer) else src
-        self.trace.add(f"{self.clock:>7} note  {name:<8} {text}")
+    def note(self, src: Peer, text: str) -> None:
+        self.trace.add(f"{self.clock:>7} note  {src.name:<8} {text}")
+
+    def peer(self, name: str) -> Peer:
+        return self.peers[name]
+
+    def unfiltered_peers(self) -> list[Peer]:
+        return [p for p in self.peers.values() if not p.config.topics]
 
     # -- network ------------------------------------------------------------
 
@@ -250,10 +224,10 @@ class Simulation:
     def send(self, src: Peer, dst: str, msg, raw: dict | None = None) -> dict | None:
         """Queue ``msg`` for ``dst`` unless the network drops it.
 
-        ``raw`` is the delivery record of an earlier copy of the same
-        message, if the caller has one: the sender's name and the encoded
-        bytes, plus the parsed message once a copy has arrived. Returns
-        ``raw``, or the record made here if a copy was queued without one."""
+        ``raw`` is ``broadcast``'s delivery record of an earlier copy of the
+        same message: the sender's name and the encoded bytes, plus the
+        parsed message once a copy has arrived. Returns ``raw``, or the
+        record made here if a copy was queued without one."""
         if dst not in self.peers:
             self.note(src, f"send to unknown peer {dst}")
             return raw
@@ -269,7 +243,7 @@ class Simulation:
         # messages cross the simulated wire in canonical serialized form
         if raw is None:
             raw = {"from": src.name, "raw": encode_message(msg)}
-        self._push(at, _DELIVER, dst, raw)
+        self._push(at, Simulation._deliver, dst, raw)
         return raw
 
     def send_batch(self, src: Peer, dst: str, msgs) -> None:
@@ -281,7 +255,7 @@ class Simulation:
             return
         at = self.clock + self._latency()
         for msg in msgs:
-            self._push(at, _DELIVER, dst, {"from": src.name, "raw": encode_message(msg)})
+            self._push(at, Simulation._deliver, dst, {"from": src.name, "raw": encode_message(msg)})
 
     def _latency(self) -> int:
         """One delivery delay in ticks: ``rng.randint(lo, hi)``, drawn by the
@@ -296,11 +270,12 @@ class Simulation:
             r = self.rng.getrandbits(k)
         return lo + r
 
-    def broadcast(self, src: Peer, msg) -> None:
-        # encoded once, at the first copy the network does not drop; every
-        # recipient's delivery shares that one record
+    def broadcast(self, src: Peer, msg, names=None) -> None:
+        """Send ``msg`` to each peer in ``names`` (default: every peer) but
+        ``src``. It is encoded once, at the first copy the network does not
+        drop; every recipient's delivery shares that one record."""
         raw = None
-        for name in self.peers:
+        for name in self.peers if names is None else names:
             if name != src.name:
                 raw = self.send(src, name, msg, raw)
 
@@ -315,21 +290,21 @@ class Simulation:
         rate = (w / self._total_weight) / self.scenario.mean_block_interval
         interval = max(1, round(self.rng.expovariate(rate)))
         self._mine_armed[peer.name] = True
-        self._push(self.clock + interval, _MINE_COMPLETE, peer.name, {})
+        self._push(self.clock + interval, Simulation._mine, peer.name, None)
 
     def request_poll(self, peer: Peer) -> None:
         if self._poll_armed[peer.name] or not peer.online or not peer.wants_poll():
             return
         self._poll_armed[peer.name] = True
-        self._push(self.clock + self.poll_interval, _POLL_TICK, peer.name, {})
+        self._push(self.clock + self.poll_interval, Simulation._poll, peer.name, None)
 
     # -- run loop ----------------------------------------------------------------
 
-    def run(self, until: int | None = None) -> SimResult:
+    def run(self, until: int | None = None) -> Simulation:
         """Process events up to tick ``until`` (every event, if None): heap
         events in (tick, seq) order, merged with the script from its cursor.
         A script entry runs first at a tie, since it was due before anything
-        it or the heap could schedule at its tick."""
+        it or the heap could schedule at its tick. Returns this simulation."""
         heap = self._heap
         script = self.scenario.script
         end = len(script)
@@ -343,7 +318,7 @@ class Simulation:
                 ev = heapq.heappop(heap)
                 if ev.at > self.clock:
                     self.clock = ev.at
-                self._process(ev)
+                ev.handle(self, ev)
             else:
                 # the heap is empty or starts at or after the next entry
                 if i == end or nxt > stop:
@@ -354,34 +329,37 @@ class Simulation:
                 self._script(i, self.peers.get(script[i].peer))
                 i += 1
                 nxt = script[i].at if i < end else math.inf
-        return SimResult(self.scenario, self.trace, self.peers, self.location, self.clock)
+        return self
 
-    def _process(self, ev: SimEvent) -> None:
-        peer = self.peers.get(ev.target)
-        if ev.kind is _DELIVER:
-            # the first copy to arrive parses the bytes; later copies of the
-            # same record share the frozen message and its trace text
-            rec = ev.payload
-            msg = rec.get("msg")
-            if msg is None:
-                msg = rec["msg"] = decode_message(rec["raw"], self._blocks)
-                rec["text"] = describe(msg)
-            if not peer.online:
-                self.trace.add(f"{ev.at:>7} drop  ->{ev.target} offline-at-arrival {rec['text']}")
-                return
-            self.trace.add(f"{ev.at:>7} recv  {ev.target:<8} from {rec['from']}: {rec['text']}")
-            peer.handle_message(msg, rec["from"])
-        elif ev.kind is _MINE_COMPLETE:
-            self._mine_armed[ev.target] = False
-            if not peer.online:
-                self.trace.add(f"{ev.at:>7} skip  {ev.target:<8} mine while offline")
-                return
-            peer.on_mine_complete()
-            self.arm_mining(peer)
-        else:  # _POLL_TICK
-            self._poll_armed[ev.target] = False
-            if peer.online:
-                peer.on_poll()
+    def _deliver(self, ev: SimEvent) -> None:
+        # the first copy to arrive parses the bytes; later copies of the
+        # same record share the frozen message and its trace text
+        peer = self.peers[ev.target]
+        rec = ev.payload
+        msg = rec.get("msg")
+        if msg is None:
+            msg = rec["msg"] = decode_message(rec["raw"], self._blocks)
+            rec["text"] = describe(msg)
+        if not peer.online:
+            self.trace.add(f"{ev.at:>7} drop  ->{ev.target} offline-at-arrival {rec['text']}")
+            return
+        self.trace.add(f"{ev.at:>7} recv  {ev.target:<8} from {rec['from']}: {rec['text']}")
+        peer.handle_message(msg, rec["from"])
+
+    def _mine(self, ev: SimEvent) -> None:
+        peer = self.peers[ev.target]
+        self._mine_armed[ev.target] = False
+        if not peer.online:
+            self.trace.add(f"{ev.at:>7} skip  {ev.target:<8} mine while offline")
+            return
+        peer.on_mine_complete()
+        self.arm_mining(peer)
+
+    def _poll(self, ev: SimEvent) -> None:
+        self._poll_armed[ev.target] = False
+        peer = self.peers[ev.target]
+        if peer.online:
+            peer.on_poll()
 
     # -- script actions --------------------------------------------------------
 
@@ -537,5 +515,5 @@ def _is_hex(s: str) -> bool:
         return False
 
 
-def run_scenario(scenario: Scenario, until: int | None = None) -> SimResult:
+def run_scenario(scenario: Scenario, until: int | None = None) -> Simulation:
     return Simulation(scenario).run(until)

@@ -80,7 +80,7 @@ def rebuild_registry(chain) -> DataRegistry:
     """
     reg = DataRegistry()
     for tx, height, index in chain.canonical_txs():
-        assert reg.validate(tx) == OK, (height, index, reg.validate(tx))
+        assert reg.fork_view().validate(tx) == OK, (height, index, reg.fork_view().validate(tx))
         reg.apply(tx, height, index)
     return reg
 

@@ -17,7 +17,8 @@ The cases are:
   including trees with odd levels;
 - ``large:<n>``: four peers trading 20-70 KiB documents in 4 KiB chunks,
   with an offline peer that catches up by pulling;
-- ``bench:<mode>``: one single-node insert cell of ``ethercouch bench``.
+- ``bench:<mode>``: one single-node insert cell of ``ethercouch bench``
+  (seed 7, 60 tickets of 4,096 bytes).
   The plain cell runs no simulation and keeps no chain: its entry is the
   SHA-256 of the store that the bench's direct writes build.
 """
@@ -32,7 +33,7 @@ from functools import partial
 from pathlib import Path
 
 from conftest import build_convergence_scenario
-from ethercouch.bench import BenchSpec, _bench_scenario, _tickets, plain_store
+from ethercouch.bench import _bench_scenario, _tickets, plain_store
 from ethercouch.peer import PeerConfig
 from ethercouch.simnet import Scenario, ScriptAction, Simulation
 
@@ -68,15 +69,13 @@ def cases():
     for n in range(2):
         yield f"large:{n}", partial(fingerprint, _large_scenario(n), {})
     for mode in ("ethercouch", "chainonly"):
-        spec = BenchSpec(mode=mode, counts=[60], seed=7)
-        yield f"bench:{mode}", partial(fingerprint, _bench_scenario(spec, 60), _tickets(spec.seed, spec.doc_size, 60))
+        yield f"bench:{mode}", partial(fingerprint, _bench_scenario(mode, 7, 60), _tickets(7, 4096, 60))
     yield "bench:plain", plain_fingerprint
 
 
 def plain_fingerprint() -> dict:
     """SHA-256 of the store the bench's plain cell writes (no chain, no trace)."""
-    spec = BenchSpec(mode="plain", counts=[60], seed=7)
-    store = plain_store(_tickets(spec.seed, spec.doc_size, 60))
+    store = plain_store(_tickets(7, 4096, 60))
     return {"peers": {"node0": {"store": hashlib.sha256(store.snapshot_bytes()).hexdigest()}}}
 
 

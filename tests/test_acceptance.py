@@ -76,10 +76,10 @@ def test_criterion_1_scaling_ordering():
 
 def test_criterion_2_chain_byte_independence():
     n = 100
-    (ec_small,) = run_matrix(["ethercouch"], [n], doc_size=1024, repetitions=1, warmup=False)
-    (ec_large,) = run_matrix(["ethercouch"], [n], doc_size=65536, repetitions=1, warmup=False)
-    (co_small,) = run_matrix(["chainonly"], [n], doc_size=1024, repetitions=1, warmup=False)
-    (co_large,) = run_matrix(["chainonly"], [n], doc_size=65536, repetitions=1, warmup=False)
+    (ec_small,) = run_matrix(["ethercouch"], [n], doc_size=1024, repetitions=1)
+    (ec_large,) = run_matrix(["ethercouch"], [n], doc_size=65536, repetitions=1)
+    (co_small,) = run_matrix(["chainonly"], [n], doc_size=1024, repetitions=1)
+    (co_large,) = run_matrix(["chainonly"], [n], doc_size=65536, repetitions=1)
     ec_equal = ec_small.chain_bytes == ec_large.chain_bytes == n * RECORD_SIZE
     co_delta = co_large.chain_bytes - co_small.chain_bytes == n * (65536 - 1024)
     co_exact = co_small.chain_bytes == n * (RECORD_SIZE + 1024)
@@ -150,11 +150,11 @@ def test_criterion_5_revision_semantics():
                 tx = make_edit(lineage, seq, rng.randbytes(12))
             else:
                 tx = make_delete(lineage, seq)
-            if dead and reg.validate(tx) != ALREADY_DELETED:
+            if dead and reg.fork_view().validate(tx) != ALREADY_DELETED:
                 violations += 1
-            if dead and reg.validate(tx) == OK:
+            if dead and reg.fork_view().validate(tx) == OK:
                 deleted_accepts += 1
-        if reg.validate(tx) == OK:
+        if reg.fork_view().validate(tx) == OK:
             reg.apply(tx, coord, 0)
             coord += 1
     per_lineage: dict = {}

@@ -9,7 +9,6 @@ import pytest
 from conftest import CHUNK, EDITOR_A, make_add, make_edit, raw_block
 from ethercouch.bench import (
     CSV_HEADER,
-    BenchSpec,
     make_ticket,
     plain_store,
     results_to_csv,
@@ -44,15 +43,14 @@ def test_record_size_constant_matches_serializer():
 
 
 def test_plain_mode_stores_nothing_on_chain():
-    (result,) = run_matrix(["plain"], [10], doc_size=512, repetitions=1, warmup=False)
+    (result,) = run_matrix(["plain"], [10], doc_size=512, repetitions=1)
     assert result.chain_bytes == 0
     assert result.store_bytes == 10 * 512
 
 
 def test_plain_mode_writes_directly():
-    spec = BenchSpec(mode="plain", counts=[3], doc_size=100)
-    payloads = {i: make_ticket(spec.seed, i, spec.doc_size) for i in range(3)}
-    _wall, ticks, chain_bytes, store_bytes = run_once(spec, payloads)
+    payloads = {i: make_ticket(0, i, 100) for i in range(3)}
+    _wall, ticks, chain_bytes, store_bytes = run_once("plain", 0, payloads)
     assert (ticks, chain_bytes, store_bytes) == (0, 0, 300)
     store = plain_store(payloads)
     lineage = hash_bytes(b"plain-doc:ticket-1")
@@ -62,30 +60,30 @@ def test_plain_mode_writes_directly():
 
 
 def test_ethercouch_chain_bytes_are_count_times_record_size():
-    results = run_matrix(["ethercouch"], [10, 50], doc_size=1024, repetitions=1, warmup=False)
+    results = run_matrix(["ethercouch"], [10, 50], doc_size=1024, repetitions=1)
     assert results[0].chain_bytes == 10 * RECORD_SIZE
     assert results[1].chain_bytes == 50 * RECORD_SIZE
 
 
 def test_ethercouch_chain_bytes_independent_of_doc_size():
-    (small,) = run_matrix(["ethercouch"], [25], doc_size=1024, repetitions=1, warmup=False)
-    (large,) = run_matrix(["ethercouch"], [25], doc_size=65536, repetitions=1, warmup=False)
+    (small,) = run_matrix(["ethercouch"], [25], doc_size=1024, repetitions=1)
+    (large,) = run_matrix(["ethercouch"], [25], doc_size=65536, repetitions=1)
     assert small.chain_bytes == large.chain_bytes == 25 * RECORD_SIZE
 
 
 def test_chainonly_chain_bytes_grow_by_exact_payload_delta():
     n = 25
-    (small,) = run_matrix(["chainonly"], [n], doc_size=1024, repetitions=1, warmup=False)
-    (large,) = run_matrix(["chainonly"], [n], doc_size=4096, repetitions=1, warmup=False)
+    (small,) = run_matrix(["chainonly"], [n], doc_size=1024, repetitions=1)
+    (large,) = run_matrix(["chainonly"], [n], doc_size=4096, repetitions=1)
     assert small.chain_bytes == n * (RECORD_SIZE + 1024)
     assert large.chain_bytes == n * (RECORD_SIZE + 4096)
     assert large.chain_bytes - small.chain_bytes == n * (4096 - 1024)
 
 
 def test_ticks_and_bytes_stable_across_repetitions():
-    (result,) = run_matrix(["ethercouch"], [30], doc_size=256, repetitions=3, seed=5, warmup=False)
+    (result,) = run_matrix(["ethercouch"], [30], doc_size=256, repetitions=3, seed=5)
     assert len(set(result.ticks)) == 1
-    again = run_matrix(["ethercouch"], [30], doc_size=256, repetitions=3, seed=5, warmup=False)
+    again = run_matrix(["ethercouch"], [30], doc_size=256, repetitions=3, seed=5)
     assert again[0].ticks == result.ticks
     assert again[0].chain_bytes == result.chain_bytes
     assert again[0].store_bytes == result.store_bytes
@@ -98,7 +96,7 @@ def test_tickets_are_distinct_and_sized():
 
 
 def test_csv_shape():
-    results = run_matrix(["ethercouch"], [10], doc_size=128, repetitions=5, warmup=False)
+    results = run_matrix(["ethercouch"], [10], doc_size=128, repetitions=5)
     text = results_to_csv(results)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -108,12 +106,17 @@ def test_csv_shape():
 
 
 def test_bench_spec_validation():
-    with pytest.raises(ValueError):
-        BenchSpec(mode="nonsense", counts=[10]).validate()
-    with pytest.raises(ValueError):
-        BenchSpec(mode="plain", counts=[]).validate()
-    with pytest.raises(ValueError):
-        BenchSpec(mode="plain", counts=[10], repetitions=0).validate()
+    # run_matrix refuses bad arguments before it runs anything
+    for modes, counts, kw, error in [
+        (["nonsense"], [10], {}, "mode must be one of"),
+        (["plain", "nonsense"], [10], {}, "mode must be one of"),
+        (["plain"], [], {}, "counts must be non-empty"),
+        (["plain"], [10, 0], {}, "counts must be positive"),
+        (["plain"], [10], {"repetitions": 0}, "repetitions must be >= 1"),
+        (["plain"], [10], {"doc_size": 0}, "doc_size must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            run_matrix(modes, counts, **kw)
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -270,6 +273,53 @@ def test_verify_refuses_a_chain_file_that_load_refuses(tmp_path, case, reason):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert reason in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["repeated-block", "repeated-genesis", "side-block-after-tip"])
+def test_load_refuses_a_chain_file_whose_block_does_not_extend_the_one_before(tmp_path, capsys, case):
+    # save writes the canonical chain, each block right after its parent; a
+    # block that passes validate_block but sits anywhere else is refused
+    state = ChainState(chunk_size=CHUNK)
+    for tag in (b"first", b"second"):
+        state.submit_tx(make_add(tag))
+        state.adopt_block(state.mine_block(EDITOR_A))
+    first = state.blocks[state.tip_block.parent]
+    extra = {
+        "repeated-block": state.tip_block,
+        "repeated-genesis": state.genesis,
+        "side-block-after-tip": raw_block(state, first.block_hash, 2, [make_add(b"side")]),
+    }[case]
+    assert state.validate_block(extra)[0]
+    state.save(tmp_path / "p0.chain")
+    with open(tmp_path / "p0.chain", "ab") as f:
+        f.write(lp(extra.preimage()))
+    with pytest.raises(ValueError, match="does not extend the block before it"):
+        ChainState.load(tmp_path / "p0.chain")
+    for argv in (["dump-chain", str(tmp_path / "p0.chain")], ["verify", str(tmp_path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["no-chain-file", "missing-directory", "store-without-chain"])
+def test_verify_refuses_a_directory_it_cannot_check(run_dir, capsys, case):
+    # a mistyped path or a store with nothing to check it against is an
+    # error, not "0 violations"
+    target = run_dir
+    if case == "no-chain-file":
+        for chain_file in run_dir.glob("*.chain"):
+            chain_file.unlink()
+    elif case == "missing-directory":
+        target = run_dir / "no-such-dir"
+    else:
+        (run_dir / "p1.chain").unlink()
+    assert main(["verify", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
+    with pytest.raises(ValueError):
+        verify_dir(target)
 
 
 def test_cli_unknown_flag_exits_2(capsys):

@@ -20,7 +20,7 @@ from ethercouch.docstore import (
     TombstoneError,
     UnknownLineage,
 )
-from ethercouch.ledger import DbFunction, Task, lineage_of
+from ethercouch.ledger import ChainState, DbFunction, Task, lineage_of
 
 
 def add_doc(store, payload, origin=(1, 0), **kw):
@@ -286,37 +286,67 @@ def test_snapshot_roundtrip():
     assert loaded.applied_upto == store.applied_upto
 
 
+def doc_fields(lineage: bytes, deleted: int = 0, delete_field: int = 0, seqs=(1,), topic=TOPIC_T, data_hash=ZERO_DIGEST) -> list[bytes]:
+    """One document of a store snapshot, written field by field."""
+    out = [lp(lineage), lp(topic), lp(bytes([deleted])), lp(u64(delete_field)), lp(u64(len(seqs)))]
+    for seq in seqs:
+        out += [lp(u64(seq)), lp(data_hash), lp(u64(seq)), lp(u64(0)), lp(b"\x00")]
+    return out
+
+
+def snapshot_of(docs: list[list[bytes]], topics: bytes = b"") -> bytes:
+    """A store snapshot of ``docs`` (``doc_fields`` each), in the order given."""
+    out = [StoreState.SNAPSHOT_MAGIC, lp(u64(CHUNK)), lp(topics), lp(b"\x00"), lp(u64(len(docs)))]
+    return b"".join(out + [field for doc in docs for field in doc])
+
+
 def one_doc_snapshot(deleted: int, delete_field: int, seqs: tuple[int, ...]) -> bytes:
     """A store snapshot holding one document, written field by field."""
-    out = [StoreState.SNAPSHOT_MAGIC, lp(u64(CHUNK)), lp(b""), lp(b"\x00"), lp(u64(1))]
-    out += [lp(hash_bytes(b"doc")), lp(TOPIC_T), lp(bytes([deleted])), lp(u64(delete_field)), lp(u64(len(seqs)))]
-    for seq in seqs:
-        out += [lp(u64(seq)), lp(ZERO_DIGEST), lp(u64(seq)), lp(u64(0)), lp(b"\x00")]
-    return b"".join(out)
+    return snapshot_of([doc_fields(hash_bytes(b"doc"), deleted, delete_field, seqs)])
+
+
+LOW, HIGH = sorted([hash_bytes(b"doc"), hash_bytes(b"doc2")])
+TOPICS_SORTED = b"".join(sorted([TOPIC_T, TOPIC_U]))
 
 
 @pytest.mark.parametrize(
-    "deleted, delete_field, seqs",
+    "bad",
     [
-        pytest.param(0, 0, (1, 3), id="revision-gap"),
-        pytest.param(0, 0, (1, 1), id="revision-repeat"),
-        pytest.param(1, 1, (1, 2), id="delete-field-not-last-revision"),
-        pytest.param(0, 2, (1, 2), id="live-with-delete-field"),
-        pytest.param(0, 0, (), id="no-revisions"),
+        pytest.param(one_doc_snapshot(0, 0, (1, 3)), id="revision-gap"),
+        pytest.param(one_doc_snapshot(0, 0, (1, 1)), id="revision-repeat"),
+        pytest.param(one_doc_snapshot(1, 1, (1, 2)), id="delete-field-not-last-revision"),
+        pytest.param(one_doc_snapshot(0, 2, (1, 2)), id="live-with-delete-field"),
+        pytest.param(one_doc_snapshot(0, 0, ()), id="no-revisions"),
+        pytest.param(snapshot_of([doc_fields(LOW), doc_fields(LOW, seqs=(1, 2))]), id="lineage-listed-twice"),
+        pytest.param(snapshot_of([doc_fields(HIGH), doc_fields(LOW)]), id="documents-unsorted"),
+        pytest.param(snapshot_of([doc_fields(LOW)], TOPIC_T + TOPIC_T), id="topic-repeated"),
+        pytest.param(snapshot_of([doc_fields(LOW)], TOPICS_SORTED[32:] + TOPICS_SORTED[:32]), id="topics-unsorted"),
+        pytest.param(snapshot_of([doc_fields(LOW[:5])]), id="short-lineage"),
+        pytest.param(snapshot_of([doc_fields(LOW, topic=TOPIC_T[:5])]), id="short-topic"),
+        pytest.param(snapshot_of([doc_fields(LOW, data_hash=ZERO_DIGEST[:5])]), id="short-data-hash"),
     ],
 )
-def test_snapshot_refuses_misnumbered_revisions_and_delete_fields(tmp_path, capsys, deleted, delete_field, seqs):
-    # revisions are numbered 1..n with n >= 1, and the delete field holds n
-    # for a deleted document and 0 for a live one; these well-formed ones load
-    for good in (one_doc_snapshot(0, 0, (1, 2)), one_doc_snapshot(1, 2, (1, 2))):
+def test_snapshot_refuses_misnumbered_revisions_and_delete_fields(tmp_path, capsys, bad):
+    # a snapshot loads only in the form ``snapshot_bytes`` writes: revisions
+    # numbered 1..n with n >= 1, the delete field n for a deleted document
+    # and 0 for a live one, documents in strictly increasing lineage order,
+    # a strictly increasing topic filter, and 32-byte lineages, topics and
+    # data hashes; these well-formed ones load
+    for good in (
+        one_doc_snapshot(0, 0, (1, 2)),
+        one_doc_snapshot(1, 2, (1, 2)),
+        snapshot_of([doc_fields(LOW), doc_fields(HIGH, seqs=(1, 2))], TOPICS_SORTED),
+    ):
         assert StoreState.from_snapshot(good).snapshot_bytes() == good
-    bad = one_doc_snapshot(deleted, delete_field, seqs)
     with pytest.raises(ValueError):
         StoreState.from_snapshot(bad)
     (tmp_path / "p0.store").write_bytes(bad)
-    assert main(["dump-store", str(tmp_path / "p0.store")]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    ChainState(chunk_size=CHUNK).save(tmp_path / "p0.chain")
+    for argv in (["dump-store", str(tmp_path / "p0.store")], ["verify", str(tmp_path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert captured.out == ""
 
 
 # -- replay model --------------------------------------------------------

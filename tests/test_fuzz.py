@@ -65,6 +65,14 @@ def decode_canonical(buf: bytes):
     return msg
 
 
+def load_store_canonical(buf: bytes) -> StoreState:
+    """``StoreState.from_snapshot``, checking that a snapshot that loads
+    saves back to exactly the bytes it came from."""
+    store = StoreState.from_snapshot(buf)
+    assert store.snapshot_bytes() == buf
+    return store
+
+
 def test_store_snapshot_mutants_raise_only_value_error():
     peer = run_scenario(build_convergence_scenario(0), until=200_000).peer("p0")
     store = peer.store
@@ -74,7 +82,7 @@ def test_store_snapshot_mutants_raise_only_value_error():
     assert any(rev.payload is None for doc in store.docs.values() for rev in doc.revisions)
     buf = store.snapshot_bytes()
     assert StoreState.from_snapshot(buf).snapshot_bytes() == buf
-    assert rejected_share(StoreState.from_snapshot, buf, seed=1) > 0.5
+    assert rejected_share(load_store_canonical, buf, seed=1) > 0.5
 
 
 def test_multi_chunk_response_mutants_raise_only_value_error():
@@ -129,8 +137,12 @@ def test_chain_file_mutants_raise_only_value_error(tmp_path):
     assert ChainState.load(path).dump_text() == state.dump_text()
 
     def load(mutant: bytes):
+        # a chain file that loads saves back to exactly its own bytes
         path.write_bytes(mutant)
-        return ChainState.load(path)
+        chain = ChainState.load(path)
+        chain.save(tmp_path / "saved.bin")
+        assert (tmp_path / "saved.bin").read_bytes() == mutant
+        return chain
 
     assert rejected_share(load, buf, seed=10) > 0.5
 

@@ -528,7 +528,7 @@ def replay(tree: dict, digest: bytes) -> DataRegistry:
     reg = DataRegistry()
     for blk in reversed(path):
         for i, tx in enumerate(blk.txs):
-            if reg.validate(tx) == "ok":
+            if reg.fork_view().validate(tx) == "ok":
                 reg.apply(tx, blk.height, i)
     return reg
 
@@ -536,7 +536,7 @@ def replay(tree: dict, digest: bytes) -> DataRegistry:
 def replay_verdict(tree: dict, blk) -> tuple[bool, str]:
     reg = replay(tree, blk.parent)
     for i, tx in enumerate(blk.txs):
-        reason = reg.validate(tx)
+        reason = reg.fork_view().validate(tx)
         if reason != "ok":
             return (False, f"tx-invalid:{reason}")
         reg.apply(tx, blk.height, i)

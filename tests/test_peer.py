@@ -27,18 +27,19 @@ class FakeEnv:
     def now(self):
         return self.t
 
-    def send(self, src, dst, msg, raw=None):
+    def send(self, src, dst, msg):
         self.sent.append((src.name, dst, msg))
 
     def send_batch(self, src, dst, msgs):
         for m in msgs:
             self.sent.append((src.name, dst, m))
 
-    def broadcast(self, src, msg):
-        self.sent.append((src.name, "*", msg))
+    def broadcast(self, src, msg, names=None):
+        for dst in ("*",) if names is None else names:
+            self.sent.append((src.name, dst, msg))
 
     def note(self, src, text):
-        self.notes.append((getattr(src, "name", src), text))
+        self.notes.append((src.name, text))
 
     def arm_mining(self, peer):
         pass

@@ -29,7 +29,7 @@ from ethercouch.registry import (
 
 
 def applied(reg: DataRegistry, tx, h=1, i=0):
-    assert reg.validate(tx) == OK
+    assert reg.fork_view().validate(tx) == OK
     reg.apply(tx, h, i)
 
 
@@ -38,7 +38,7 @@ def applied(reg: DataRegistry, tx, h=1, i=0):
 
 def test_add_on_fresh_lineage_ok():
     reg = DataRegistry()
-    assert reg.validate(make_add(b"doc")) == OK
+    assert reg.fork_view().validate(make_add(b"doc")) == OK
 
 
 def test_edit_increments_by_one():
@@ -46,10 +46,10 @@ def test_edit_increments_by_one():
     add = make_add(b"doc")
     applied(reg, add)
     edit = make_edit(lineage_of(add), 2, b"v2")
-    assert reg.validate(edit) == OK
+    assert reg.fork_view().validate(edit) == OK
     reg.apply(edit, 2, 0)
     # replaying the same revision number is stale
-    assert reg.validate(make_edit(lineage_of(add), 2, b"v2x")) == STALE_SEQUENCE
+    assert reg.fork_view().validate(make_edit(lineage_of(add), 2, b"v2x")) == STALE_SEQUENCE
 
 
 def test_edit_after_delete_is_rejected():
@@ -57,22 +57,22 @@ def test_edit_after_delete_is_rejected():
     add = make_add(b"doc")
     applied(reg, add)
     applied(reg, make_delete(lineage_of(add), 2), 2, 0)
-    assert reg.validate(make_edit(lineage_of(add), 3, b"zombie")) == ALREADY_DELETED
+    assert reg.fork_view().validate(make_edit(lineage_of(add), 3, b"zombie")) == ALREADY_DELETED
 
 
 def test_unknown_lineage_and_duplicate_add():
     reg = DataRegistry()
-    assert reg.validate(make_edit(hash_bytes(b"nope"), 2, b"x")) == UNKNOWN_LINEAGE
+    assert reg.fork_view().validate(make_edit(hash_bytes(b"nope"), 2, b"x")) == UNKNOWN_LINEAGE
     add = make_add(b"doc")
     applied(reg, add)
-    assert reg.validate(add) == DUPLICATE_ADD
+    assert reg.fork_view().validate(add) == DUPLICATE_ADD
 
 
 def test_sequence_gap_is_stale():
     reg = DataRegistry()
     add = make_add(b"doc")
     applied(reg, add)
-    assert reg.validate(make_edit(lineage_of(add), 3, b"skip")) == STALE_SEQUENCE
+    assert reg.fork_view().validate(make_edit(lineage_of(add), 3, b"skip")) == STALE_SEQUENCE
 
 
 # -- rebuild ------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_query_by_lineage_matches_a_scan_across_rollbacks(seed):
             height += 1
             for index in range(rng.randint(1, 6)):
                 tx = _random_op(rng, reg)
-                if reg.validate(tx) == OK:
+                if reg.fork_view().validate(tx) == OK:
                     reg.apply(tx, height, index)
                     seen.add(lineage_of(tx))
         for lineage in seen | {hash_bytes(b"never seen")}:
@@ -323,7 +323,7 @@ def test_sequence_monotonicity_property():
     coord = 0
     for _ in range(300):
         tx = _random_op(rng, reg)
-        if reg.validate(tx) == OK:
+        if reg.fork_view().validate(tx) == OK:
             reg.apply(tx, coord, 0)
             coord += 1
     per_lineage = {}

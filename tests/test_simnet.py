@@ -13,7 +13,6 @@ from ethercouch.crypto import hash_bytes
 from ethercouch.ledger import DbFunction, Task
 from ethercouch.peer import FetchState, Mode, PeerConfig, topic_hash
 from ethercouch.simnet import (
-    EventKind,
     Scenario,
     ScriptAction,
     Simulation,
@@ -68,7 +67,7 @@ def test_unit_latency_delivers_next_tick():
     scenario = Scenario(seed=1, peers=[PeerConfig(name="a"), PeerConfig(name="b")], latency=(1, 1))
     sim = Simulation(scenario)
     sim.send(sim.peers["a"], "b", BlockRequest(0))
-    deliveries = [e for e in sim._heap if e.kind.name == "DELIVER"]
+    deliveries = [e for e in sim._heap if e.handle is Simulation._deliver]
     assert len(deliveries) == 1
     assert deliveries[0].at == 1
 
@@ -82,7 +81,7 @@ def test_partitioned_pair_drops_and_logs():
     sim = Simulation(scenario)
     sim.run(until=0)  # applies the partition
     sim.send(sim.peers["a"], "b", BlockRequest(0))
-    assert not any(e.kind.name == "DELIVER" for e in sim._heap)
+    assert not any(e.handle is Simulation._deliver for e in sim._heap)
     assert any("partitioned" in line for line in sim.trace.lines)
 
 
@@ -95,12 +94,25 @@ def test_offline_recipient_drops_no_replay():
     sim = Simulation(scenario)
     sim.run(until=0)
     sim.send(sim.peers["a"], "b", BlockRequest(0))
-    assert not any(e.kind.name == "DELIVER" for e in sim._heap)
+    assert not any(e.handle is Simulation._deliver for e in sim._heap)
     assert any("offline" in line and "drop" in line for line in sim.trace.lines)
 
 
-@pytest.mark.parametrize("offline, encodes", [((), 1), (("p1",), 1), (("p1", "p2"), 1), (("p1", "p2", "p3"), 0)])
-def test_broadcast_encodes_once_for_all_reachable_recipients(monkeypatch, offline, encodes):
+@pytest.mark.parametrize(
+    "offline, names, encodes",
+    [
+        ((), None, 1),
+        (("p1",), None, 1),
+        (("p1", "p2"), None, 1),
+        (("p1", "p2", "p3"), None, 0),
+        (("p2",), ("p2", "p3"), 1),
+        (("p3",), ("p3",), 0),
+        ((), ("p0", "p1"), 1),
+    ],
+    # the cases without ``names`` keep the ids they had before it was added
+    ids=["offline0-1", "offline1-1", "offline2-1", "offline3-0", "names-one-offline", "names-all-offline", "names-with-sender"],
+)
+def test_broadcast_encodes_once_for_all_reachable_recipients(monkeypatch, offline, names, encodes):
     import ethercouch.simnet as simnet
 
     calls = []
@@ -114,11 +126,13 @@ def test_broadcast_encodes_once_for_all_reachable_recipients(monkeypatch, offlin
     for name in offline:
         sim.peers[name].online = False
     msg = BlockRequest(3)
-    sim.broadcast(sim.peers["p0"], msg)
-    deliveries = [e for e in sim._heap if e.kind.name == "DELIVER"]
+    sim.broadcast(sim.peers["p0"], msg, names)
+    deliveries = [e for e in sim._heap if e.handle is Simulation._deliver]
+    named = [f"p{i}" for i in range(1, 4)] if names is None else names
     assert len(calls) == encodes
-    assert sorted(e.target for e in deliveries) == [f"p{i}" for i in range(1, 4) if f"p{i}" not in offline]
-    assert all(e.payload["raw"] is deliveries[0].payload["raw"] == encode_message(msg) for e in deliveries)
+    assert sorted(e.target for e in deliveries) == [name for name in named if name not in offline and name != "p0"]
+    assert all(e.payload is deliveries[0].payload for e in deliveries)
+    assert all(e.payload["raw"] == encode_message(msg) for e in deliveries)
     assert sum(" drop " in line for line in sim.trace.lines) == len(offline)
 
 
@@ -180,7 +194,7 @@ def test_push_payload_is_encoded_and_parsed_once_for_all_up_to_date_peers(monkey
     encoded, decoded = count_codec_calls(monkeypatch)
     got = record_deliveries(monkeypatch, sim)
     alice._push_payload(tx, alice._push_recipients())
-    deliveries = [e for e in sim._heap if e.kind.name == "DELIVER"]
+    deliveries = [e for e in sim._heap if e.handle is Simulation._deliver]
     assert sorted(e.target for e in deliveries) == ["p1", "p2"]
     assert deliveries[0].payload is deliveries[1].payload
     sim.run()
@@ -278,10 +292,11 @@ def test_stepping_one_tick_at_a_time_matches_one_run():
     for t in range(whole.clock + 1):
         if t in (3000, 6000):
             # no delivery, mining completion or poll is scheduled
-            quiet_before_entry += not any(e.kind.name in ("DELIVER", "MINE_COMPLETE", "POLL_TICK") for e in sim._heap)
+            quiet_before_entry += not sim._heap
         stepped = sim.run(until=t)
     assert quiet_before_entry == 2
-    assert sim.run().clock == stepped.clock == whole.clock
+    stepped_clock = stepped.clock  # read before the run below moves it
+    assert sim.run().clock == stepped_clock == whole.clock
     assert stepped.trace.digest() == whole.trace.digest()
     assert sum(" user " in line for line in whole.trace.lines) == 6
     for name, peer in whole.peers.items():
@@ -594,7 +609,8 @@ def profiled_calls(run) -> tuple[int, object]:
 # instead of tracking its state, 42.6 once a script entry runs from the
 # simulator's cursor instead of being pushed onto its heap and popped off it
 # (42.633), 42.623 once a chain event's ``tip_changed`` is a field, not a
-# property (one call fewer per block).
+# property (one call fewer per block), and still 42.623 once a heap event
+# carries its handler instead of a kind.
 # The count depends on the code alone, not on the machine; Python 3.12's
 # inlined comprehensions can only lower it.
 CALLS_PER_INSERT = 43
@@ -628,11 +644,10 @@ def test_the_speculative_view_is_empty_once_the_mempool_is():
 
 
 def enum_member_reads(module) -> list[str]:
-    """``file:line`` of every read of a ``Task``, ``FetchState``, ``Mode`` or
-    ``EventKind`` member through its class inside a function body of
-    ``module``. Such a read is no Python call, so the call counts above do
+    """``file:line`` of every read of a ``Task``, ``FetchState`` or ``Mode``
+    member through its class inside a function body of ``module``. Such a read is no Python call, so the call counts above do
     not see it, but it costs several times a module global's read."""
-    members = {cls.__name__: set(cls.__members__) for cls in (Task, FetchState, Mode, EventKind)}
+    members = {cls.__name__: set(cls.__members__) for cls in (Task, FetchState, Mode)}
     path = Path(module.__file__)
     sites = set()
     for fn in ast.walk(ast.parse(path.read_text())):
@@ -664,7 +679,8 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # source order is one list built without a generator; 34.45 once script
 # entries no longer pass through the heap; 33.91 once ``tip_changed`` is a
 # field, a fetch reads its editor's location from the directory's dict, and
-# a block is encoded without the ``serialize_block`` forwarder.
+# a block is encoded without the ``serialize_block`` forwarder; 33.94 once a
+# push goes through the simulator's ``broadcast`` (one more call per push).
 CALLS_PER_DELIVERY = 35
 
 
