@@ -16,7 +16,7 @@ Chain order is the only authority on sequencing.
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -109,21 +109,26 @@ class StoreState:
     revision that has landed, in whatever order they landed; a rollback
     lowers it to its mark. A revision below it may still be in flight.
 
-    Payloads the peer publishes are staged here by their merkle root, so
-    they can be served before they apply and applied without a second
-    hash. Staged payloads stay until the peer unstages them and are not
-    part of a snapshot. A fetched payload is checked here too, against
-    one tree (``check_transfer``), and is not hashed again when that very
-    object applies. Every other payload is hashed before it lands, so
-    every payload taken in by these methods hashes to the root it is held
-    under.
+    Bytes held outside the revisions sit in one table keyed by merkle
+    root, each entry ``(payload, *lineages)``: a payload the peer
+    published, staged under the lineages it was published under so it can
+    be served before it applies, or, with no lineage, the bytes of a
+    revision a rollback removed. A landed delete drops its lineage from
+    the entry of each of its revision roots, and an entry left with no
+    lineage goes. Held bytes are not part of a snapshot, and bytes equal
+    to them apply without a hash, so ``stage`` takes only a root its
+    caller hashed the payload to. A fetched payload is checked here too,
+    against one tree (``check_transfer``), and is not hashed again when
+    that very object applies. Every other payload is hashed before it
+    lands, so every payload taken in by these methods hashes to the root
+    it is held under.
 
     The store also keeps, per root, the proofs of all chunks of the
     payload held under it (``proof_set``), built on the first push or
     serve of that root and reused for every later one. A set goes when
-    its root is unstaged or when any document holding that root is
-    deleted, even if another document still holds the same bytes; the
-    next push or serve of those bytes builds it again.
+    any document holding that root is deleted, even if another document
+    still holds the same bytes; the next push or serve of those bytes
+    builds it again.
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -135,29 +140,35 @@ class StoreState:
         self.applied_upto: Origin | None = None
         # per-lineage future revisions waiting for their predecessor
         self._pending: dict[Digest, dict[int, tuple[DbFunction, bytes | None, Origin]]] = {}
-        # payloads of rolled-back revisions, kept for cheap re-application
-        self._retained: dict[Digest, bytes] = {}
-        # payloads this peer published, by the root ``stage`` computed
-        self._staged: dict[Digest, bytes] = {}
+        # root -> (payload, *the lineages the peer published it under); no
+        # lineage: bytes of revisions a rollback removed (a tuple, not a
+        # list: a publisher holds one entry per payload)
+        self._held: dict[Digest, tuple] = {}
         # (root, joined bytes) of the last canonical transfer that checked
         self._checked: tuple[Digest, bytes] | None = None
         # root -> the proofs of all chunks of the payload held under it
         self._proof_sets: dict[Digest, tuple[MerkleProof, ...]] = {}
 
-    # -- publisher staging ------------------------------------------------
+    # -- held bytes -------------------------------------------------------
 
-    def stage(self, payload: bytes) -> Digest:
-        """Hash a payload the peer publishes and keep it under its root."""
-        root = payload_root(payload, self.chunk_size)
-        self._staged[root] = payload
-        return root
+    def stage(self, root: Digest, payload: bytes, lineage: Digest) -> None:
+        """Hold a payload the peer published under ``lineage``; the caller
+        hashed it to ``root``."""
+        entry = self._held.get(root)
+        if entry is None:
+            self._held[root] = (payload, lineage)
+        elif lineage not in entry[1:]:
+            self._held[root] = entry + (lineage,)
 
     def staged_payload(self, data_hash: Digest) -> bytes | None:
-        return self._staged.get(data_hash)
+        """The bytes held under a root the peer published them under."""
+        entry = self._held.get(data_hash)
+        return entry[0] if entry is not None and len(entry) > 1 else None
 
-    def unstage(self, data_hash: Digest) -> None:
-        self._staged.pop(data_hash, None)
-        self._proof_sets.pop(data_hash, None)
+    def held_payload(self, data_hash: Digest) -> bytes | None:
+        """The bytes held under a root, staged or kept from a rollback."""
+        entry = self._held.get(data_hash)
+        return None if entry is None else entry[0]
 
     # -- proof sets -------------------------------------------------------
 
@@ -199,12 +210,13 @@ class StoreState:
     # -- mutation -------------------------------------------------------
 
     def _verify(self, payload: bytes, data_hash: Digest) -> None:
-        # bytes this store hashed to that root need no hash: the very object
-        # of the last canonical transfer check, or bytes equal to staged ones
+        # bytes known to hash to that root need no hash: the very object of
+        # the last canonical transfer check, or bytes equal to held ones
         checked = self._checked
         if checked is not None and payload is checked[1] and data_hash == checked[0]:
             return
-        if payload == self._staged.get(data_hash):
+        entry = self._held.get(data_hash)
+        if entry is not None and payload == entry[0]:
             return
         if payload_root(payload, self.chunk_size) != data_hash:
             raise IntegrityError(digest_hex(data_hash))
@@ -288,13 +300,18 @@ class StoreState:
 
     def _erase(self, doc: Document) -> None:
         doc.deleted = True
+        held, lineage = self._held, doc.lineage
         for rev in doc.revisions:
-            # side-buffer copies and proof sets go too, even for revisions
-            # already emptied
-            self._retained.pop(rev.data_hash, None)
+            # held bytes go too, even for revisions already emptied, but
+            # bytes the peer published under another lineage stay
+            entry = held.pop(rev.data_hash, None)
+            if entry is not None:
+                rest = tuple(h for h in entry[1:] if h != lineage)
+                if rest:
+                    held[rev.data_hash] = (entry[0], *rest)
             self._proof_sets.pop(rev.data_hash, None)
             rev.payload = None
-        self._pending.pop(doc.lineage, None)
+        self._pending.pop(lineage, None)
 
     def _buffer(self, lineage: Digest, tx: DbFunction, payload: bytes | None, origin: Origin) -> None:
         self._pending.setdefault(lineage, {})[tx.sequence_id] = (tx, payload, origin)
@@ -342,9 +359,10 @@ class StoreState:
     def rollback_to(self, mark: Origin) -> list[Digest]:
         """Remove every revision recorded after ``mark`` (inclusive keep).
 
-        Payloads of removed revisions go to a side buffer so re-application
-        after a reorg does not need the network. Returns the lineages that
-        were touched; documents whose add rolled back disappear entirely.
+        The store keeps the payloads of removed revisions by root, so
+        re-application after a reorg needs neither the network nor a hash.
+        Returns the lineages that were touched, in store order; documents
+        whose add rolled back disappear entirely.
         """
         touched: list[Digest] = []
         for lineage in list(self.docs):
@@ -354,7 +372,7 @@ class StoreState:
                 continue
             for rev in doc.revisions[len(kept) :]:
                 if rev.payload is not None:
-                    self._retained[rev.data_hash] = rev.payload
+                    self._held.setdefault(rev.data_hash, (rev.payload,))
             touched.append(lineage)
             if not kept:
                 del self.docs[lineage]
@@ -371,10 +389,6 @@ class StoreState:
             self.applied_upto = mark
         return touched
 
-    def retained_payload(self, data_hash: Digest) -> bytes | None:
-        """Look up a rolled-back payload by its hash, if still buffered."""
-        return self._retained.get(data_hash)
-
     def fill_payload(self, lineage: Digest, seq: int, payload: bytes) -> None:
         """Restore the bytes of an existing payload-less revision, verifying
         them against the recorded hash (post-rollback repair)."""
@@ -386,11 +400,13 @@ class StoreState:
         self._verify(payload, rev.data_hash)
         rev.payload = payload
 
-    def missing_payload_revisions(self) -> list[tuple[Digest, int, Digest]]:
-        """(lineage, seq, data_hash) of live revisions whose bytes are absent."""
+    def missing_payload_revisions(self, lineages: Iterable[Digest]) -> list[tuple[Digest, int, Digest]]:
+        """(lineage, seq, data_hash) of the live revisions of ``lineages``
+        whose bytes are absent; lineages no longer held are skipped."""
         out = []
-        for doc in self.docs.values():
-            if doc.deleted:
+        for lineage in lineages:
+            doc = self.docs.get(lineage)
+            if doc is None or doc.deleted:
                 continue
             for rev in doc.revisions:
                 if rev.payload is None:
@@ -441,10 +457,10 @@ class StoreState:
     def snapshot_bytes(self) -> bytes:
         """Length-prefixed binary snapshot of the durable store state.
 
-        Staged payloads and transient repair buffers are not part of the
-        snapshot: the layout is magic, chunk size, sorted topic filter,
-        applied-upto mark, then each document (sorted by lineage) with its
-        revisions in order.
+        Held payloads and buffered revisions are not part of the snapshot:
+        the layout is magic, chunk size, sorted topic filter, applied-upto
+        mark, then each document (sorted by lineage) with its revisions in
+        order.
         """
         out = [self.SNAPSHOT_MAGIC]
         out.append(lp(u64(self.chunk_size)))

@@ -10,11 +10,12 @@ every chunk's proof against the on-chain merkle root, with one tree for
 the whole Response, before a byte is stored. A fetched payload is hashed
 once: the store does not hash the bytes it just checked again when they
 apply, unless they were split other than its own chunking would split
-them. Bytes the peer already holds (payloads it published, which its
-store stages, payloads retained across a rollback, and pushes cached
-ahead of their block) go to the store unchecked: the store's hash on
-apply is the one check, and it skips the hash only for bytes it staged
-or checked under that root. A holder proves each payload once: the first
+them. Bytes the peer already holds (the store's table of bytes by root,
+which keeps what the peer published and what a rollback removed, and
+pushes cached ahead of their block) go to the store unchecked: the
+store's hash on apply is the one check, and it skips the hash only for
+bytes equal to ones it holds under that root or the very object it
+checked under that root. A holder proves each payload once: the first
 push or serve of a root builds the proofs of all its chunks from one
 tree, and the store keeps them for every later push and serve.
 
@@ -175,10 +176,6 @@ class Peer:
         self.push_cache: dict[tuple[Digest, int], bytes] = {}  # pushed, not yet usable
         self.own_unconfirmed: dict[Digest, DbFunction] = {}  # published, not yet mined
         self.own_mined: dict[Digest, tuple[DbFunction, int]] = {}  # mined, short of depth k
-        # staged root -> the lineages this peer published those bytes under
-        # whose delete has not confirmed; the bytes stay while one is left
-        # (a tuple: nearly always one lineage, and a publisher keeps many)
-        self._staged_by: dict[Digest, tuple[Digest, ...]] = {}
         self._next_reannounce: dict[Digest, int] = {}
         self.deferred: list[dict] = []
         self._resync: dict | None = None
@@ -209,8 +206,8 @@ class Peer:
         """Create, validate and queue one mutation; returns the transaction.
 
         For edits and deletes the peer must hold the document's latest
-        revision. In ethercouch mode the store stages the payload and gives
-        its root.
+        revision. In ethercouch mode the store keeps the payload once the
+        ledger accepts the record.
         """
         if task is _ADD:
             seq, lineage = 1, ZERO_DIGEST
@@ -221,27 +218,12 @@ class Peer:
             if latest[1]:
                 raise TxRejected("already-deleted")
             seq = latest[0] + 1
-        staged = task is not _DELETE and self.config.mode is _ETHERCOUCH
-        if task is _DELETE:
-            data_hash = ZERO_DIGEST
-        elif staged:
-            data_hash = self.store.stage(payload)
-        else:
-            data_hash = payload_root(payload, self.chunk_size)
+        data_hash = ZERO_DIGEST if task is _DELETE else payload_root(payload, self.chunk_size)
         inline = payload if self.config.mode is _CHAIN_ONLY and task is not _DELETE else None
         tx = DbFunction(task, data_hash, self.editor_hash, topic, seq, lineage, inline)
-        try:
-            self.chain.submit_tx(tx)
-        except TxRejected:
-            # only a byte-identical add is refused here: it must not bring
-            # back bytes that a confirmed delete unstaged
-            if staged and data_hash not in self._staged_by:
-                self.store.unstage(data_hash)
-            raise
-        if staged:
-            holders = self._staged_by.get(data_hash, ())
-            if tx.doc_id not in holders:
-                self._staged_by[data_hash] = holders + (tx.doc_id,)
+        self.chain.submit_tx(tx)
+        if task is not _DELETE and self.config.mode is _ETHERCOUCH:
+            self.store.stage(data_hash, payload, tx.doc_id)
         self.own_unconfirmed[tx.digest] = tx
         if self.online:
             self.env.broadcast(self, TxAnnounce(tx))
@@ -545,19 +527,8 @@ class Peer:
         if result.buffered:
             self._close(pf)
         self._mark_applied(result.applied)
-        # deletion reaches the staged payloads and push buffers too, but
-        # bytes another live lineage of ours was published with stay staged
-        for entry in self.chain.registry.query_by_lineage(lineage):
-            root = entry.tx.data_hash
-            holders = self._staged_by.get(root, ())
-            if lineage not in holders:
-                continue
-            holders = tuple(h for h in holders if h != lineage)
-            if holders:
-                self._staged_by[root] = holders
-            else:
-                del self._staged_by[root]
-                self.store.unstage(root)
+        # the store released its held bytes; deletion reaches the push
+        # buffers too
         for key in [k for k in self.push_cache if k[0] == lineage]:
             del self.push_cache[key]
 
@@ -569,7 +540,7 @@ class Peer:
         self.location.mark_up_to_date(self.editor_hash, self.chain.tip)
         if report.rolled_back:
             mark = (report.fork_height, ROLLBACK_ALL_OF_HEIGHT)
-            self.store.rollback_to(mark)
+            touched = self.store.rollback_to(mark)
             self.env.note(self, f"rolled back {len(report.rolled_back)} txs to h={report.fork_height}")
             for key in [k for k, p in self.pending.items() if p.coord[0] > report.fork_height]:
                 del self.pending[key]
@@ -586,7 +557,7 @@ class Peer:
         self._process_confirmations()
         if report.rolled_back:
             # only rollbacks can leave live revisions without payloads
-            self._queue_missing_refills()
+            self._queue_missing_refills(touched)
         self._retry_deferred()
         self.env.request_poll(self)
 
@@ -651,19 +622,18 @@ class Peer:
         self._start_fetch(pf)
 
     def _local_payload(self, pf: PendingFetch) -> bytes | None:
-        """Staged, retained or pushed bytes for ``pf``, unchecked: the
-        store's hash check on apply is the one check."""
-        payload = self.store.staged_payload(pf.tx.data_hash)
-        if payload is None:
-            payload = self.store.retained_payload(pf.tx.data_hash)
+        """Bytes the store holds under ``pf``'s root, else pushed ones,
+        unchecked: the store's hash check on apply is the one check."""
+        payload = self.store.held_payload(pf.tx.data_hash)
         if payload is None:
             payload = self.push_cache.pop((pf.tx.doc_id, pf.tx.sequence_id), None)
         return payload
 
-    def _queue_missing_refills(self) -> None:
+    def _queue_missing_refills(self, touched: list[Digest]) -> None:
         """After a rollback un-deletes a document, its erased payloads need
-        to come back from peers that never applied the delete."""
-        for lineage, seq, data_hash in self.store.missing_payload_revisions():
+        to come back from peers that never applied the delete. Only the
+        lineages the rollback ``touched`` can hold such a document."""
+        for lineage, seq, data_hash in self.store.missing_payload_revisions(touched):
             key = (lineage, seq)
             if key in self.pending:
                 continue

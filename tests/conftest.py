@@ -1,5 +1,6 @@
 """Shared fixtures and factories for building valid chain fixtures."""
 
+import hashlib
 import random
 
 import pytest
@@ -234,7 +235,24 @@ def run_convergence_scenario(seed: int):
         "filtered_ok": filtered_ok,
         "leftover": sum(len(p.pending) for p in r1.peers.values()),
         "cached": sum(len(p.push_cache) for p in r1.peers.values()),
+        "state": peer_state_hash(r1.peers),
     }
+
+
+def peer_state_hash(peers) -> str:
+    """SHA-256 over every peer's chain tip and store snapshot, by name."""
+    h = hashlib.sha256()
+    for _, peer in sorted(peers.items()):
+        h.update(peer.chain.tip + hashlib.sha256(peer.store.snapshot_bytes()).digest())
+    return h.hexdigest()
+
+
+def convergence_pin(summaries) -> str:
+    """One SHA-256 over every scenario's first trace digest and end state."""
+    h = hashlib.sha256()
+    for s in summaries:
+        h.update(f"{s['seed']} {s['digest1']} {s['state']}\n".encode())
+    return h.hexdigest()
 
 
 CONVERGENCE_SEEDS = list(range(200))

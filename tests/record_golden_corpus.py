@@ -21,6 +21,12 @@ The cases are:
   (seed 7, 60 tickets of 4,096 bytes).
   The plain cell runs no simulation and keeps no chain: its entry is the
   SHA-256 of the store that the bench's direct writes build.
+
+One more entry, ``convergence-suite``, is a single SHA-256 over all 200
+seeded scenarios of the acceptance suite: each one's trace digest, and
+every peer's chain tip and store snapshot at the end
+(``conftest.convergence_pin``). The acceptance suite runs those scenarios
+anyway, so checking it adds no simulation time.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
-from conftest import build_convergence_scenario
+from conftest import CONVERGENCE_SEEDS, build_convergence_scenario, convergence_pin, run_convergence_scenario
 from ethercouch.bench import _bench_scenario, _tickets, plain_store
 from ethercouch.peer import PeerConfig
 from ethercouch.simnet import Scenario, ScriptAction, Simulation
@@ -41,6 +47,7 @@ HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "golden_corpus.json"
 SEEDS = range(10)
 HORIZON = 200_000
+SUITE_PIN = "convergence-suite"
 
 
 def _large_scenario(n: int):
@@ -101,6 +108,8 @@ def main() -> None:
     for name, record in cases():
         corpus[name] = record()
         print(f"{name} {corpus[name].get('trace', '-')}", flush=True)
+    corpus[SUITE_PIN] = convergence_pin(run_convergence_scenario(seed) for seed in CONVERGENCE_SEEDS)
+    print(f"{SUITE_PIN} {corpus[SUITE_PIN]}", flush=True)
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
 
 

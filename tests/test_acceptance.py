@@ -206,7 +206,7 @@ def apply_txs(store: StoreState, triples, payloads) -> None:
         if tx.task is Task.ADD:
             store.apply_add(tx, payloads[tx.data_hash], (h, i))
         elif tx.task is Task.EDIT:
-            payload = store.retained_payload(tx.data_hash) or payloads[tx.data_hash]
+            payload = store.held_payload(tx.data_hash) or payloads[tx.data_hash]
             store.apply_edit(tx, payload, (h, i))
         else:
             store.apply_delete(tx, (h, i))
@@ -258,7 +258,7 @@ def test_criterion_8_reorg_repair():
                 store.rollback_to((rep.fork_height, 1 << 62))
             apply_txs(store, rep.applied, payloads)
         # post-reorg payload restore, as a peer would refetch
-        for lineage, seq, data_hash in store.missing_payload_revisions():
+        for lineage, seq, data_hash in store.missing_payload_revisions(store.docs):
             store.fill_payload(lineage, seq, payloads[data_hash])
         # oracle path: build everything from the final canonical chain
         oracle = StoreState(chunk_size=chain.chunk_size)

@@ -202,8 +202,9 @@ def test_rollback_reverts_active_revision():
     store.rollback_to((1, 2**62))
     assert store.get_active(lineage) == b"v1"
     assert store.applied_upto <= (1, 2**62)
-    # rolled-back payload is retained for re-application
-    assert store.retained_payload(make_edit(lineage, 2, b"v2").data_hash) == b"v2"
+    # rolled-back payload is held for re-application, but not served
+    root = make_edit(lineage, 2, b"v2").data_hash
+    assert (store.held_payload(root), store.staged_payload(root)) == (b"v2", None)
 
 
 def test_rollback_to_current_mark_is_noop():
@@ -226,8 +227,8 @@ def test_rollback_then_reapply_equals_never_rolled_back():
         store.apply_edit(e2, b"v2", (2, 0))
         store.apply_edit(e3, b"v3", (3, 0))
     store_a.rollback_to((1, 2**62))
-    store_a.apply_edit(e2, store_a.retained_payload(e2.data_hash), (2, 0))
-    store_a.apply_edit(e3, store_a.retained_payload(e3.data_hash), (3, 0))
+    store_a.apply_edit(e2, store_a.held_payload(e2.data_hash), (2, 0))
+    store_a.apply_edit(e3, store_a.held_payload(e3.data_hash), (3, 0))
     assert store_a.snapshot_bytes() == store_b.snapshot_bytes()
     assert store_a.dump_text() == store_b.dump_text()
 
@@ -251,7 +252,7 @@ def test_rollback_undeletes_when_delete_rolls_back():
     assert doc.active_seq == 1
     # erased payloads do not come back on their own
     assert store.get_active(lineage) is None
-    assert store.missing_payload_revisions() == [(lineage, 1, make_add(b"v1").data_hash)]
+    assert store.missing_payload_revisions(store.docs) == [(lineage, 1, make_add(b"v1").data_hash)]
 
 
 def test_delete_purges_rollback_side_buffer():
@@ -259,15 +260,15 @@ def test_delete_purges_rollback_side_buffer():
     _, lineage = add_doc(store, b"v1", origin=(1, 0))
     e2 = make_edit(lineage, 2, b"v2-secret")
     store.apply_edit(e2, b"v2-secret", (2, 0))
-    # a rollback parks the edit payload in the side buffer
+    # a rollback keeps the edit payload by its root
     store.rollback_to((1, 2**62))
-    assert store.retained_payload(e2.data_hash) == b"v2-secret"
-    # re-apply, then delete: the buffered copy must go with everything else
+    assert store.held_payload(e2.data_hash) == b"v2-secret"
+    # re-apply, then delete: the held copy must go with everything else
     store.apply_edit(e2, b"v2-secret", (2, 0))
     store.rollback_to((1, 2**62))
     store.apply_edit(e2, b"v2-secret", (2, 0))
     store.apply_delete(make_delete(lineage, 3), (3, 0))
-    assert store.retained_payload(e2.data_hash) is None
+    assert store.held_payload(e2.data_hash) is None
 
 
 # -- snapshots -----------------------------------------------------------
@@ -518,7 +519,7 @@ def test_store_matches_a_replay_model(seed):
             expected_missing = sorted(
                 (k[0], k[1], by_key[k].tx.data_hash) for k in model.landed if model.held[k] is None and k[0] not in deleted
             )
-            assert sorted(store.missing_payload_revisions()) == expected_missing, (seed, step)
+            assert sorted(store.missing_payload_revisions(store.docs)) == expected_missing, (seed, step)
             for lineage, seq, _ in expected_missing:
                 store.fill_payload(lineage, seq, by_key[(lineage, seq)].payload)
                 model.held[(lineage, seq)] = by_key[(lineage, seq)].payload
@@ -566,36 +567,45 @@ def count_store_hashes(monkeypatch):
     return hashed
 
 
-def test_stage_returns_the_payload_root():
+def test_staged_bytes_are_held_under_the_given_root():
     store = StoreState(chunk_size=8)
     payload = bytes(range(100))  # 13 chunks
-    assert store.stage(payload) == payload_root(payload, 8)
-    assert store.staged_payload(payload_root(payload, 8)) == payload
+    tx = make_add(payload, chunk=8)
+    store.stage(tx.data_hash, payload, lineage_of(tx))
+    assert store.staged_payload(tx.data_hash) == store.held_payload(tx.data_hash) == payload
+    other = payload_root(payload[1:], 8)
+    assert store.staged_payload(other) is store.held_payload(other) is None
 
 
 def test_applying_staged_bytes_skips_the_hash(monkeypatch):
     store = StoreState(chunk_size=8)
-    v1, v2, v3 = bytes(range(40)), bytes(range(1, 41)), bytes(range(2, 42))
-    roots = [store.stage(p) for p in (v1, v2, v3)]
-    hashed = count_store_hashes(monkeypatch)
+    v1, v2, v3, v4 = (bytes(range(i, 40 + i)) for i in range(4))
     add = make_add(v1, chunk=8)
     lineage = lineage_of(add)
-    assert add.data_hash == roots[0]
+    edits = [make_edit(lineage, seq, p, chunk=8) for seq, p in ((2, v2), (3, v3), (4, v4))]
+    for tx, p in zip((add, *edits[:2]), (v1, v2, v3)):
+        store.stage(tx.data_hash, p, lineage)
+    hashed = count_store_hashes(monkeypatch)
     store.apply_add(add, v1, (1, 0))
-    store.apply_edit(make_edit(lineage, 2, v2, chunk=8), bytes(bytearray(v2)), (2, 0))  # equal, not identical
+    store.apply_edit(edits[0], bytes(bytearray(v2)), (2, 0))  # equal, not identical
     # a payload-less revision, as after a rollback past its delete
-    store.apply_erased(make_edit(lineage, 3, v3, chunk=8), (3, 0))
+    store.apply_erased(edits[1], (3, 0))
     store.fill_payload(lineage, 3, v3)
     assert hashed == []
-    assert [r.payload for r in store.history(lineage)] == [v1, v2, v3]
+    # bytes a rollback removed were hashed when they landed, and not again
+    store.apply_edit(edits[2], v4, (4, 0))
+    store.rollback_to((3, 2**62))
+    store.apply_edit(edits[2], bytes(bytearray(v4)), (5, 0))
+    assert hashed == [v4]
+    assert [r.payload for r in store.history(lineage)] == [v1, v2, v3, v4]
 
 
 def test_bytes_that_differ_from_the_staged_ones_are_hashed_and_refused(monkeypatch):
     store = StoreState(chunk_size=8)
     payload = bytes(range(40))
-    store.stage(payload)
-    hashed = count_store_hashes(monkeypatch)
     tx = make_add(payload, chunk=8)
+    store.stage(tx.data_hash, payload, lineage_of(tx))
+    hashed = count_store_hashes(monkeypatch)
     bad = bytes([payload[0] ^ 1]) + payload[1:]
     with pytest.raises(IntegrityError):
         store.apply_add(tx, bad, (1, 0))
@@ -611,12 +621,15 @@ def test_bytes_that_differ_from_the_staged_ones_are_hashed_and_refused(monkeypat
 def test_unstaged_payload_is_hashed_once(monkeypatch):
     store = StoreState(chunk_size=8)
     never, dropped = bytes(range(40)), bytes(range(1, 41))
-    store.stage(dropped)
-    store.unstage(payload_root(dropped, 8))
+    first = make_add(dropped, chunk=8)
+    store.stage(first.data_hash, dropped, lineage_of(first))
+    store.apply_add(first, dropped, (1, 0))
+    # a landed delete of the lineage they were staged under releases the bytes
+    store.apply_delete(make_delete(lineage_of(first), 2), (2, 0))
     hashed = count_store_hashes(monkeypatch)
     for i, payload in enumerate((never, dropped)):
-        tx = make_add(payload, chunk=8)
-        store.apply_add(tx, payload, (1, i))
+        tx = make_add(payload, topic=TOPIC_U, chunk=8)
+        store.apply_add(tx, payload, (3, i))
         assert store.get_active(lineage_of(tx)) == payload
     assert hashed == [never, dropped]
 
@@ -626,9 +639,56 @@ def test_staged_payloads_stay_out_of_snapshots_and_dumps():
     _, lineage = add_doc(store, b"applied")
     before = (store.snapshot_bytes(), store.dump_text(), store.payload_bytes())
     secret = b"staged but not yet applied"
-    store.stage(secret)
+    tx = make_add(secret)
+    store.stage(tx.data_hash, secret, lineage_of(tx))
     assert (store.snapshot_bytes(), store.dump_text(), store.payload_bytes()) == before
-    assert StoreState.from_snapshot(store.snapshot_bytes()).staged_payload(payload_root(secret, CHUNK)) is None
+    assert StoreState.from_snapshot(store.snapshot_bytes()).staged_payload(tx.data_hash) is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_held_bytes_follow_the_staged_else_retained_model(seed):
+    # the model: bytes staged under a lineage stay until a delete of that
+    # lineage lands; bytes a rollback removed stay until a delete of any
+    # document holding their root lands. Four payloads make documents
+    # share roots.
+    rng = random.Random(seed)
+    alphabet = {payload_root(p, CHUNK): p for p in (b"red", b"green", b"blue", b"grey")}
+    store = StoreState(chunk_size=CHUNK)
+    staged: dict = {}  # root -> the lineages its bytes were staged under
+    retained: set = set()  # roots whose bytes a rollback removed
+    height = 1
+    for step in range(60):
+        live = [lineage for lineage, doc in store.docs.items() if not doc.deleted]
+        payload = rng.choice(list(alphabet.values()))
+        roll, tx = rng.random(), None
+        if roll < 0.3 or not live:
+            tx = make_add(payload, topic=hash_bytes(b"%d" % step))
+        elif roll < 0.6:
+            lineage = rng.choice(live)
+            tx = make_edit(lineage, store.docs[lineage].max_seq + 1, payload)
+        elif roll < 0.75:
+            lineage = rng.choice(live)
+            for rev in store.docs[lineage].revisions:
+                retained.discard(rev.data_hash)
+                staged[rev.data_hash] = staged.get(rev.data_hash, set()) - {lineage}
+            store.apply_delete(make_delete(lineage, store.docs[lineage].max_seq + 1), (height, 0))
+            height += 1
+        else:
+            mark = (rng.randrange(height), 2**62)
+            for doc in store.docs.values():
+                retained.update(r.data_hash for r in doc.revisions if r.origin > mark and r.payload is not None)
+            store.rollback_to(mark)
+        if tx is not None:
+            if rng.random() < 0.4:  # published here
+                store.stage(tx.data_hash, payload, tx.doc_id)
+                staged.setdefault(tx.data_hash, set()).add(tx.doc_id)
+            if rng.random() < 0.8:  # else it never lands, as a record that lost a race
+                (store.apply_add if tx.task is Task.ADD else store.apply_edit)(tx, payload, (height, 0))
+                height += 1
+        for root, p in alphabet.items():
+            is_staged = bool(staged.get(root))
+            assert store.staged_payload(root) == (p if is_staged else None), (seed, step)
+            assert store.held_payload(root) == (p if is_staged or root in retained else None), (seed, step)
 
 
 # -- fetched payloads -------------------------------------------------------

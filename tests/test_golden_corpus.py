@@ -9,16 +9,21 @@ import json
 
 import pytest
 
-from record_golden_corpus import CORPUS, cases
+from conftest import convergence_pin
+from record_golden_corpus import CORPUS, SUITE_PIN, cases
 
 RECORDED = json.loads(CORPUS.read_text())
 CASES = list(cases())
 
 
 def test_corpus_covers_every_case():
-    assert sorted(RECORDED) == sorted(name for name, _ in CASES)
+    assert sorted(RECORDED) == sorted([SUITE_PIN, *(name for name, _ in CASES)])
 
 
 @pytest.mark.parametrize("name,record", CASES, ids=[c[0] for c in CASES])
 def test_case_matches_recorded_fingerprint(name, record):
     assert record() == RECORDED[name]
+
+
+def test_convergence_suite_matches_recorded_pin(convergence_suite):
+    assert convergence_pin(convergence_suite) == RECORDED[SUITE_PIN]

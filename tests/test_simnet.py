@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_convergence_scenario
-from ethercouch.crypto import hash_bytes
+from ethercouch.crypto import hash_bytes, payload_root
 from ethercouch.ledger import DbFunction, Task
 from ethercouch.peer import FetchState, Mode, PeerConfig, topic_hash
 from ethercouch.simnet import (
@@ -188,7 +188,8 @@ def test_push_payload_is_encoded_and_parsed_once_for_all_up_to_date_peers(monkey
     sim = Simulation(Scenario(seed=4, peers=[PeerConfig(name=f"p{i}") for i in range(4)], chunk_size=1024))
     alice = sim.peers["p0"]
     payload = deterministic_bytes("push", 5000)
-    tx = DbFunction(Task.ADD, alice.store.stage(payload), alice.editor_hash, topic_hash("news"), 1)
+    tx = DbFunction(Task.ADD, payload_root(payload, 1024), alice.editor_hash, topic_hash("news"), 1)
+    alice.store.stage(tx.data_hash, payload, tx.doc_id)
     for name in ("p1", "p2"):
         sim.location.mark_up_to_date(sim.peers[name].editor_hash, alice.chain.tip)
     encoded, decoded = count_codec_calls(monkeypatch)
