@@ -7,8 +7,8 @@ Two storage architectures over one toy proof-of-work ledger:
 - hash-anchored (the "ethercouch" mode): the chain carries only fixed-size
   mutation records (task, data hash, editor, topic, sequence) while every
   peer keeps the payloads, with full revision history, in a local document
-  store and fetches them off-chain, checking every chunk's proof against
-  the on-chain merkle root.
+  store and fetches them off-chain, storing no byte before the joined
+  chunks hash to the on-chain merkle root.
 
 A deterministic discrete-event simulator drives multi-peer scenarios
 (latency, downtime, partitions, mining), and a benchmark harness measures
@@ -30,7 +30,6 @@ from .crypto import (
     merkle_root,
     payload_root,
     verify_chunk,
-    verify_proofs,
 )
 
 __version__ = "0.1.0"

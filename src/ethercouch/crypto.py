@@ -2,9 +2,10 @@
 
 Every digest in the system is SHA-256 (32 bytes). Payloads travel between
 peers as fixed-size chunks; a binary merkle tree over the chunk hashes lets
-a receiver verify each chunk against the single 32-byte root recorded on
-chain, without holding the whole payload first, or check the proofs of a
-whole payload against one tree (``verify_proofs``).
+a holder prove each chunk against the single 32-byte root recorded on
+chain, so a receiver can verify a chunk without holding the whole payload
+first (``verify_chunk``). A receiver of a whole payload checks it by its
+root alone (``payload_root``).
 
 Wire contract (must match across implementations):
 - leaf(i)   = sha256(chunk_i)
@@ -65,10 +66,12 @@ def payload_root(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Digest
 
     A payload of at most one chunk has the single-chunk tree's root,
     sha256(payload), hashed without building the chunk list and the tree.
+    Longer payloads are hashed through views of their chunks, so checking
+    a payload holds no second copy of its bytes.
     """
     if 0 < chunk_size and len(payload) <= chunk_size:
         return hash_bytes(payload)
-    return merkle_root(chunk_payload(payload, chunk_size))
+    return merkle_root(chunk_payload(memoryview(payload), chunk_size))
 
 
 class MerkleProof(NamedTuple):
@@ -139,30 +142,6 @@ def _cut(levels: list[list[Digest]], n: int, indices: range) -> tuple[MerkleProo
     below_root = levels[:-1]
     # lists, not generators: most payloads are one chunk, and this is their hot path
     return tuple([MerkleProof(i, n, tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(below_root)])) for i in indices])
-
-
-def verify_proofs(chunks: list[bytes], proofs: tuple[MerkleProof, ...], root: Digest) -> bool:
-    """True iff ``proofs`` are exactly the proofs of every chunk, in order,
-    and the tree over ``chunks`` has ``root``: the whole-set counterpart of
-    ``merkle_prove(chunks, range(len(chunks)))``.
-
-    One tree costs 2n-1 hashes where checking each proof with
-    ``verify_chunk`` costs n(ceil(log2 n)+1). It accepts whatever that loop
-    accepts with leaf_index i and leaf_count n for chunk i, and is stricter
-    in one place: the loop never looks at the copy an odd last node is
-    paired with, so it takes the first chunks of a longer payload under that
-    payload's root. An empty chunk list or a length mismatch gives False.
-
-    One chunk is checked with one hash, the single-chunk tree's root, and
-    its proof must be (0, 1, ()), the one that tree gives.
-    """
-    n = len(chunks)
-    if not n or len(proofs) != n:
-        return False
-    if n == 1:
-        return proofs[0] == (0, 1, ()) and hash_bytes(chunks[0]) == root
-    levels = _tree(chunks)
-    return levels[-1][0] == root and tuple(proofs) == _cut(levels, n, range(n))
 
 
 def verify_chunk(chunk: bytes, proof: MerkleProof, root: Digest) -> bool:

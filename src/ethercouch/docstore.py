@@ -27,7 +27,6 @@ from .crypto import (
     MerkleProof,
     digest_hex,
     payload_root,
-    verify_proofs,
 )
 from .ledger import DbFunction, Task
 
@@ -113,15 +112,14 @@ class StoreState:
     root, each entry ``(payload, *lineages)``: a payload the peer
     published, staged under the lineages it was published under so it can
     be served before it applies, or, with no lineage, the bytes of a
-    revision a rollback removed. A landed delete drops its lineage from
-    the entry of each of its revision roots, and an entry left with no
-    lineage goes. Held bytes are not part of a snapshot, and bytes equal
-    to them apply without a hash, so ``stage`` takes only a root its
-    caller hashed the payload to. A fetched payload is checked here too,
-    against one tree (``check_transfer``), and is not hashed again when
-    that very object applies. Every other payload is hashed before it
-    lands, so every payload taken in by these methods hashes to the root
-    it is held under.
+    revision a rollback removed, kept until a revision holding them lands
+    again. A landed delete drops its lineage from the entry of each of its
+    revision roots, and an entry left with no lineage goes. Held bytes are
+    not part of a snapshot, and bytes equal to them apply without a hash,
+    so ``stage`` takes only a root its caller hashed the payload to. Every
+    other payload, a fetched one too, is hashed against its on-chain root
+    before it lands, so every payload taken in by these methods hashes to
+    the root it is held under.
 
     The store also keeps, per root, the proofs of all chunks of the
     payload held under it (``proof_set``), built on the first push or
@@ -141,11 +139,10 @@ class StoreState:
         # per-lineage future revisions waiting for their predecessor
         self._pending: dict[Digest, dict[int, tuple[DbFunction, bytes | None, Origin]]] = {}
         # root -> (payload, *the lineages the peer published it under); no
-        # lineage: bytes of revisions a rollback removed (a tuple, not a
-        # list: a publisher holds one entry per payload)
+        # lineage: bytes of revisions a rollback removed, until one holding
+        # them lands again (a tuple, not a list: a publisher holds one entry
+        # per payload)
         self._held: dict[Digest, tuple] = {}
-        # (root, joined bytes) of the last canonical transfer that checked
-        self._checked: tuple[Digest, bytes] | None = None
         # root -> the proofs of all chunks of the payload held under it
         self._proof_sets: dict[Digest, tuple[MerkleProof, ...]] = {}
 
@@ -185,36 +182,11 @@ class StoreState:
             proofs = self._proof_sets[root] = build()
         return proofs
 
-    # -- fetched payloads -------------------------------------------------
-
-    def check_transfer(self, chunks: tuple[bytes, ...], proofs: tuple[MerkleProof, ...], data_hash: Digest) -> bytes | None:
-        """The joined payload if every chunk's proof checks against
-        ``data_hash`` (one tree, ``verify_proofs``), else None.
-
-        When the chunks are the canonical chunking of their join, that tree
-        is the one ``payload_root`` builds for the joined bytes, so the
-        store remembers the joined object and applying that very object
-        under that root skips the hash. Any other split, which a hostile
-        publisher can anchor on chain, is hashed on apply and refused.
-        """
-        if not verify_proofs(chunks, proofs, data_hash):
-            return None
-        payload = b"".join(chunks)
-        size, last = self.chunk_size, chunks[-1]
-        # the split payload_root makes: full chunks, then a last chunk that
-        # is short or full, and empty only when it is the only chunk
-        if all(len(c) == size for c in chunks[:-1]) and len(last) <= size and (last or len(chunks) == 1):
-            self._checked = (data_hash, payload)
-        return payload
-
     # -- mutation -------------------------------------------------------
 
     def _verify(self, payload: bytes, data_hash: Digest) -> None:
-        # bytes known to hash to that root need no hash: the very object of
-        # the last canonical transfer check, or bytes equal to held ones
-        checked = self._checked
-        if checked is not None and payload is checked[1] and data_hash == checked[0]:
-            return
+        # bytes equal to ones held under that root hashed to it when they
+        # were taken in, so they need no hash
         entry = self._held.get(data_hash)
         if entry is not None and payload == entry[0]:
             return
@@ -282,6 +254,9 @@ class StoreState:
         doc = self.docs[lineage] = Document(lineage=lineage, topic_id=tx.topic_id)
         doc.revisions.append(Revision(1, tx.data_hash, payload, origin))
         self._advance_mark(origin)
+        # a rollback copy goes once a revision holds its bytes again
+        if payload is not None and len(self._held.get(tx.data_hash, ())) == 1:
+            del self._held[tx.data_hash]
         return ApplyResult(applied=((lineage, 1), *self._drain(doc)))
 
     def _land_or_buffer(self, doc: Document, tx: DbFunction, payload: bytes | None, origin: Origin) -> ApplyResult:
@@ -297,6 +272,8 @@ class StoreState:
         self._advance_mark(origin)
         if tx.task is _DELETE:
             self._erase(doc)
+        elif payload is not None and len(self._held.get(tx.data_hash, ())) == 1:
+            del self._held[tx.data_hash]  # a rollback copy, as in _create
 
     def _erase(self, doc: Document) -> None:
         doc.deleted = True
@@ -359,8 +336,9 @@ class StoreState:
     def rollback_to(self, mark: Origin) -> list[Digest]:
         """Remove every revision recorded after ``mark`` (inclusive keep).
 
-        The store keeps the payloads of removed revisions by root, so
-        re-application after a reorg needs neither the network nor a hash.
+        The store keeps the payloads of removed revisions by root, until a
+        revision holding them lands again, so re-application after a reorg
+        needs neither the network nor a hash.
         Returns the lineages that were touched, in store order; documents
         whose add rolled back disappear entirely.
         """

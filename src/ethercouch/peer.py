@@ -5,19 +5,18 @@ one-to-one relationship: a mutation lands in the store only once its
 transaction is mined to the configured confirmation depth, in chain order
 per document. Payloads for hash-anchored mutations are pulled off-chain
 from whoever holds them (the editor first, then the first up-to-date peer
-from the directory, then everyone else registered), and the store checks
-every chunk's proof against the on-chain merkle root, with one tree for
-the whole Response, before a byte is stored. A fetched payload is hashed
-once: the store does not hash the bytes it just checked again when they
-apply, unless they were split other than its own chunking would split
-them. Bytes the peer already holds (the store's table of bytes by root,
-which keeps what the peer published and what a rollback removed, and
-pushes cached ahead of their block) go to the store unchecked: the
-store's hash on apply is the one check, and it skips the hash only for
-bytes equal to ones it holds under that root or the very object it
-checked under that root. A holder proves each payload once: the first
-push or serve of a root builds the proofs of all its chunks from one
-tree, and the store keeps them for every later push and serve.
+from the directory, then everyone else registered), and the store hashes
+the joined chunks of a Response to the on-chain merkle root before any
+byte is stored; a refused Response is logged as bad chunks, and the
+fetch moves on to the next source. Bytes the peer already holds (the
+store's table of bytes by root, which keeps what the peer published and
+what a rollback removed, and pushes cached ahead of their block) reach
+the store the same way: its hash on apply is the one check on every
+payload, and it skips the hash only for bytes equal to ones it holds
+under that root. A holder
+proves each payload once: the first push or serve of a root builds the
+proofs of all its chunks from one tree, and the store keeps them for
+every later push and serve.
 
 The peer is a deterministic event-driven machine: the surrounding
 environment (a simulator here) feeds it messages, mining completions,
@@ -444,6 +443,10 @@ class Peer:
         self.env.request_poll(self)
 
     def _on_response(self, resp: Response, sender: str) -> None:
+        """Hand a Response's joined chunks to the store, whose root check on
+        apply is their one check; the proofs are not read, since the chain
+        anchors the bytes, not the proofs. A refusal is logged as bad
+        chunks and moves the fetch on to the next source."""
         key = (resp.lineage, resp.seq)
         pf = self.pending.get(key)
         if pf is None:
@@ -457,18 +460,18 @@ class Peer:
                 if latest is None or resp.seq > latest[0]:
                     self._cache_push(key, b"".join(resp.chunks))
             return
-        payload = self.store.check_transfer(resp.chunks, resp.proofs, pf.tx.data_hash)
-        if payload is None:
-            self.env.note(self, f"bad chunks from {sender} lineage={digest_hex(resp.lineage)[:12]}")
-            if pf.state is _FETCHING and pf.candidates[pf.attempts] == sender:
-                pf.attempts += 1
-                self._send_fetch(pf)
-            return
+        payload = b"".join(resp.chunks)
         if pf.state is _AWAITING_CONFIRM:
-            # mined-before-apply rule: hold the bytes until depth k
+            # mined-before-apply rule: hold the bytes until depth k, unchecked
+            # like any early push; the store checks them when they apply
             self._cache_push(key, payload)
             return
-        self._apply_payload(pf, payload)
+        if self._apply_payload(pf, payload):
+            return
+        self.env.note(self, f"bad chunks from {sender} lineage={digest_hex(resp.lineage)[:12]}")
+        if pf.state is _FETCHING and pf.candidates[pf.attempts] == sender:
+            pf.attempts += 1
+            self._send_fetch(pf)
 
     def _cache_push(self, key: tuple[Digest, int], payload: bytes) -> None:
         self.push_cache[key] = payload

@@ -15,7 +15,6 @@ from ethercouch.crypto import (
     merkle_root,
     payload_root,
     verify_chunk,
-    verify_proofs,
 )
 
 # Published SHA-256 test vector for the empty string.
@@ -254,13 +253,12 @@ def test_payload_root_equals_the_tree_root_on_both_sides_of_one_chunk(cs):
                 payload_root(payload, bad)
 
 
-# -- whole-set proof check ------------------------------------------------------
+# -- whole-payload check -------------------------------------------------------
 
 
 def per_chunk_check(chunks, proofs, root):
     """Reference: chunk i must carry leaf index i and the shared leaf count,
-    and each proof must verify on its own (the receiver's check before
-    verify_proofs)."""
+    and each proof must verify on its own (the check of a ranged fetch)."""
     if not chunks or len(chunks) != len(proofs) or len(chunks) != proofs[0].leaf_count:
         return False
     n = len(chunks)
@@ -277,8 +275,9 @@ def flip(b: bytes, rng) -> bytes:
 
 
 def tampered_responses(n: int, rng):
-    """(case, chunks, proofs, root) for one seeded n-chunk payload: the
-    honest set, then every tamper the two checks must agree on."""
+    """(case, chunks, proofs, root) for one seeded n-chunk payload, in
+    chunks of 64 bytes: the honest set, then every tamper of the proofs, the
+    chunks or the root."""
     chunks = tuple(chunk_payload(rng.randbytes(64 * (n - 1) + rng.randint(1, 64)), 64))
     assert len(chunks) == n
     proofs = merkle_prove(list(chunks), range(n))
@@ -309,15 +308,20 @@ def tampered_responses(n: int, rng):
     yield "root-of-another-payload", chunks, proofs, merkle_root(other)
 
 
+# the cases whose chunks join to the payload under its root
+BYTES_INTACT = {"honest", "flipped-sibling-byte", "swapped-proofs", "wrong-leaf-index", "wrong-leaf-count", "dropped-proof"}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 11, 64])
 def test_whole_set_check_agrees_with_the_per_chunk_loop(n):
     rng = random.Random(n)
     cases = list(tampered_responses(n, rng))
     assert len(cases) == 10 - (n == 1) * 2
     for case, chunks, proofs, root in cases:
-        expected = case == "honest"
-        assert per_chunk_check(chunks, proofs, root) is expected, case
-        assert verify_proofs(chunks, proofs, root) is expected, case
+        assert per_chunk_check(chunks, proofs, root) is (case == "honest"), case
+        # the receiver's rule reads the bytes alone: it takes every proof
+        # tamper and refuses every tamper of the chunks or the root
+        assert (payload_root(b"".join(chunks), 64) == root) is (case in BYTES_INTACT), case
 
 
 def test_whole_set_check_refuses_what_the_loop_takes_from_a_longer_payload():
@@ -328,48 +332,7 @@ def test_whole_set_check_refuses_what_the_loop_takes_from_a_longer_payload():
     root = merkle_root(full)
     relabelled = tuple(MerkleProof(i, 3, p.siblings) for i, p in enumerate(merkle_prove(full, range(3))))
     assert per_chunk_check(full[:3], relabelled, root)
-    assert not verify_proofs(full[:3], relabelled, root)
     assert payload_root(b"".join(full[:3]), 7) != root  # a store would refuse the bytes
-
-
-def tree_check(chunks, proofs, root):
-    """Reference: the whole-set check through a tree, as verify_proofs makes
-    it for more than one chunk."""
-    n = len(chunks)
-    if not n or len(proofs) != n:
-        return False
-    return merkle_root(list(chunks)) == root and tuple(proofs) == merkle_prove(list(chunks), range(n))
-
-
-def test_one_chunk_check_agrees_with_the_tree_check():
-    # one chunk is checked with one hash, without a tree
-    chunk = b"the only chunk"
-    root = hash_bytes(chunk)
-    two = [b"first of two", b"second of two"]
-    two_root = merkle_root(two)
-    sibling = hash_bytes(b"sibling")
-    cases = {
-        "right-proof": ([chunk], (MerkleProof(0, 1, ()),), root),
-        "plain-tuple-proof": ([chunk], ((0, 1, ()),), root),
-        "list-of-one": ((chunk,), [MerkleProof(0, 1, ())], root),
-        "wrong-leaf-index": ([chunk], (MerkleProof(1, 1, ()),), root),
-        "wrong-leaf-count": ([chunk], (MerkleProof(0, 2, ()),), root),
-        "zero-leaf-count": ([chunk], (MerkleProof(0, 0, ()),), root),
-        "a-sibling": ([chunk], (MerkleProof(0, 1, (sibling,)),), root),
-        "sibling-list": ([chunk], (MerkleProof(0, 1, []),), root),
-        "wrong-root": ([chunk], (MerkleProof(0, 1, ()),), hash_bytes(b"other")),
-        "empty-chunk": ([b""], (MerkleProof(0, 1, ()),), hash_bytes(b"")),
-        "empty-chunk-wrong-root": ([b""], (MerkleProof(0, 1, ()),), root),
-        "no-proof": ([chunk], (), root),
-        "two-proofs": ([chunk], (MerkleProof(0, 1, ()), MerkleProof(0, 1, ())), root),
-        "first-of-two-own-proof": (two[:1], merkle_prove(two, range(1)), two_root),
-        "first-of-two-one-leaf-proof": (two[:1], (MerkleProof(0, 1, ()),), two_root),
-        "first-of-two-under-its-leaf": (two[:1], (MerkleProof(0, 1, ()),), hash_bytes(two[0])),
-    }
-    accepted = {"right-proof", "plain-tuple-proof", "list-of-one", "empty-chunk", "first-of-two-under-its-leaf"}
-    for case, (chunks, proofs, root_) in cases.items():
-        assert tree_check(chunks, proofs, root_) is (case in accepted), case
-        assert verify_proofs(chunks, proofs, root_) is (case in accepted), case
 
 
 def test_whole_set_check_hashes_one_tree(monkeypatch):
@@ -389,7 +352,7 @@ def test_whole_set_check_hashes_one_tree(monkeypatch):
         root = merkle_root(chunks)
         monkeypatch.setattr(crypto, "hash_bytes", counting)
         calls = 0
-        assert verify_proofs(chunks, proofs, root)
+        assert payload_root(b"".join(chunks), 5) == root
         tree = calls
         calls = 0
         assert all(verify_chunk(c, p, root) for c, p in zip(chunks, proofs))
@@ -397,14 +360,3 @@ def test_whole_set_check_hashes_one_tree(monkeypatch):
         assert tree == 2 * n - 1 + (n == 3)  # 3 leaves pad one level
         assert calls == n * (crypto._levels(n) + 1)
     assert (tree, calls) == (127, 448)
-
-
-def test_whole_set_check_refuses_empty_and_malformed_sets():
-    chunks = [b"a", b"b", b"c"]
-    root = merkle_root(chunks)
-    proofs = merkle_prove(chunks, range(3))
-    assert verify_proofs(chunks, proofs, root)
-    assert verify_proofs(tuple(chunks), list(proofs), root)
-    assert not verify_proofs([], (), root)
-    assert not verify_proofs(chunks, proofs[:1] + (MerkleProof(1, 3, proofs[1].siblings[:1]),) + proofs[2:], root)
-    assert not verify_proofs(chunks, proofs[:1] + (MerkleProof(1, 3, (proofs[1].siblings[0][:16], proofs[1].siblings[1])),) + proofs[2:], root)

@@ -9,7 +9,7 @@ import pytest
 from conftest import CHUNK, EDITOR_A, TOPIC_T, TOPIC_U, make_add, make_delete, make_edit
 from ethercouch.cli import main
 from ethercouch.codec import lp, u64
-from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root
+from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_root, payload_root
 from ethercouch.docstore import (
     Document,
     DuplicateDocument,
@@ -648,9 +648,9 @@ def test_staged_payloads_stay_out_of_snapshots_and_dumps():
 @pytest.mark.parametrize("seed", range(12))
 def test_held_bytes_follow_the_staged_else_retained_model(seed):
     # the model: bytes staged under a lineage stay until a delete of that
-    # lineage lands; bytes a rollback removed stay until a delete of any
-    # document holding their root lands. Four payloads make documents
-    # share roots.
+    # lineage lands; bytes a rollback removed stay until a revision holding
+    # their root lands again or a delete of any document holding it lands.
+    # Four payloads make documents share roots.
     rng = random.Random(seed)
     alphabet = {payload_root(p, CHUNK): p for p in (b"red", b"green", b"blue", b"grey")}
     store = StoreState(chunk_size=CHUNK)
@@ -684,6 +684,7 @@ def test_held_bytes_follow_the_staged_else_retained_model(seed):
                 staged.setdefault(tx.data_hash, set()).add(tx.doc_id)
             if rng.random() < 0.8:  # else it never lands, as a record that lost a race
                 (store.apply_add if tx.task is Task.ADD else store.apply_edit)(tx, payload, (height, 0))
+                retained.discard(tx.data_hash)
                 height += 1
         for root, p in alphabet.items():
             is_staged = bool(staged.get(root))
@@ -694,37 +695,20 @@ def test_held_bytes_follow_the_staged_else_retained_model(seed):
 # -- fetched payloads -------------------------------------------------------
 
 
-def proofs_for(chunks):
-    """Every proof of a chunk split and its root: an honest Response's."""
-    return merkle_prove(list(chunks), range(len(chunks))), merkle_root(list(chunks))
-
-
 @pytest.mark.parametrize(
     "payload",
     [b"", b"short", bytes(range(8)), bytes(range(16)), bytes(range(20))],
     ids=["empty", "one-short-chunk", "one-full-chunk", "two-full-chunks", "three-chunks"],
 )
 def test_checked_transfer_applies_without_a_second_hash(monkeypatch, payload):
+    # a Response's joined chunks are checked once, by the root check on apply
     store = StoreState(chunk_size=8)
-    chunks = tuple(chunk_payload(payload, 8))
-    proofs, root = proofs_for(chunks)
+    fetched = b"".join(chunk_payload(payload, 8))
     hashed = count_store_hashes(monkeypatch)
-    checked = store.check_transfer(chunks, proofs, root)
-    assert checked == payload
     tx = make_add(payload, chunk=8)
-    store.apply_add(tx, checked, (1, 0))
-    assert hashed == []
+    store.apply_add(tx, fetched, (1, 0))
+    assert hashed == [fetched]
     assert store.get_active(lineage_of(tx)) == payload
-
-
-def test_failed_transfer_check_returns_none():
-    store = StoreState(chunk_size=8)
-    chunks = tuple(chunk_payload(bytes(range(20)), 8))
-    proofs, root = proofs_for(chunks)
-    bad = (chunks[0], bytes([chunks[1][0] ^ 1]) + chunks[1][1:], chunks[2])
-    assert store.check_transfer(bad, proofs, root) is None
-    assert store.check_transfer(chunks, proofs[:2], root) is None
-    assert store.check_transfer(chunks, proofs, hash_bytes(b"another root")) is None
 
 
 @pytest.mark.parametrize(
@@ -741,34 +725,14 @@ def test_failed_transfer_check_returns_none():
 )
 def test_non_canonical_split_is_hashed_on_apply_and_refused(monkeypatch, chunks):
     # a hostile publisher anchors the tree root of its own split on chain;
-    # every proof checks against it, but the store still hashes the bytes
+    # every proof of that split checks against it, but the joined bytes
+    # chunk another way, so the store's one hash refuses them
     store = StoreState(chunk_size=8)
-    proofs, root = proofs_for(chunks)
-    payload = store.check_transfer(chunks, proofs, root)
-    assert payload == b"".join(chunks)
+    root = merkle_root(list(chunks))
+    payload = b"".join(chunks)
     tx = DbFunction(Task.ADD, root, EDITOR_A, TOPIC_T, 1, ZERO_DIGEST, None)
     hashed = count_store_hashes(monkeypatch)
     with pytest.raises(IntegrityError):
         store.apply_add(tx, payload, (1, 0))
     assert hashed == [payload]
     assert lineage_of(tx) not in store.docs
-
-
-def test_bytes_other_than_the_checked_object_are_hashed(monkeypatch):
-    store = StoreState(chunk_size=8)
-    payload = bytes(range(20))
-    chunks = tuple(chunk_payload(payload, 8))
-    checked = store.check_transfer(chunks, *proofs_for(chunks))
-    hashed = count_store_hashes(monkeypatch)
-    tx = make_add(payload, chunk=8)
-    bad = bytes([payload[0] ^ 1]) + payload[1:]
-    with pytest.raises(IntegrityError):
-        store.apply_add(tx, bad, (1, 0))
-    # the checked object offered for another root is checked against that root
-    other = make_add(bytes(range(1, 21)), chunk=8)
-    with pytest.raises(IntegrityError):
-        store.apply_add(other, checked, (1, 1))
-    copy = bytes(bytearray(checked))  # equal, but not the object that was checked
-    store.apply_add(tx, copy, (1, 2))
-    assert hashed == [bad, checked, copy]
-    assert lineage_of(other) not in store.docs

@@ -1,7 +1,10 @@
 """Peer state machine tests: publishing, serving, fetching, failover, resync."""
 
+import random
+
 import pytest
 
+from test_crypto import BYTES_INTACT, tampered_responses
 from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root, verify_chunk
 from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, editor_hash_for, topic_hash
@@ -242,7 +245,7 @@ def test_corrupt_source_triggers_failover():
     assert bob.store.get_active(key[0]) == payload
 
 
-def test_fetched_payload_costs_one_tree_and_no_hash_on_apply(monkeypatch):
+def test_fetched_payload_costs_one_tree_inside_the_stores_root_check(monkeypatch):
     import ethercouch.crypto as crypto
     import ethercouch.docstore as docstore
 
@@ -266,7 +269,8 @@ def test_fetched_payload_costs_one_tree_and_no_hash_on_apply(monkeypatch):
     assert key not in bob.pending
     assert bob.store.revision(*key).payload == payload
     assert bob.store.get_active(key[0]) == payload
-    assert trees == [3] and store_hashes == []
+    # the one tree is the store's payload_root of the joined chunks
+    assert trees == [3] and store_hashes == [payload]
 
 
 def count_trees(monkeypatch):
@@ -377,7 +381,35 @@ def test_non_canonical_split_under_its_own_root_is_never_stored():
     assert pf.candidates[pf.attempts] == "mallory"
     bob.handle_message(Response(key[0], 1, chunks, proofs), "mallory")
     assert key[0] not in bob.store.docs
-    assert bob.pending[key].state is FetchState.FETCHING
+    assert ("bob", f"bad chunks from mallory lineage={key[0].hex()[:12]}") in env.notes
+    # the fetch moved on at once, and mallory was its only source
+    assert pf.attempts == 1 and pf.state is FetchState.UNAVAILABLE
+
+
+@pytest.mark.parametrize("n", [1, 3, 11])
+def test_a_response_is_judged_by_its_bytes_alone(n):
+    # the chain anchors the bytes, not the proofs: honest chunks apply
+    # whatever their proofs say, and a changed, dropped or extra chunk is
+    # refused as bad chunks and the fetch fails over to the next source
+    for case, chunks, proofs, root in tampered_responses(n, random.Random(n)):
+        env = FakeEnv()
+        location = LocationRegistry()
+        alice, bob, _ = (Peer(PeerConfig(name=name), env=env, location=location, chunk_size=64) for name in ("alice", "bob", "carol"))
+        tx = DbFunction(Task.ADD, root, alice.editor_hash, NEWS, 1, ZERO_DIGEST, None)
+        alice.chain.submit_tx(tx)
+        alice.on_mine_complete()
+        bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+        key = (lineage_of(tx), 1)
+        pf = bob.pending[key]
+        assert pf.candidates[pf.attempts] == "alice", case
+        bob.handle_message(Response(key[0], 1, chunks, proofs), "alice")
+        bad = [text for (name, text) in env.notes if name == "bob" and text.startswith("bad chunks from alice")]
+        if case in BYTES_INTACT:
+            assert key not in bob.pending and not bad, case
+            assert bob.store.get_active(key[0]) == b"".join(chunks), case
+        else:
+            assert key[0] not in bob.store.docs and len(bad) == 1, case
+            assert pf.state is FetchState.FETCHING and pf.candidates[pf.attempts] == "carol", case
 
 
 def test_refusal_advances_candidate():

@@ -681,7 +681,9 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # entries no longer pass through the heap; 33.91 once ``tip_changed`` is a
 # field, a fetch reads its editor's location from the directory's dict, and
 # a block is encoded without the ``serialize_block`` forwarder; 33.94 once a
-# push goes through the simulator's ``broadcast`` (one more call per push).
+# push goes through the simulator's ``broadcast`` (one more call per push);
+# 33.70 once held bytes are one table that only the store releases; 33.38
+# once a fetched payload's one check is the store's root check on apply.
 CALLS_PER_DELIVERY = 35
 
 
