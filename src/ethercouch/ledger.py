@@ -341,13 +341,13 @@ class ChainState:
     one per-transaction index. A transaction is checked where it enters:
     ``submit_tx`` against the chain plus the queue, ``validate_block``
     against its branch; mining and the canonical switch re-check nothing.
+    It has no mining policy: whether to mine is the caller's choice.
     """
 
     def __init__(
         self,
         difficulty_bits: int = 12,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        allow_empty_blocks: bool = False,
     ):
         from .registry import DataRegistry
 
@@ -355,7 +355,6 @@ class ChainState:
             raise ValueError("difficulty_bits must be in [0, 32]")
         self.difficulty_bits = difficulty_bits
         self.chunk_size = chunk_size
-        self.allow_empty_blocks = allow_empty_blocks
         genesis = self._mine_raw(ZERO_DIGEST, 0, ZERO_DIGEST, ())
         self.genesis = genesis
         self.blocks: dict[Digest, Block] = {genesis.block_hash: genesis}
@@ -427,11 +426,10 @@ class ChainState:
 
     def mine_block(self, miner: Digest, max_txs: int = 100) -> Block:
         """Put the first max_txs queued transactions into a block on the tip
-        and search nonces from zero until the difficulty target is met. The
-        queue is valid in order on the canonical chain, so its prefix is not
-        re-checked, and it is untouched until the block is adopted."""
-        if not self.mempool and not self.allow_empty_blocks:
-            raise ValueError("mempool empty and empty-block mining disabled")
+        (an empty queue mines an empty block) and search nonces from zero
+        until the difficulty target is met. The queue is valid in order on
+        the canonical chain, so its prefix is not re-checked, and it is
+        untouched until the block is adopted."""
         return self._mine_raw(self.tip, self.height + 1, miner, tuple(self.mempool[:max_txs]))
 
     def validate_block(self, block: Block) -> tuple[bool, str]:

@@ -8,15 +8,16 @@ from whoever holds them (the editor first, then the first up-to-date peer
 from the directory, then everyone else registered), and the store hashes
 the joined chunks of a Response to the on-chain merkle root before any
 byte is stored; a refused Response is logged as bad chunks, and the
-fetch moves on to the next source. Bytes the peer already holds (the
-store's table of bytes by root, which keeps what the peer published and
-what a rollback removed, and pushes cached ahead of their block) reach
-the store the same way: its hash on apply is the one check on every
-payload, and it skips the hash only for bytes equal to ones it holds
-under that root. A holder
-proves each payload once: the first push or serve of a root builds the
-proofs of all its chunks from one tree, and the store keeps them for
-every later push and serve.
+fetch moves on to the next source. A new confirmation, a refill after a
+reorg and a retry of an unavailable fetch all start in one place, which
+tries the bytes at hand before any fetch: the tx's inline payload (so a
+chain-only peer never fetches), the store's table of bytes by root (what
+the peer published and what a rollback removed), then pushes cached
+ahead of their block. The store's hash on apply is the one check on
+every payload, and it skips the hash only for bytes equal to ones it
+holds under that root. A holder proves each payload once: the first
+push or serve of a root builds the proofs of all its chunks from one
+tree, and the store keeps them for every later push and serve.
 
 The peer is a deterministic event-driven machine: the surrounding
 environment (a simulator here) feeds it messages, mining completions,
@@ -165,9 +166,10 @@ class Peer:
         self.env = env
         self.location = location
         self.chunk_size = chunk_size
+        self.allow_empty_blocks = allow_empty_blocks  # mine with an empty queue
         self.max_txs_per_block = max_txs_per_block
         # the environment's delay between mining completions stands in for the work
-        self.chain = ChainState(difficulty_bits=0, chunk_size=chunk_size, allow_empty_blocks=allow_empty_blocks)
+        self.chain = ChainState(difficulty_bits=0, chunk_size=chunk_size)
         self.store = StoreState(chunk_size=chunk_size, topics=config.topics)
         self._declared = tuple(sorted(config.topics))  # the topics each Request declares
         self.online = True
@@ -324,7 +326,7 @@ class Peer:
     # -- mining -----------------------------------------------------------
 
     def wants_mining(self) -> bool:
-        return self.online and (bool(self.chain.mempool) or self.chain.allow_empty_blocks)
+        return self.online and (bool(self.chain.mempool) or self.allow_empty_blocks)
 
     def on_mine_complete(self) -> None:
         """The sampled work interval elapsed: assemble and adopt a block."""
@@ -422,12 +424,6 @@ class Peer:
         return chunks, self.store.proof_set(root, lambda: merkle_prove(chunks, range(len(chunks))))
 
     # -- fetching -------------------------------------------------------------
-
-    def _start_fetch(self, pf: PendingFetch) -> None:
-        pf.candidates = self._sources(self.location.all_peers.get(pf.tx.editor_hash))
-        pf.attempts = 0
-        pf.state = _FETCHING
-        self._send_fetch(pf)
 
     def _send_fetch(self, pf: PendingFetch) -> None:
         """Ask the next candidate; once every one was asked, the fetch is
@@ -605,37 +601,40 @@ class Peer:
                     continue
                 self._dispatch_confirmed(pf)
             elif pf.state is _UNAVAILABLE:
-                # fresh chain activity: sources may have changed, retry now
-                self._start_fetch(pf)
+                # fresh chain activity: bytes or sources may have changed,
+                # so start over from the bytes at hand
+                self._dispatch_confirmed(pf)
 
     def _dispatch_confirmed(self, pf: PendingFetch) -> None:
-        if pf.tx.task is _DELETE:
+        """The one way a confirmed mutation starts toward the store, for a
+        new confirmation, a refill and a retry of an unavailable fetch. A
+        delete applies at once; otherwise the bytes at hand go first (the
+        inline payload, the store's held bytes, a cached push), unchecked
+        since the store's hash on apply is the one check, and bytes it
+        refuses fall through to the next. Only then does a fetch start."""
+        tx = pf.tx
+        if tx.task is _DELETE:
             self._confirm_delete(pf)
             return
-        # bytes held here apply at once, with no fetch state in between
-        if pf.tx.inline_payload is not None:
-            if not self._apply_payload(pf, pf.tx.inline_payload):
-                self.env.note(self, f"inline payload corrupt lineage={digest_hex(pf.tx.doc_id)[:12]}")
-                pf.state = _UNAVAILABLE
-                pf.due = self.env.now() + self.env.poll_interval
+        if tx.inline_payload is not None and self._apply_payload(pf, tx.inline_payload):
             return
-        local = self._local_payload(pf)
-        if local is not None and self._apply_payload(pf, local):
+        held = self.store.held_payload(tx.data_hash)
+        if held is not None and self._apply_payload(pf, held):
             return
-        self._start_fetch(pf)
-
-    def _local_payload(self, pf: PendingFetch) -> bytes | None:
-        """Bytes the store holds under ``pf``'s root, else pushed ones,
-        unchecked: the store's hash check on apply is the one check."""
-        payload = self.store.held_payload(pf.tx.data_hash)
-        if payload is None:
-            payload = self.push_cache.pop((pf.tx.doc_id, pf.tx.sequence_id), None)
-        return payload
+        pushed = self.push_cache.pop((tx.doc_id, tx.sequence_id), None)
+        if pushed is not None and self._apply_payload(pf, pushed):
+            return
+        pf.candidates = self._sources(self.location.all_peers.get(tx.editor_hash))
+        pf.attempts = 0
+        pf.state = _FETCHING
+        self._send_fetch(pf)
 
     def _queue_missing_refills(self, touched: list[Digest]) -> None:
         """After a rollback un-deletes a document, its erased payloads need
-        to come back from peers that never applied the delete. Only the
-        lineages the rollback ``touched`` can hold such a document."""
+        to come back: from the chain's inline copy in chain-only mode, else
+        from bytes at hand, else from peers that never applied the delete.
+        Only the lineages the rollback ``touched`` can hold such a
+        document."""
         for lineage, seq, data_hash in self.store.missing_payload_revisions(touched):
             key = (lineage, seq)
             if key in self.pending:
@@ -645,10 +644,7 @@ class Peer:
                 continue
             refill = PendingFetch(tx=entry.tx, coord=(entry.height, entry.index), refill=True)
             self.pending[key] = refill
-            local = self._local_payload(refill)
-            if local is not None and self._apply_payload(refill, local):
-                continue
-            self._start_fetch(refill)
+            self._dispatch_confirmed(refill)
 
     # -- polling ------------------------------------------------------------
 
@@ -678,7 +674,7 @@ class Peer:
                 pf.attempts += 1
                 self._send_fetch(pf)
             elif pf.state is _UNAVAILABLE and now >= pf.due:
-                self._start_fetch(pf)
+                self._dispatch_confirmed(pf)
         self._reannounce_own(now)
         self._retry_deferred()
         self.env.request_poll(self)

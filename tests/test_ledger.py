@@ -301,18 +301,16 @@ def test_mine_difficulty_zero_accepts_nonce_zero():
     assert state.validate_block(block)[0]
 
 
-def test_mine_empty_mempool_requires_flag():
+def test_mine_block_on_an_empty_queue_mines_an_empty_block():
     state = fresh()
-    with pytest.raises(ValueError):
-        state.mine_block(EDITOR_A)
-    state2 = ChainState(difficulty_bits=0, allow_empty_blocks=True)
-    block = state2.mine_block(EDITOR_A)
+    block = state.mine_block(EDITOR_A)
     assert block.txs == ()
+    assert state.validate_block(block)[0]
 
 
 def test_mean_nonce_attempts_at_difficulty_eight():
     # geometric search with p = 2^-8: expectation 256 attempts per block
-    state = ChainState(difficulty_bits=8, allow_empty_blocks=True)
+    state = ChainState(difficulty_bits=8)
     attempts = []
     for _ in range(100):
         block = state.mine_block(EDITOR_A)
@@ -370,7 +368,7 @@ def test_validate_rejects_add_with_sequence_two():
 
 
 def test_validate_rejects_pow_miss():
-    state = ChainState(difficulty_bits=8, allow_empty_blocks=True)
+    state = ChainState(difficulty_bits=8)
     block = state.mine_block(EDITOR_A)
     # rebuild the same block with a nonce that fails the target
     nonce = 0

@@ -113,6 +113,19 @@ def test_chain_only_mode_embeds_payload():
     assert peer.store.get_active(lineage_of(tx)) == b"inline me"
 
 
+def test_an_empty_queue_is_mined_only_with_the_peers_flag():
+    peer, _ = make_peer()
+    assert not peer.wants_mining()
+    peer.on_mine_complete()
+    assert peer.chain.height == 0
+    flagged = Peer(PeerConfig(name="bob"), env=FakeEnv(), location=LocationRegistry(), allow_empty_blocks=True)
+    assert flagged.wants_mining()
+    flagged.on_mine_complete()
+    assert flagged.chain.height == 1 and flagged.chain.tip_block.txs == ()
+    peer.publish(Task.ADD, NEWS, b"queued")
+    assert peer.wants_mining()
+
+
 # -- serving ---------------------------------------------------------------
 
 
@@ -432,6 +445,24 @@ def test_all_candidates_exhausted_goes_unavailable():
     bob.on_poll()
     assert bob.pending[key].state is FetchState.FETCHING
     assert any(isinstance(m, Request) for (_, _, m) in env.sent)
+
+
+def test_an_unavailable_fetch_retries_from_bytes_the_peer_has_come_to_hold():
+    env, alice, bob, carol, tx, payload = failover_setup()
+    key = (lineage_of(tx), 1)
+    bob.handle_message(Refusal(key[0], 1, "not-held"), "alice")
+    bob.handle_message(Refusal(key[0], 1, "not-held"), "carol")
+    pf = bob.pending[key]
+    assert pf.state is FetchState.UNAVAILABLE
+    # bob publishes the same bytes under a document of its own
+    bob.publish(Task.ADD, OPS, payload)
+    assert bob.store.held_payload(tx.data_hash) == payload
+    env.t = pf.due
+    env.sent.clear()
+    bob.on_poll()
+    assert key not in bob.pending
+    assert bob.store.get_active(key[0]) == payload
+    assert not [m for (_, _, m) in env.sent if isinstance(m, Request)]
 
 
 def test_an_exhausted_fetch_retries_one_poll_interval_later_every_time():
