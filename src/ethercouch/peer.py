@@ -42,7 +42,6 @@ from .crypto import (
     ZERO_DIGEST,
     MerkleProof,
     chunk_payload,
-    digest_hex,
     hash_bytes,
     merkle_prove,
     payload_root,
@@ -257,7 +256,7 @@ class Peer:
                 self.env.note(self, f"publish rejected {e.reason}")
                 return None
         self.deferred.append({"task": task, "topic": topic, "payload": payload, "lineage": lineage})
-        self.env.note(self, f"deferred {task.label} lineage={digest_hex(lineage)[:12]}")
+        self.env.note(self, f"deferred {task.label} lineage={lineage[:6].hex()}")
         self.env.request_poll(self)
         return None
 
@@ -334,7 +333,7 @@ class Peer:
             return
         block = self.chain.mine_block(self.editor_hash, max_txs=self.max_txs_per_block)
         report = self.chain.adopt_block(block)
-        self.env.note(self, f"mined h={block.height} ntx={len(block.txs)} {digest_hex(block.block_hash)[:12]}")
+        self.env.note(self, f"mined h={block.height} ntx={len(block.txs)} {block.block_hash[:6].hex()}")
         self._after_chain_event(report)
         self.env.broadcast(self, BlockAnnounce(block))
 
@@ -435,7 +434,7 @@ class Peer:
             return
         pf.state = _UNAVAILABLE
         pf.due = self.env.now() + self.env.poll_interval
-        self.env.note(self, f"unavailable lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
+        self.env.note(self, f"unavailable lineage={pf.tx.doc_id[:6].hex()} seq={pf.tx.sequence_id}")
         self.env.request_poll(self)
 
     def _on_response(self, resp: Response, sender: str) -> None:
@@ -464,7 +463,7 @@ class Peer:
             return
         if self._apply_payload(pf, payload):
             return
-        self.env.note(self, f"bad chunks from {sender} lineage={digest_hex(resp.lineage)[:12]}")
+        self.env.note(self, f"bad chunks from {sender} lineage={resp.lineage[:6].hex()}")
         if pf.state is _FETCHING and pf.candidates[pf.attempts] == sender:
             pf.attempts += 1
             self._send_fetch(pf)
@@ -488,7 +487,7 @@ class Peer:
             if pf.refill:
                 self.store.fill_payload(pf.tx.doc_id, pf.tx.sequence_id, payload)
                 self._close(pf)
-                self.env.note(self, f"refilled lineage={digest_hex(pf.tx.doc_id)[:12]} seq={pf.tx.sequence_id}")
+                self.env.note(self, f"refilled lineage={pf.tx.doc_id[:6].hex()} seq={pf.tx.sequence_id}")
                 return True
             if pf.tx.task is _ADD:
                 result = self.store.apply_add(pf.tx, payload, pf.coord)
@@ -498,7 +497,7 @@ class Peer:
             return False
         except (StaleRevision, DuplicateDocument, TombstoneError) as e:
             self._close(pf)
-            self.env.note(self, f"apply skipped ({type(e).__name__}) lineage={digest_hex(pf.tx.doc_id)[:12]}")
+            self.env.note(self, f"apply skipped ({type(e).__name__}) lineage={pf.tx.doc_id[:6].hex()}")
             return True
         if result.buffered:
             self._close(pf)
@@ -508,7 +507,7 @@ class Peer:
     def _mark_applied(self, applied_pairs) -> None:
         for lineage, seq in applied_pairs:
             self.pending.pop((lineage, seq), None)
-            self.env.note(self, f"applied lineage={digest_hex(lineage)[:12]} seq={seq}")
+            self.env.note(self, f"applied lineage={lineage[:6].hex()} seq={seq}")
 
     def _confirm_delete(self, pf: PendingFetch) -> None:
         """Apply a confirmed delete; revisions nobody can supply anymore are

@@ -1,7 +1,10 @@
 """Deterministic discrete-event network simulator.
 
 Time is integer ticks. Scheduled events (deliveries, mining completions,
-poll ticks) are processed in (time, insertion-sequence) order from a heap.
+poll ticks) are processed in order of time, then of insertion, from a heap.
+Each heap entry is a plain ``(at, order, handler, target, payload)`` tuple,
+compared in C; ``order`` is unique, so the fields after it are never
+compared, and the run loop calls ``handler(sim, target, payload)``.
 The scenario's script is already in time order, so it is read from a cursor
 and merged with the heap: an entry runs before every heap event of its tick,
 as if it had been scheduled before them. All randomness (latency draws,
@@ -10,6 +13,11 @@ order, and peers are advanced strictly one event at a time, so a (scenario,
 horizon) pair always produces a bit-identical trace and final state. A
 latency draw consumes the generator exactly as ``randint`` does, without
 its call overhead.
+
+Every trace line starts with the tick, right-aligned in 7 columns. The run
+loop is the only code that moves the clock, and it formats that stamp once
+per move; each peer's name, padded to 8 columns, is formatted once when the
+simulation is built. So writing a trace line runs no format spec.
 
 Every message crosses the network as its canonical bytes, encoded once per
 distinct message and parsed once at the first copy to arrive; each
@@ -28,12 +36,12 @@ never retransmitted by the network; recovery belongs to the peer protocol.
 from __future__ import annotations
 
 import hashlib
-import heapq
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from heapq import heappop, heappush
 
 from .ledger import Block, Task, TxRejected
 from .peer import Mode, Peer, PeerConfig, topic_hash
@@ -42,16 +50,6 @@ from .wire import decode_message, describe, encode_message
 
 # function bodies read these names, not Task's members: an enum member read is slow
 _ADD, _EDIT, _DELETE = Task.ADD, Task.EDIT, Task.DELETE
-
-
-class SimEvent(NamedTuple):
-    # a plain tuple, so the heap compares events in C; ``seq`` is unique, so
-    # the fields after it are never compared
-    at: int
-    seq: int
-    handle: Callable  # Simulation._deliver, _mine or _poll
-    target: str
-    payload: object  # a delivery's record; None for the others
 
 
 @dataclass
@@ -158,8 +156,10 @@ class Simulation:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.clock = 0
-        self._seq = 0
-        self._heap: list[SimEvent] = []
+        self._stamp = f"{0:>7}"  # the trace's tick column; run() moves it with the clock
+        self._order = itertools.count()
+        # handler is _deliver, _mine or _poll; payload a delivery's record, else None
+        self._heap: list[tuple] = []
         self.trace = Trace()
         self.location = LocationRegistry()
         self.poll_interval = scenario.poll_interval
@@ -170,6 +170,7 @@ class Simulation:
         self._mine_armed: dict[str, bool] = {}
         self._poll_armed: dict[str, bool] = {}
         self.peers: dict[str, Peer] = {}
+        self._label: dict[str, str] = {}  # peer name -> its trace column, padded to 8
         # every block parsed off the wire in this run, by hash: a block sent
         # again (catch-up batches mostly re-send held ones) is parsed once
         self._blocks: dict[bytes, Block] = {}
@@ -183,6 +184,7 @@ class Simulation:
                 max_txs_per_block=scenario.max_txs_per_block,
             )
             self.peers[cfg.name] = peer
+            self._label[cfg.name] = f"{cfg.name:<8}"
             self._mine_armed[cfg.name] = False
             self._poll_armed[cfg.name] = False
         self.doc_lineages: dict[str, bytes] = {}
@@ -198,15 +200,11 @@ class Simulation:
 
     # -- event plumbing ---------------------------------------------------
 
-    def _push(self, at: int, handle: Callable, target: str, payload: object) -> None:
-        heapq.heappush(self._heap, SimEvent(at, self._seq, handle, target, payload))
-        self._seq += 1
-
     def now(self) -> int:
         return self.clock
 
     def note(self, src: Peer, text: str) -> None:
-        self.trace.add(f"{self.clock:>7} note  {src.name:<8} {text}")
+        self.trace.add(f"{self._stamp} note  {self._label[src.name]} {text}")
 
     def peer(self, name: str) -> Peer:
         return self.peers[name]
@@ -234,16 +232,16 @@ class Simulation:
         if not src.online:
             return raw
         if self.partition is not None and not self._allowed(src.name, dst):
-            self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} partitioned {describe(msg)}")
+            self.trace.add(f"{self._stamp} drop  {src.name}->{dst} partitioned {describe(msg)}")
             return raw
         if not self.peers[dst].online:
-            self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} offline {describe(msg)}")
+            self.trace.add(f"{self._stamp} drop  {src.name}->{dst} offline {describe(msg)}")
             return raw
         at = self.clock + self._latency()
         # messages cross the simulated wire in canonical serialized form
         if raw is None:
             raw = {"from": src.name, "raw": encode_message(msg)}
-        self._push(at, Simulation._deliver, dst, raw)
+        heappush(self._heap, (at, next(self._order), Simulation._deliver, dst, raw))
         return raw
 
     def send_batch(self, src: Peer, dst: str, msgs) -> None:
@@ -251,11 +249,12 @@ class Simulation:
         if dst not in self.peers or not src.online:
             return
         if not self._allowed(src.name, dst) or not self.peers[dst].online:
-            self.trace.add(f"{self.clock:>7} drop  {src.name}->{dst} batch of {len(msgs)}")
+            self.trace.add(f"{self._stamp} drop  {src.name}->{dst} batch of {len(msgs)}")
             return
         at = self.clock + self._latency()
         for msg in msgs:
-            self._push(at, Simulation._deliver, dst, {"from": src.name, "raw": encode_message(msg)})
+            rec = {"from": src.name, "raw": encode_message(msg)}
+            heappush(self._heap, (at, next(self._order), Simulation._deliver, dst, rec))
 
     def _latency(self) -> int:
         """One delivery delay in ticks: ``rng.randint(lo, hi)``, drawn by the
@@ -290,19 +289,19 @@ class Simulation:
         rate = (w / self._total_weight) / self.scenario.mean_block_interval
         interval = max(1, round(self.rng.expovariate(rate)))
         self._mine_armed[peer.name] = True
-        self._push(self.clock + interval, Simulation._mine, peer.name, None)
+        heappush(self._heap, (self.clock + interval, next(self._order), Simulation._mine, peer.name, None))
 
     def request_poll(self, peer: Peer) -> None:
         if self._poll_armed[peer.name] or not peer.online or not peer.wants_poll():
             return
         self._poll_armed[peer.name] = True
-        self._push(self.clock + self.poll_interval, Simulation._poll, peer.name, None)
+        heappush(self._heap, (self.clock + self.poll_interval, next(self._order), Simulation._poll, peer.name, None))
 
     # -- run loop ----------------------------------------------------------------
 
     def run(self, until: int | None = None) -> Simulation:
         """Process events up to tick ``until`` (every event, if None): heap
-        events in (tick, seq) order, merged with the script from its cursor.
+        events in (tick, order) order, merged with the script from its cursor.
         A script entry runs first at a tie, since it was due before anything
         it or the heap could schedule at its tick. Returns this simulation."""
         heap = self._heap
@@ -312,52 +311,53 @@ class Simulation:
         i = self._next_script
         nxt = script[i].at if i < end else math.inf
         while True:
-            if heap and heap[0].at < nxt:
-                if heap[0].at > stop:
+            if heap and (at := heap[0][0]) < nxt:
+                if at > stop:
                     break
-                ev = heapq.heappop(heap)
-                if ev.at > self.clock:
-                    self.clock = ev.at
-                ev.handle(self, ev)
+                _, _, handler, target, payload = heappop(heap)
+                if at > self.clock:
+                    self.clock = at
+                    self._stamp = f"{at:>7}"
+                handler(self, target, payload)
             else:
                 # the heap is empty or starts at or after the next entry
                 if i == end or nxt > stop:
                     break
                 if nxt > self.clock:
                     self.clock = nxt
+                    self._stamp = f"{nxt:>7}"
                 self._next_script = i + 1
                 self._script(i, self.peers.get(script[i].peer))
                 i += 1
                 nxt = script[i].at if i < end else math.inf
         return self
 
-    def _deliver(self, ev: SimEvent) -> None:
+    def _deliver(self, target: str, rec: dict) -> None:
         # the first copy to arrive parses the bytes; later copies of the
         # same record share the frozen message and its trace text
-        peer = self.peers[ev.target]
-        rec = ev.payload
+        peer = self.peers[target]
         msg = rec.get("msg")
         if msg is None:
             msg = rec["msg"] = decode_message(rec["raw"], self._blocks)
             rec["text"] = describe(msg)
         if not peer.online:
-            self.trace.add(f"{ev.at:>7} drop  ->{ev.target} offline-at-arrival {rec['text']}")
+            self.trace.add(f"{self._stamp} drop  ->{target} offline-at-arrival {rec['text']}")
             return
-        self.trace.add(f"{ev.at:>7} recv  {ev.target:<8} from {rec['from']}: {rec['text']}")
+        self.trace.add(f"{self._stamp} recv  {self._label[target]} from {rec['from']}: {rec['text']}")
         peer.handle_message(msg, rec["from"])
 
-    def _mine(self, ev: SimEvent) -> None:
-        peer = self.peers[ev.target]
-        self._mine_armed[ev.target] = False
+    def _mine(self, target: str, _payload: None) -> None:
+        peer = self.peers[target]
+        self._mine_armed[target] = False
         if not peer.online:
-            self.trace.add(f"{ev.at:>7} skip  {ev.target:<8} mine while offline")
+            self.trace.add(f"{self._stamp} skip  {self._label[target]} mine while offline")
             return
         peer.on_mine_complete()
         self.arm_mining(peer)
 
-    def _poll(self, ev: SimEvent) -> None:
-        self._poll_armed[ev.target] = False
-        peer = self.peers[ev.target]
+    def _poll(self, target: str, _payload: None) -> None:
+        self._poll_armed[target] = False
+        peer = self.peers[target]
         if peer.online:
             peer.on_poll()
 
@@ -378,10 +378,10 @@ class Simulation:
         act = self.scenario.script[idx]
         action, args = act.action, act.args
         if action == "offline":
-            self.trace.add(f"{self.clock:>7} event {peer.name:<8} goes offline")
+            self.trace.add(f"{self._stamp} event {self._label[peer.name]} goes offline")
             peer.go_offline()
         elif action == "online":
-            self.trace.add(f"{self.clock:>7} event {peer.name:<8} comes online")
+            self.trace.add(f"{self._stamp} event {self._label[peer.name]} comes online")
             peer.go_online()
         elif action == "partition":
             groups = args["groups"]
@@ -389,10 +389,10 @@ class Simulation:
             for name in self.peers:
                 mapping.setdefault(name, len(groups))
             self.partition = mapping
-            self.trace.add(f"{self.clock:>7} event partition {groups}")
+            self.trace.add(f"{self._stamp} event partition {groups}")
         elif action == "heal":
             self.partition = None
-            self.trace.add(f"{self.clock:>7} event heal")
+            self.trace.add(f"{self._stamp} event heal")
             for p in self.peers.values():
                 if p.online:
                     p.announce_tip()
@@ -403,7 +403,7 @@ class Simulation:
             topic = self._topic_ids.get(args["topic"])
             if topic is None:
                 topic = self._topic_ids[args["topic"]] = topic_hash(args["topic"])
-            self.trace.add(f"{self.clock:>7} user  {peer.name:<8} publish {doc} ({len(payload)}B)")
+            self.trace.add(f"{self._stamp} user  {self._label[peer.name]} publish {doc} ({len(payload)}B)")
             try:
                 tx = peer.user_action(_ADD, topic, payload, None)
             except TxRejected as e:
@@ -420,7 +420,7 @@ class Simulation:
             topic = self.doc_topics[doc]
             payload = self._payload_for(idx, args) if action == "edit" else None
             task = _EDIT if action == "edit" else _DELETE
-            self.trace.add(f"{self.clock:>7} user  {peer.name:<8} {action} {doc}")
+            self.trace.add(f"{self._stamp} user  {self._label[peer.name]} {action} {doc}")
             peer.user_action(task, topic, payload, lineage)
 
 

@@ -362,11 +362,16 @@ def test_cli_run_refuses_a_malformed_scenario_without_a_traceback(tmp_path, text
 
 
 def test_console_entrypoint_runs():
+    import os
+
+    root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "ethercouch", "bench", "--mode", "plain", "--counts", "5", "--reps", "1"],
         capture_output=True,
         text=True,
-        cwd=str(Path(__file__).resolve().parent.parent),
+        # the child finds the package in the checkout however pytest was started
+        env={"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": str(root / "src")},
+        cwd=str(root),
     )
     assert proc.returncode == 0
     assert "plain" in proc.stdout

@@ -65,13 +65,18 @@ def test_adjacent_seeds_diverge():
     assert r1.trace.digest() != r2.trace.digest()
 
 
+def heap_deliveries(sim) -> list[tuple]:
+    """``(at, target, record)`` of each delivery queued on ``sim``'s heap."""
+    return [(at, target, rec) for at, _, handler, target, rec in sim._heap if handler is Simulation._deliver]
+
+
 def test_unit_latency_delivers_next_tick():
     scenario = Scenario(seed=1, peers=[PeerConfig(name="a"), PeerConfig(name="b")], latency=(1, 1))
     sim = Simulation(scenario)
     sim.send(sim.peers["a"], "b", BlockRequest(0))
-    deliveries = [e for e in sim._heap if e.handle is Simulation._deliver]
+    deliveries = heap_deliveries(sim)
     assert len(deliveries) == 1
-    assert deliveries[0].at == 1
+    assert deliveries[0][0] == 1
 
 
 def test_partitioned_pair_drops_and_logs():
@@ -83,7 +88,7 @@ def test_partitioned_pair_drops_and_logs():
     sim = Simulation(scenario)
     sim.run(until=0)  # applies the partition
     sim.send(sim.peers["a"], "b", BlockRequest(0))
-    assert not any(e.handle is Simulation._deliver for e in sim._heap)
+    assert heap_deliveries(sim) == []
     assert any("partitioned" in line for line in sim.trace.lines)
 
 
@@ -96,7 +101,7 @@ def test_offline_recipient_drops_no_replay():
     sim = Simulation(scenario)
     sim.run(until=0)
     sim.send(sim.peers["a"], "b", BlockRequest(0))
-    assert not any(e.handle is Simulation._deliver for e in sim._heap)
+    assert heap_deliveries(sim) == []
     assert any("offline" in line and "drop" in line for line in sim.trace.lines)
 
 
@@ -129,12 +134,12 @@ def test_broadcast_encodes_once_for_all_reachable_recipients(monkeypatch, offlin
         sim.peers[name].online = False
     msg = BlockRequest(3)
     sim.broadcast(sim.peers["p0"], msg, names)
-    deliveries = [e for e in sim._heap if e.handle is Simulation._deliver]
+    deliveries = heap_deliveries(sim)
     named = [f"p{i}" for i in range(1, 4)] if names is None else names
     assert len(calls) == encodes
-    assert sorted(e.target for e in deliveries) == [name for name in named if name not in offline and name != "p0"]
-    assert all(e.payload is deliveries[0].payload for e in deliveries)
-    assert all(e.payload["raw"] == encode_message(msg) for e in deliveries)
+    assert sorted(target for _, target, _ in deliveries) == [name for name in named if name not in offline and name != "p0"]
+    assert all(rec is deliveries[0][2] for _, _, rec in deliveries)
+    assert all(rec["raw"] == encode_message(msg) for _, _, rec in deliveries)
     assert sum(" drop " in line for line in sim.trace.lines) == len(offline)
 
 
@@ -197,9 +202,9 @@ def test_push_payload_is_encoded_and_parsed_once_for_all_up_to_date_peers(monkey
     encoded, decoded = count_codec_calls(monkeypatch)
     got = record_deliveries(monkeypatch, sim)
     alice._push_payload(tx, alice._push_recipients())
-    deliveries = [e for e in sim._heap if e.handle is Simulation._deliver]
-    assert sorted(e.target for e in deliveries) == ["p1", "p2"]
-    assert deliveries[0].payload is deliveries[1].payload
+    deliveries = heap_deliveries(sim)
+    assert sorted(target for _, target, _ in deliveries) == ["p1", "p2"]
+    assert deliveries[0][2] is deliveries[1][2]
     sim.run()
     assert len(encoded) == 1 and len(decoded) == 1
     assert sorted(name for name, _ in got) == ["p1", "p2"]
@@ -305,6 +310,51 @@ def test_stepping_one_tick_at_a_time_matches_one_run():
     for name, peer in whole.peers.items():
         assert stepped.peer(name).chain.dump_text() == peer.chain.dump_text()
         assert stepped.peer(name).store.snapshot_bytes() == peer.store.snapshot_bytes()
+
+
+def test_every_trace_line_is_stamped_with_the_clock_and_a_padded_name():
+    # a name longer than the 8-column field, ticks past the 7-column one and
+    # a run resumed several times: no corpus case reaches any of these
+    names = ["ab", "alexandria", "p2"]
+
+    def scenario():
+        return Scenario(
+            seed=12,
+            peers=[PeerConfig(name=n) for n in names],
+            script=[
+                ScriptAction(5, "publish", "ab", {"doc": "a", "topic": "news", "size": 90}),
+                ScriptAction(9_999_990, "publish", "alexandria", {"doc": "b", "topic": "news", "size": 70}),
+                ScriptAction(10_000_000, "offline", "p2"),
+                ScriptAction(10_000_000, "edit", "ab", {"doc": "a", "size": 60}),
+                ScriptAction(10_000_003, "partition", "", {"groups": [["ab"], ["alexandria"]]}),
+                ScriptAction(10_000_400, "heal"),
+                ScriptAction(10_000_900, "online", "p2"),
+                ScriptAction(12_345_678, "delete", "alexandria", {"doc": "b"}),
+            ],
+            latency=(1, 5),
+            mean_block_interval=30,
+        )
+
+    whole = run_scenario(scenario())
+    sim = Simulation(scenario())
+    stamped = []  # (clock, line) of every trace line, as it is written
+    sim.trace.add = lambda line: stamped.append((sim.clock, line)) or sim.trace.lines.append(line)
+    for until in (0, 5, 9_999_999, 10_000_000, 10_000_401, 11_000_000, None):
+        sim.run(until)
+    assert sim.trace.digest() == whole.trace.digest()
+    assert [line for _, line in stamped] == sim.trace.lines
+    kinds = set()
+    for tick, line in stamped:
+        kind, name = line.split()[1:3]
+        kinds.add(kind)
+        if kind == "drop":
+            assert line.startswith(f"{tick:>7} drop  "), line
+        elif name not in ("partition", "heal"):
+            assert name in names and line.startswith(f"{tick:>7} {kind:<5} {name:<8} "), line
+    assert kinds == {"recv", "note", "drop", "user", "event", "skip"}
+    assert any(line.startswith("12345678 ") for _, line in stamped)
+    assert any(line.startswith("      5 ") for _, line in stamped)
+    assert any(" alexandria " in line for _, line in stamped)
 
 
 def test_a_quiet_network_leaves_its_last_blocks_unconfirmed_at_depth_two():
@@ -630,8 +680,11 @@ def profiled_calls(run) -> tuple[int, object]:
 # simulator's cursor instead of being pushed onto its heap and popped off it
 # (42.633), 42.623 once a chain event's ``tip_changed`` is a field, not a
 # property (one call fewer per block), still 42.623 once a heap event
-# carries its handler instead of a kind, and 41.62 once a confirmed
-# mutation's held bytes are read inline by its one dispatch.
+# carries its handler instead of a kind, 41.62 once a confirmed
+# mutation's held bytes are read inline by its one dispatch, 41.60 once a
+# heap entry is a plain tuple pushed without a helper call (41.6025), and
+# 40.59 once a peer's notes print a digest's first 6 bytes in hex without
+# the ``digest_hex`` call (40.5925).
 # The count depends on the code alone, not on the machine; Python 3.12's
 # inlined comprehensions can only lower it.
 CALLS_PER_INSERT = 43
@@ -705,7 +758,9 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # 33.70 once held bytes are one table that only the store releases; 33.38
 # once a fetched payload's one check is the store's root check on apply;
 # 32.99 once every confirmed mutation starts toward the store from one
-# dispatch that tries the bytes at hand inline.
+# dispatch that tries the bytes at hand inline; 30.63 once a heap entry is a
+# plain tuple pushed without a helper call or a named tuple's constructor
+# frame; 30.33 once a peer's notes print a digest without ``digest_hex``.
 CALLS_PER_DELIVERY = 35
 
 
