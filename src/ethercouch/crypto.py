@@ -4,7 +4,8 @@ Every digest in the system is SHA-256 (32 bytes). Payloads travel between
 peers as fixed-size chunks; a binary merkle tree over the chunk hashes lets
 a holder prove each chunk against the single 32-byte root recorded on
 chain, so a receiver can verify a chunk without holding the whole payload
-first (``verify_chunk``). A receiver of a whole payload checks it by its
+first (``verify_chunk``, which folds a chunk's proof up to the root it
+reaches, ``proof_root``). A receiver of a whole payload checks it by its
 root alone (``payload_root``).
 
 Wire contract (must match across implementations):
@@ -144,25 +145,33 @@ def _cut(levels: list[list[Digest]], n: int, indices: range) -> tuple[MerkleProo
     return tuple([MerkleProof(i, n, tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(below_root)])) for i in indices])
 
 
-def verify_chunk(chunk: bytes, proof: MerkleProof, root: Digest) -> bool:
-    """True iff folding sha256(chunk) with the proof siblings reproduces root.
+def proof_root(chunk: bytes, proof: MerkleProof) -> Digest | None:
+    """The root that folding sha256(chunk) with the proof siblings reaches,
+    or None for a malformed proof (bad index, wrong sibling count,
+    non-digest siblings).
 
     The bit decomposition of leaf_index decides left/right at each level.
-    Malformed proofs (bad index, wrong sibling count, non-digest siblings)
-    return False rather than raising.
     """
     if proof.leaf_count < 1 or not 0 <= proof.leaf_index < proof.leaf_count:
-        return False
+        return None
     if len(proof.siblings) != _levels(proof.leaf_count):
-        return False
+        return None
     acc = hash_bytes(chunk)
     pos = proof.leaf_index
     for sib in proof.siblings:
         if not isinstance(sib, bytes) or len(sib) != DIGEST_SIZE:
-            return False
+            return None
         if pos % 2 == 0:
             acc = hash_bytes(acc + sib)
         else:
             acc = hash_bytes(sib + acc)
         pos //= 2
-    return acc == root
+    return acc
+
+
+def verify_chunk(chunk: bytes, proof: MerkleProof, root: Digest) -> bool:
+    """True iff folding sha256(chunk) with the proof siblings reproduces
+    root (``proof_root``). Malformed proofs return False rather than
+    raising.
+    """
+    return proof_root(chunk, proof) == root

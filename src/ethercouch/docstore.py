@@ -122,8 +122,9 @@ class StoreState:
     the root it is held under.
 
     The store also keeps, per root, the proofs of all chunks of the
-    payload held under it (``proof_set``), built on the first push or
-    serve of that root and reused for every later one. A set goes when
+    payload held under it (``proof_set``), built when the peer publishes
+    a payload of several chunks, else on the first push or serve of that
+    root, and reused for every later one. A set goes when
     any document holding that root is deleted, even if another document
     still holds the same bytes; the next push or serve of those bytes
     builds it again.

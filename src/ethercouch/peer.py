@@ -15,9 +15,12 @@ chain-only peer never fetches), the store's table of bytes by root (what
 the peer published and what a rollback removed), then pushes cached
 ahead of their block. The store's hash on apply is the one check on
 every payload, and it skips the hash only for bytes equal to ones it
-holds under that root. A holder proves each payload once: the first
-push or serve of a root builds the proofs of all its chunks from one
-tree, and the store keeps them for every later push and serve.
+holds under that root. A holder proves each payload once, from one
+tree, and the store keeps the proofs of all its chunks for every push
+and serve: a publisher builds them at publish from the tree that gives a
+payload of several chunks its root, and any other holder at its first
+serve of a root. Chunks are cut as views of the payload, so a Response
+copies its bytes only when it is encoded.
 
 The peer is a deterministic event-driven machine: the surrounding
 environment (a simulator here) feeds it messages, mining completions,
@@ -45,6 +48,7 @@ from .crypto import (
     hash_bytes,
     merkle_prove,
     payload_root,
+    proof_root,
 )
 from .docstore import (
     DuplicateDocument,
@@ -218,12 +222,24 @@ class Peer:
             if latest[1]:
                 raise TxRejected("already-deleted")
             seq = latest[0] + 1
-        data_hash = ZERO_DIGEST if task is _DELETE else payload_root(payload, self.chunk_size)
+        proofs = None
+        if task is _DELETE:
+            data_hash = ZERO_DIGEST
+        elif self.config.mode is _ETHERCOUCH and len(payload) > self.chunk_size:
+            # one tree for a payload of several chunks: its root goes on
+            # chain, and its proofs serve every push and serve of the root
+            chunks = chunk_payload(memoryview(payload), self.chunk_size)
+            proofs = merkle_prove(chunks, range(len(chunks)))
+            data_hash = proof_root(chunks[0], proofs[0])
+        else:
+            data_hash = payload_root(payload, self.chunk_size)
         inline = payload if self.config.mode is _CHAIN_ONLY and task is not _DELETE else None
         tx = DbFunction(task, data_hash, self.editor_hash, topic, seq, lineage, inline)
         self.chain.submit_tx(tx)
         if task is not _DELETE and self.config.mode is _ETHERCOUCH:
             self.store.stage(data_hash, payload, tx.doc_id)
+            if proofs is not None:
+                self.store.proof_set(data_hash, lambda: proofs)
         self.own_unconfirmed[tx.digest] = tx
         if self.online:
             self.env.broadcast(self, TxAnnounce(tx))
@@ -416,10 +432,12 @@ class Peer:
         return Response(req.lineage, req.seq, tuple(chunks), proofs)
 
     def _proved_chunks(self, root: Digest, payload: bytes) -> tuple[list[bytes], tuple[MerkleProof, ...]]:
-        """The chunks of a payload held under ``root`` and the proofs of all
-        of them, which the store keeps after the first push or serve of a
-        root builds them from one tree."""
-        chunks = chunk_payload(payload, self.chunk_size)
+        """Views of the chunks of a payload held under ``root``, so the
+        payload is copied only when its Response is encoded, and the proofs
+        of all of them from the store: built at publish for a publisher's
+        payload of more than one chunk, else by the first push or serve of
+        the root, from one tree either way."""
+        chunks = chunk_payload(memoryview(payload), self.chunk_size)
         return chunks, self.store.proof_set(root, lambda: merkle_prove(chunks, range(len(chunks))))
 
     # -- fetching -------------------------------------------------------------

@@ -219,30 +219,40 @@ class Simulation:
             return True
         return self.partition.get(a) == self.partition.get(b)
 
-    def send(self, src: Peer, dst: str, msg, raw: dict | None = None) -> dict | None:
+    def send(self, src: Peer, dst: str, msg, rec: dict | None = None) -> dict | None:
         """Queue ``msg`` for ``dst`` unless the network drops it.
 
-        ``raw`` is ``broadcast``'s delivery record of an earlier copy of the
-        same message: the sender's name and the encoded bytes, plus the
-        parsed message once a copy has arrived. Returns ``raw``, or the
-        record made here if a copy was queued without one."""
+        ``rec`` is ``broadcast``'s record of the earlier copies of the same
+        message: the sender's name, the encoded bytes once a copy was
+        queued, the trace text once a copy was dropped or arrived, and the
+        parsed message once a copy arrived. Returns ``rec``, or the record
+        made here if there was none."""
         if dst not in self.peers:
             self.note(src, f"send to unknown peer {dst}")
-            return raw
+            return rec
         if not src.online:
-            return raw
+            return rec
         if self.partition is not None and not self._allowed(src.name, dst):
-            self.trace.add(f"{self._stamp} drop  {src.name}->{dst} partitioned {describe(msg)}")
-            return raw
+            return self._drop(src, dst, msg, rec, "partitioned")
         if not self.peers[dst].online:
-            self.trace.add(f"{self._stamp} drop  {src.name}->{dst} offline {describe(msg)}")
-            return raw
+            return self._drop(src, dst, msg, rec, "offline")
         at = self.clock + self._latency()
         # messages cross the simulated wire in canonical serialized form
-        if raw is None:
-            raw = {"from": src.name, "raw": encode_message(msg)}
-        heappush(self._heap, (at, next(self._order), Simulation._deliver, dst, raw))
-        return raw
+        if rec is None:
+            rec = {"from": src.name, "raw": encode_message(msg)}
+        elif "raw" not in rec:
+            rec["raw"] = encode_message(msg)
+        heappush(self._heap, (at, next(self._order), Simulation._deliver, dst, rec))
+        return rec
+
+    def _drop(self, src: Peer, dst: str, msg, rec: dict | None, why: str) -> dict:
+        """Log a dropped copy of ``msg``, describing it once per record."""
+        if rec is None:
+            rec = {"from": src.name}
+        if "text" not in rec:
+            rec["text"] = describe(msg)
+        self.trace.add(f"{self._stamp} drop  {src.name}->{dst} {why} {rec['text']}")
+        return rec
 
     def send_batch(self, src: Peer, dst: str, msgs) -> None:
         """One latency draw for a multi-message response, preserving order."""
@@ -271,12 +281,13 @@ class Simulation:
 
     def broadcast(self, src: Peer, msg, names=None) -> None:
         """Send ``msg`` to each peer in ``names`` (default: every peer) but
-        ``src``. It is encoded once, at the first copy the network does not
-        drop; every recipient's delivery shares that one record."""
-        raw = None
+        ``src``. Every copy shares one record: the message is encoded once,
+        at the first copy the network does not drop, and described once,
+        at the first copy it drops or that arrives."""
+        rec = None
         for name in self.peers if names is None else names:
             if name != src.name:
-                raw = self.send(src, name, msg, raw)
+                rec = self.send(src, name, msg, rec)
 
     # -- scheduling hooks -----------------------------------------------------
 
@@ -333,13 +344,15 @@ class Simulation:
         return self
 
     def _deliver(self, target: str, rec: dict) -> None:
-        # the first copy to arrive parses the bytes; later copies of the
-        # same record share the frozen message and its trace text
+        # the first copy to arrive parses the bytes, and describes them
+        # unless a dropped copy did; later copies of the same record share
+        # the frozen message and its trace text
         peer = self.peers[target]
         msg = rec.get("msg")
         if msg is None:
             msg = rec["msg"] = decode_message(rec["raw"], self._blocks)
-            rec["text"] = describe(msg)
+            if "text" not in rec:
+                rec["text"] = describe(msg)
         if not peer.online:
             self.trace.add(f"{self._stamp} drop  ->{target} offline-at-arrival {rec['text']}")
             return

@@ -14,6 +14,7 @@ from ethercouch.crypto import (
     merkle_prove,
     merkle_root,
     payload_root,
+    proof_root,
     verify_chunk,
 )
 
@@ -133,7 +134,10 @@ def test_range_proofs_equal_per_index_proofs():
     for n in range(1, 34):  # every odd-level padding shape up to 33 leaves
         chunks = [rng.randbytes(rng.randint(0, 40)) for _ in range(n)]
         a, b = sorted(rng.sample(range(n + 1), 2))
-        assert merkle_prove(chunks, range(n)) == tuple(merkle_prove(chunks, i) for i in range(n))
+        proofs = merkle_prove(chunks, range(n))
+        assert proofs == tuple(merkle_prove(chunks, i) for i in range(n))
+        # every leaf's proof folds up to the root of the tree it was cut from
+        assert [proof_root(c, proof) for c, proof in zip(chunks, proofs)] == [merkle_root(chunks)] * n
         assert merkle_prove(chunks, range(a, b)) == tuple(merkle_prove(chunks, i) for i in range(a, b))
 
 
@@ -225,6 +229,15 @@ def test_malformed_proofs_return_false():
     # sibling of the wrong width
     odd = MerkleProof(1, 3, (good.siblings[0][:16], good.siblings[1]))
     assert not verify_chunk(b"b", odd, root)
+
+
+def test_a_malformed_proof_reaches_no_root():
+    chunks = [b"a", b"b", b"c"]
+    good = merkle_prove(chunks, 1)
+    assert proof_root(b"b", good) == merkle_root(chunks)
+    for bad in (MerkleProof(1, 3, good.siblings[:1]), MerkleProof(5, 3, good.siblings), MerkleProof(1, 0, ())):
+        assert proof_root(b"b", bad) is None
+    assert proof_root(b"b", MerkleProof(1, 3, (good.siblings[0][:16], good.siblings[1]))) is None
 
 
 def test_chunking():

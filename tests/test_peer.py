@@ -301,10 +301,11 @@ def test_publisher_builds_one_tree_for_a_push_and_two_serves(monkeypatch):
     alice = Peer(PeerConfig(name="alice"), env=env, location=location)
     bob = Peer(PeerConfig(name="bob"), env=env, location=location)
     payload = bytes(range(250)) * 40  # 3 chunks
+    # the tree that gives the root at publish also proves the push and the serves
+    trees = count_trees(monkeypatch)
     tx = alice.publish(Task.ADD, NEWS, payload)
     alice.on_mine_complete()  # nobody else is up to date yet: no push
     key = (lineage_of(tx), 1)
-    trees = count_trees(monkeypatch)
     location.mark_up_to_date(bob.editor_hash, alice.chain.tip)
     env.sent.clear()
     alice._push_payload(tx, alice._push_recipients())
@@ -315,6 +316,29 @@ def test_publisher_builds_one_tree_for_a_push_and_two_serves(monkeypatch):
     for resp in pushed + served:
         assert resp.chunks == tuple(chunks)
         assert resp.proofs == merkle_prove(chunks, range(3))
+
+
+@pytest.mark.parametrize("mode", [Mode.ETHERCOUCH, Mode.CHAIN_ONLY])
+@pytest.mark.parametrize("cs", [7, 4096])
+def test_publish_builds_the_proof_set_only_for_a_payload_of_several_chunks(monkeypatch, mode, cs):
+    import ethercouch.peer as peer_module
+
+    proved, real_prove = [], peer_module.merkle_prove
+    monkeypatch.setattr(peer_module, "merkle_prove", lambda chunks, index: proved.append(len(chunks)) or real_prove(chunks, index))
+    for size in (0, 1, cs - 1, cs, cs + 1, 2 * cs + 1, 64 * cs):
+        peer = Peer(PeerConfig(name="alice", mode=mode), env=FakeEnv(), location=LocationRegistry(), chunk_size=cs)
+        payload = bytes(i % 251 for i in range(size))
+        proved.clear()
+        tx = peer.publish(Task.ADD, NEWS, payload)
+        assert tx.data_hash == payload_root(payload, cs), size
+        chunks = chunk_payload(payload, cs)
+        n = len(chunks)
+        if mode is Mode.ETHERCOUCH and n > 1:
+            # the tree that gave the root proves every chunk, before any push
+            assert proved == [n], size
+            assert peer.store._proof_sets == {tx.data_hash: merkle_prove(chunks, range(n))}, size
+        else:
+            assert proved == [] and peer.store._proof_sets == {}, size
 
 
 def fetched_by_bob():
@@ -673,15 +697,11 @@ def test_rejected_duplicate_add_does_not_restage_deleted_bytes():
 
 
 def test_publishing_and_applying_hashes_each_payload_once(monkeypatch):
-    import ethercouch.docstore as docstore
-    import ethercouch.peer as peer_module
+    import ethercouch.crypto as crypto
 
-    hashed = []
-    for module in (docstore, peer_module):
-        real = module.payload_root
-        monkeypatch.setattr(
-            module, "payload_root", lambda payload, chunk_size, real=real: hashed.append(payload) or real(payload, chunk_size)
-        )
+    # a 5,000 B payload is two chunks, so every hash of one builds a tree
+    hashed, real_tree = [], crypto._tree
+    monkeypatch.setattr(crypto, "_tree", lambda chunks: hashed.append(b"".join(chunks)) or real_tree(chunks))
     n = 50
     script = [ScriptAction(1 + i, "publish", "p0", {"doc": f"d{i}", "topic": "news", "size": 5000}) for i in range(n)]
     result = run_scenario(Scenario(seed=3, peers=[PeerConfig(name="p0")], script=script, mean_block_interval=20))

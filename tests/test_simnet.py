@@ -143,6 +143,22 @@ def test_broadcast_encodes_once_for_all_reachable_recipients(monkeypatch, offlin
     assert sum(" drop " in line for line in sim.trace.lines) == len(offline)
 
 
+def test_broadcast_describes_once_for_all_dropped_and_delivered_copies(monkeypatch):
+    import ethercouch.simnet as simnet
+
+    described = []
+    monkeypatch.setattr(simnet, "describe", lambda msg: described.append(msg) or describe(msg))
+    sim = Simulation(Scenario(seed=4, peers=[PeerConfig(name=f"p{i}") for i in range(5)], latency=(1, 1)))
+    sim.peers["p1"].online = sim.peers["p3"].online = False
+    sim.broadcast(sim.peers["p0"], BlockRequest(3))
+    sim.run(until=1)  # the two arrivals, not their answers
+    drops = [line for line in sim.trace.lines if " drop " in line]
+    recvs = [line for line in sim.trace.lines if " recv " in line]
+    assert len(drops) == len(recvs) == 2 and len(described) == 1
+    assert all(line.endswith(" offline blockreq from=3") for line in drops)
+    assert all(line.endswith(": blockreq from=3") for line in recvs)
+
+
 def count_codec_calls(monkeypatch):
     """Count the simulator's encodes and decodes; returns the two lists."""
     import ethercouch.simnet as simnet
@@ -760,7 +776,8 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # 32.99 once every confirmed mutation starts toward the store from one
 # dispatch that tries the bytes at hand inline; 30.63 once a heap entry is a
 # plain tuple pushed without a helper call or a named tuple's constructor
-# frame; 30.33 once a peer's notes print a digest without ``digest_hex``.
+# frame; 30.33 once a peer's notes print a digest without ``digest_hex``;
+# 30.23 once the copies of a broadcast share one trace text, not one per drop.
 CALLS_PER_DELIVERY = 35
 
 
@@ -773,6 +790,52 @@ def test_a_delivery_costs_a_bounded_number_of_python_calls():
         recvs += sum(line[8:12] == "recv" for line in result.trace.lines)
     assert recvs > 3000
     assert calls / recvs <= CALLS_PER_DELIVERY, calls / recvs
+
+
+# Leaves hashed into merkle trees in the scenario below (4 publishes of 16
+# chunks, 12 applies at peers other than the publisher): 336 while a
+# publisher hashed its payload at publish and again at its first push or
+# serve, 272 once the tree that gives a publisher its root also gives it the
+# proofs for every push and serve (4 publishes, 12 applies, 1 first serve by
+# a peer that did not publish the root).
+def test_each_payload_is_hashed_once_per_peer_that_takes_it_in(monkeypatch):
+    import ethercouch.crypto as crypto
+    from ethercouch.peer import Peer
+
+    leaves, real_tree = [], crypto._tree
+    monkeypatch.setattr(crypto, "_tree", lambda chunks: leaves.append(len(chunks)) or real_tree(chunks))
+    publisher, served = {}, set()
+    real_publish, real_serve = Peer.publish, Peer.serve_request
+
+    def publish(peer, *args):
+        tx = real_publish(peer, *args)
+        publisher[tx.doc_id, tx.sequence_id] = peer.name
+        return tx
+
+    def serve(peer, req, requester):
+        reply = real_serve(peer, req, requester)
+        if isinstance(reply, Response) and publisher[req.lineage, req.seq] != peer.name:
+            served.add((peer.name, req.lineage, req.seq))
+        return reply
+
+    monkeypatch.setattr(Peer, "publish", publish)
+    monkeypatch.setattr(Peer, "serve_request", serve)
+    cs = 64
+    script = [ScriptAction(5 + 20 * i, "publish", f"p{i}", {"doc": f"d{i}", "topic": "news", "size": 16 * cs}) for i in range(3)]
+    script.append(ScriptAction(200, "edit", "p3", {"doc": "d0", "size": 16 * cs}))
+    peers = [PeerConfig(name=f"p{i}") for i in range(4)]
+    sim = Simulation(Scenario(seed=0, peers=peers, script=script, latency=(1, 5), mean_block_interval=30, chunk_size=cs)).run()
+    assert sim._heap == []
+    applied = [
+        (name, doc.lineage, rev.seq)
+        for name, peer in sim.peers.items()
+        for doc in peer.store.docs.values()
+        for rev in doc.revisions
+        if rev.payload is not None and publisher[doc.lineage, rev.seq] != name
+    ]
+    assert (len(publisher), len(applied), len(served)) == (4, 12, 1)
+    assert set(leaves) == {16}
+    assert sum(leaves) == 16 * (len(publisher) + len(applied) + len(served)) == 272
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (1, 1), (1, 8), (1, 10), (3, 2**20)])
