@@ -123,9 +123,14 @@ def merkle_root(chunks: list[bytes]) -> Digest:
     return _tree(chunks)[-1][0]
 
 
-def merkle_prove(chunks: list[bytes], index: int | range) -> MerkleProof | tuple[MerkleProof, ...]:
-    """Inclusion proof for chunks[index]. For a range of indices, a tuple of
-    their proofs, all cut from one tree; an empty range gives ().
+class ProofSet(tuple):
+    """Proofs cut from one tree: a tuple that can carry the wire codec's
+    encoding of it (``encoded``), which its fixed items keep valid."""
+
+
+def merkle_prove(chunks: list[bytes], index: int | range) -> MerkleProof | ProofSet:
+    """Inclusion proof for chunks[index]. For a range of indices, a
+    ProofSet of their proofs, all cut from one tree (empty for an empty range).
 
     Raises IndexError if an index is out of range, ValueError on empty input.
     """
@@ -138,11 +143,11 @@ def merkle_prove(chunks: list[bytes], index: int | range) -> MerkleProof | tuple
     return proofs[0] if isinstance(index, int) else proofs
 
 
-def _cut(levels: list[list[Digest]], n: int, indices: range) -> tuple[MerkleProof, ...]:
+def _cut(levels: list[list[Digest]], n: int, indices: range) -> ProofSet:
     """The proofs of ``indices`` in the tree of n leaves ``_tree`` built."""
     below_root = levels[:-1]
     # lists, not generators: most payloads are one chunk, and this is their hot path
-    return tuple([MerkleProof(i, n, tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(below_root)])) for i in indices])
+    return ProofSet([MerkleProof(i, n, tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(below_root)])) for i in indices])
 
 
 def proof_root(chunk: bytes, proof: MerkleProof) -> Digest | None:

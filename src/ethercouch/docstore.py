@@ -24,7 +24,7 @@ from .codec import Reader, lp, u64
 from .crypto import (
     DEFAULT_CHUNK_SIZE,
     Digest,
-    MerkleProof,
+    ProofSet,
     digest_hex,
     payload_root,
 )
@@ -124,10 +124,10 @@ class StoreState:
     The store also keeps, per root, the proofs of all chunks of the
     payload held under it (``proof_set``), built when the peer publishes
     a payload of several chunks, else on the first push or serve of that
-    root, and reused for every later one. A set goes when
-    any document holding that root is deleted, even if another document
-    still holds the same bytes; the next push or serve of those bytes
-    builds it again.
+    root, and reused, with its encoded bytes (``wire``), for every later
+    one. A set goes when any document holding that root is deleted, even
+    if another document still holds the same bytes; the next push or
+    serve of those bytes builds it again.
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -145,7 +145,7 @@ class StoreState:
         # per payload)
         self._held: dict[Digest, tuple] = {}
         # root -> the proofs of all chunks of the payload held under it
-        self._proof_sets: dict[Digest, tuple[MerkleProof, ...]] = {}
+        self._proof_sets: dict[Digest, ProofSet] = {}
 
     # -- held bytes -------------------------------------------------------
 
@@ -170,7 +170,7 @@ class StoreState:
 
     # -- proof sets -------------------------------------------------------
 
-    def proof_set(self, root: Digest, build: Callable[[], tuple[MerkleProof, ...]]) -> tuple[MerkleProof, ...]:
+    def proof_set(self, root: Digest, build: Callable[[], ProofSet]) -> ProofSet:
         """The proofs of all chunks of the payload held under ``root``.
 
         ``build`` makes them on the first call for a root, and the store

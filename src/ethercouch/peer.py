@@ -43,7 +43,7 @@ from functools import cached_property
 from .crypto import (
     Digest,
     ZERO_DIGEST,
-    MerkleProof,
+    ProofSet,
     chunk_payload,
     hash_bytes,
     merkle_prove,
@@ -431,7 +431,7 @@ class Peer:
         chunks, proofs = self._proved_chunks(root, payload)
         return Response(req.lineage, req.seq, tuple(chunks), proofs)
 
-    def _proved_chunks(self, root: Digest, payload: bytes) -> tuple[list[bytes], tuple[MerkleProof, ...]]:
+    def _proved_chunks(self, root: Digest, payload: bytes) -> tuple[list[bytes], ProofSet]:
         """Views of the chunks of a payload held under ``root``, so the
         payload is copied only when its Response is encoded, and the proofs
         of all of them from the store: built at publish for a publisher's

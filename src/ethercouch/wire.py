@@ -19,6 +19,11 @@ for the one proof of a one-chunk payload). A digest field (lineage, topic,
 sibling) of any width but 32 bytes or an integer field of any width but 8
 is refused.
 
+A store's ``ProofSet`` keeps its encoded proof section from its first
+Response on. A proof record is read in one unpack with the struct of the
+record before it (one payload's proofs share one width); a new width's
+sibling count is checked against the bytes left before a struct is sized.
+
 Messages are immutable named tuples, cheap to build on every hop, so one
 parsed message may be handed to every recipient of the same bytes, and a
 caller may keep a table of the blocks it parsed: an announced block whose
@@ -33,7 +38,7 @@ import struct
 from functools import lru_cache
 from typing import NamedTuple
 
-from .crypto import DIGEST_SIZE, Digest, MerkleProof, hash_bytes
+from .crypto import DIGEST_SIZE, Digest, MerkleProof, ProofSet, hash_bytes
 from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_tx
 
 
@@ -108,8 +113,9 @@ _BAD_DIGEST = f"digest field must be {DIGEST_SIZE} bytes"
 
 
 @lru_cache(maxsize=64)
-def _siblings(k: int) -> struct.Struct:
-    return struct.Struct(">" + "I32s" * k)
+def _record(k: int) -> struct.Struct:
+    """A whole proof record with k siblings, head and siblings in one struct."""
+    return struct.Struct(_PROOF.format + "I32s" * k)
 
 
 def encode_message(msg: Message) -> bytes:
@@ -132,14 +138,7 @@ def encode_message(msg: Message) -> bytes:
         out = [_RESPONSE.pack(_TAG_RESPONSE, DIGEST_SIZE, lineage, 8, msg.seq, 8, len(chunks))]
         for c in chunks:
             out += (_WIDTH.pack(len(c)), c)
-        out.append(_COUNT.pack(8, len(proofs)))
-        for index, count, siblings in proofs:
-            k = len(siblings)
-            out.append(_PROOF.pack(_PROOF_BODY + _SIBLING_SIZE * k, 8, index, 8, count, 8, k))
-            if k:  # each sibling behind its width
-                if set(map(len, siblings)) - {DIGEST_SIZE}:
-                    raise ValueError(_BAD_DIGEST)
-                out.append(_SIBLING_WIDTH + _SIBLING_WIDTH.join(siblings))
+        out.append(getattr(proofs, "encoded", None) or _proof_section(proofs))
         return b"".join(out)
     if isinstance(msg, Refusal):
         if len(msg.lineage) != DIGEST_SIZE:
@@ -155,6 +154,23 @@ def encode_message(msg: Message) -> bytes:
         body = serialize_tx(msg.tx)
         return _FRAME.pack(_TAG_TX_ANNOUNCE, len(body)) + body
     raise TypeError(f"not a wire message: {type(msg).__name__}")
+
+
+def _proof_section(proofs: tuple[MerkleProof, ...]) -> bytes:
+    """The proof count and the proof records of a Response, kept on a
+    ProofSet once they are encoded; other tuples keep nothing."""
+    out = [_COUNT.pack(8, len(proofs))]
+    for index, count, siblings in proofs:
+        k = len(siblings)
+        out.append(_PROOF.pack(_PROOF_BODY + _SIBLING_SIZE * k, 8, index, 8, count, 8, k))
+        if k:  # each sibling behind its width
+            if set(map(len, siblings)) - {DIGEST_SIZE}:
+                raise ValueError(_BAD_DIGEST)
+            out.append(_SIBLING_WIDTH + _SIBLING_WIDTH.join(siblings))
+    section = b"".join(out)
+    if type(proofs) is ProofSet:
+        proofs.encoded = section
+    return section
 
 
 def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Message:
@@ -248,23 +264,30 @@ def _decode_response(buf: bytes) -> Response:
         raise ValueError("bad response field width")
     pos += _COUNT.size
     proofs = []
+    # the proofs of one set share one width, so a record is first read
+    # whole with the struct of the record before it
+    record = None
     for _ in range(m):
-        if pos + _PROOF.size > end:
-            raise ValueError("truncated message")
-        width, w_index, index, w_count, count, w_k, k = _PROOF.unpack_from(buf, pos)
-        if (w_index, w_count, w_k) != (8, 8, 8) or width != _PROOF_BODY + _SIBLING_SIZE * k:
+        if record is None or pos + record.size > end or (fields := record.unpack_from(buf, pos))[0] != width:
+            if pos + _PROOF.size > end:
+                raise ValueError("truncated message")
+            fields = _PROOF.unpack_from(buf, pos)
+            width, k = fields[0], fields[6]
+            if width != _PROOF_BODY + _SIBLING_SIZE * k:
+                raise ValueError("bad proof width")
+            # the sibling count is checked against the bytes before it sizes a struct
+            if pos + _WIDTH.size + width > end:
+                raise ValueError("truncated message")
+            record = _record(k)
+            if k:
+                fields = record.unpack_from(buf, pos)
+        if fields[1:6:2] != (8, 8, 8) or fields[6] != k:
             raise ValueError("bad proof width")
-        # the sibling count is checked against the bytes before it sizes a struct
-        if pos + _WIDTH.size + width > end:
-            raise ValueError("truncated message")
-        siblings = ()
-        if k:
-            fields = _siblings(k).unpack_from(buf, pos + _PROOF.size)
-            if fields[0::2].count(DIGEST_SIZE) != k:
-                raise ValueError("bad sibling width")
-            siblings = fields[1::2]
-        proofs.append(MerkleProof(index, count, siblings))
-        pos += _WIDTH.size + width
+        if fields[7::2].count(DIGEST_SIZE) != k:
+            raise ValueError("bad sibling width")
+        # the tuple's own constructor, not the named tuple's Python one
+        proofs.append(tuple.__new__(MerkleProof, (fields[2], fields[4], fields[8::2])))
+        pos += record.size
     if pos != end:
         raise ValueError("trailing bytes in message")
     return Response(lineage, seq, tuple(chunks), tuple(proofs))

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from conftest import EDITOR_A, TOPIC_T, TOPIC_U, build_convergence_scenario, make_add, make_delete, make_edit, raw_block
-from ethercouch.crypto import chunk_payload, hash_bytes, merkle_prove
+from ethercouch.crypto import MerkleProof, chunk_payload, hash_bytes, merkle_prove
 from ethercouch.docstore import StoreState
 from ethercouch.ledger import Block, ChainState, lineage_of, parse_block, parse_tx, serialize_tx
 from ethercouch.simnet import deterministic_bytes, run_scenario, scenario_from_json
@@ -95,6 +95,9 @@ def test_multi_chunk_response_mutants_raise_only_value_error():
 
 LINEAGE = hash_bytes(b"lin")
 TX = make_edit(LINEAGE, 3, b"inline edit", inline=True)
+# hand-built proofs of 0, 3, 1 and 6 siblings, and a payload of 64 chunks
+MIXED_PROOFS = tuple(MerkleProof(i, 64, tuple(hash_bytes(bytes([i, j])) for j in range(k))) for i, k in enumerate((0, 3, 1, 6)))
+CHUNKS_64 = chunk_payload(deterministic_bytes("fuzz", 256), 4)
 BLOCK = raw_block(ChainState(difficulty_bits=0), hash_bytes(b"parent"), 7, [make_add(b"a"), TX, make_delete(LINEAGE, 4)])
 
 
@@ -115,6 +118,20 @@ BLOCK = raw_block(ChainState(difficulty_bits=0), hash_bytes(b"parent"), 7, [make
             decode_canonical,
             11,
             id="single-chunk-response",
+        ),
+        pytest.param(
+            Response(LINEAGE, 2, (b"a", b"bc", b"", b"def"), MIXED_PROOFS),
+            encode_message,
+            decode_canonical,
+            13,
+            id="mixed-sibling-counts-response",
+        ),
+        pytest.param(
+            Response(LINEAGE, 2, tuple(CHUNKS_64), merkle_prove(CHUNKS_64, range(64))),
+            encode_message,
+            decode_canonical,
+            14,
+            id="64-chunk-response",
         ),
     ],
 )

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from test_crypto import BYTES_INTACT, tampered_responses
+from test_wire import count_sections, response_bytes
+from ethercouch.codec import lp, u64
 from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root, verify_chunk
 from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, editor_hash_for, topic_hash
 from ethercouch.registry import LocationRegistry
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
-from ethercouch.wire import BlockAnnounce, Refusal, Request, Response
+from ethercouch.wire import BlockAnnounce, Refusal, Request, Response, encode_message
 
 NEWS = topic_hash("news")
 OPS = topic_hash("ops")
@@ -316,6 +318,27 @@ def test_publisher_builds_one_tree_for_a_push_and_two_serves(monkeypatch):
     for resp in pushed + served:
         assert resp.chunks == tuple(chunks)
         assert resp.proofs == merkle_prove(chunks, range(3))
+
+
+def test_publisher_encodes_its_proof_section_once_for_a_push_and_two_serves(monkeypatch):
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice, bob, carol, dave = (Peer(PeerConfig(name=n), env=env, location=location) for n in ("alice", "bob", "carol", "dave"))
+    payload = bytes(range(250)) * 40  # 3 chunks
+    tx = alice.publish(Task.ADD, NEWS, payload)
+    alice.on_mine_complete()
+    location.mark_up_to_date(bob.editor_hash, alice.chain.tip)
+    env.sent.clear()
+    sections = count_sections(monkeypatch)
+    alice._push_payload(tx, alice._push_recipients())
+    served = [alice.serve_request(Request(tx.doc_id, 1, ()), peer.name) for peer in (carol, dave)]
+    pushed = [m for (_, dst, m) in env.sent if dst == "bob"]
+    sent = [encode_message(resp) for resp in pushed + served]
+    # the set kept at publish packs its proofs at the push, and only then
+    assert len(sections) == 1 and sections[0] is alice.store._proof_sets[tx.data_hash]
+    chunks = chunk_payload(payload, alice.chunk_size)
+    layout = response_bytes(tx.doc_id, lp(u64(1)), chunks=chunks, proofs=merkle_prove(chunks, range(3)))
+    assert sent == [layout] * 3
 
 
 @pytest.mark.parametrize("mode", [Mode.ETHERCOUCH, Mode.CHAIN_ONLY])

@@ -777,7 +777,9 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # dispatch that tries the bytes at hand inline; 30.63 once a heap entry is a
 # plain tuple pushed without a helper call or a named tuple's constructor
 # frame; 30.33 once a peer's notes print a digest without ``digest_hex``;
-# 30.23 once the copies of a broadcast share one trace text, not one per drop.
+# 30.23 once the copies of a broadcast share one trace text, not one per drop;
+# 30.10 once a decoded proof is built without the named tuple's constructor
+# frame and a kept proof set is encoded once.
 CALLS_PER_DELIVERY = 35
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import EDITOR_A, TOPIC_T, make_add, make_edit
 from ethercouch.codec import lp, u64
-from ethercouch.crypto import MerkleProof, chunk_payload, hash_bytes, merkle_prove
+from ethercouch.crypto import MerkleProof, ProofSet, chunk_payload, hash_bytes, merkle_prove
+from ethercouch.docstore import StoreState
 from ethercouch.ledger import ChainState, lineage_of
 from ethercouch.wire import (
     BlockAnnounce,
@@ -25,6 +26,8 @@ def roundtrip(msg):
     assert out == msg
     assert encode_message(out) == buf  # the canonical encoding is the only one
     assert describe(out)
+    if isinstance(out, Response):
+        assert all(type(p) is MerkleProof for p in out.proofs)
     return out
 
 
@@ -40,6 +43,18 @@ def test_response_roundtrip():
     roundtrip(Response(hash_bytes(b"lin"), 2, tuple(chunks), proofs))
     roundtrip(Response(hash_bytes(b"lin"), 2, (b"one",), (merkle_prove([b"one"], 0),)))
     roundtrip(Response(hash_bytes(b"lin"), 2, (), ()))
+    # records of different widths follow one another
+    roundtrip(Response(hash_bytes(b"lin"), 2, (b"a", b"bc", b"", b"def"), mixed_proofs((0, 3, 1, 6))))
+    chunks = chunk_payload(bytes(range(256)), 4)
+    kept = Response(hash_bytes(b"lin"), 2, tuple(chunks), merkle_prove(chunks, range(64)))
+    roundtrip(kept)
+    # a set that kept its section encodes to the bytes a fresh tuple gives
+    assert kept.proofs.encoded and encode_message(kept) == encode_message(kept._replace(proofs=tuple(kept.proofs)))
+
+
+def mixed_proofs(counts) -> tuple[MerkleProof, ...]:
+    """Hand-built proofs with the given sibling counts."""
+    return tuple(MerkleProof(i, 64, tuple(hash_bytes(bytes([i, j])) for j in range(k))) for i, k in enumerate(counts))
 
 
 def test_refusal_roundtrip():
@@ -103,10 +118,12 @@ def proof_bytes(proof, index=None, sibling_count=None, siblings=None) -> bytes:
     return lp(index + lp(u64(proof.leaf_count)) + sibling_count + b"".join(lp(s) for s in siblings))
 
 
-def response_bytes(lineage=LINEAGE, seq=SEQ, first_proof=None) -> bytes:
-    proofs = [proof_bytes(PROOFS[0]) if first_proof is None else first_proof, proof_bytes(PROOFS[1])]
-    chunks = lp(u64(len(CHUNKS))) + b"".join(lp(c) for c in CHUNKS)
-    return b"\x02" + lp(lineage) + seq + chunks + lp(u64(len(proofs))) + b"".join(proofs)
+def response_bytes(lineage=LINEAGE, seq=SEQ, first_proof=None, chunks=CHUNKS, proofs=PROOFS) -> bytes:
+    records = [proof_bytes(p) for p in proofs]
+    if first_proof is not None:
+        records[0] = first_proof
+    body = lp(u64(len(chunks))) + b"".join(lp(c) for c in chunks)
+    return b"\x02" + lp(lineage) + seq + body + lp(u64(len(records))) + b"".join(records)
 
 
 def block_with_parent(width: int) -> bytes:
@@ -170,3 +187,64 @@ def test_encode_refuses_a_digest_that_is_not_32_bytes():
     for sibling in (PROOFS[0].siblings[0][:31], PROOFS[0].siblings[0] + b"x"):
         with pytest.raises(ValueError):
             encode_message(Response(LINEAGE, 1, CHUNKS, (MerkleProof(0, 2, (sibling,)), PROOFS[1])))
+
+
+def count_sections(monkeypatch) -> list:
+    """Record the proofs of every proof section the encoder packs."""
+    import ethercouch.wire as wire
+
+    sections, real_section = [], wire._proof_section
+    monkeypatch.setattr(wire, "_proof_section", lambda proofs: sections.append(proofs) or real_section(proofs))
+    return sections
+
+
+def test_a_tuple_of_proofs_that_is_not_a_kept_set_is_encoded_afresh_on_each_call(monkeypatch):
+    sections = count_sections(monkeypatch)
+    hand_built = Response(LINEAGE, 4, CHUNKS, tuple(PROOFS))
+    decoded = decode_message(response_bytes())
+    assert type(decoded.proofs) is tuple
+    for response in (hand_built, decoded):
+        sections.clear()
+        assert [encode_message(response) for _ in range(3)] == [response_bytes()] * 3
+        assert len(sections) == 3
+
+
+def test_a_kept_set_that_does_not_encode_keeps_no_section(monkeypatch):
+    sections = count_sections(monkeypatch)
+    store = StoreState()
+    kept = store.proof_set(LINEAGE, lambda: ProofSet([MerkleProof(0, 2, (LINEAGE[:31],)), PROOFS[1]]))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            encode_message(Response(LINEAGE, 4, CHUNKS, kept))
+    assert len(sections) == 3 and vars(kept) == {}
+
+
+def test_a_sibling_count_beyond_the_bytes_is_refused_before_a_struct_is_sized(monkeypatch):
+    import struct
+
+    import ethercouch.wire as wire
+
+    sized, real_struct = [], struct.Struct
+    monkeypatch.setattr(wire.struct, "Struct", lambda fmt: sized.append(fmt) or real_struct(fmt))
+    wire._record.cache_clear()
+    # the width and the count agree on 1,000 siblings, and the frame holds one
+    head = lp(u64(0)) + lp(u64(2)) + lp(u64(1000))
+    record = struct.pack(">I", len(head) + 1000 * len(lp(LINEAGE))) + head + lp(LINEAGE)
+    for first_proof in (record, record[:-10]):
+        with pytest.raises(ValueError):
+            decode_message(response_bytes(first_proof=first_proof))
+    assert sized == []
+    # the same count with its bytes present is read, one struct per record width
+    siblings = (LINEAGE,) * 1000
+    assert decode_message(response_bytes(first_proof=proof_bytes(PROOFS[0], siblings=siblings))).proofs[0].siblings == siblings
+    assert [fmt.count("32s") for fmt in sized] == [1000, 1]
+
+
+def test_the_record_struct_cache_stays_at_its_bound():
+    import ethercouch.wire as wire
+
+    for k in range(200):
+        proofs = mixed_proofs((k,))
+        assert decode_message(encode_message(Response(LINEAGE, 4, (b"c",), proofs))).proofs == proofs
+    info = wire._record.cache_info()
+    assert info.currsize == info.maxsize == 64
