@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from conftest import make_add, make_delete, make_edit
 from test_crypto import BYTES_INTACT, tampered_responses
 from test_wire import count_sections, response_bytes
 from ethercouch.codec import lp, u64
 from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root, verify_chunk
 from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
-from ethercouch.peer import FetchState, Mode, Peer, PeerConfig, editor_hash_for, topic_hash
+from ethercouch.peer import FetchState, Mode, PendingFetch, Peer, PeerConfig, editor_hash_for, topic_hash
 from ethercouch.registry import LocationRegistry
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
 from ethercouch.wire import BlockAnnounce, Refusal, Request, Response, encode_message
@@ -685,6 +686,118 @@ def test_confirmed_delete_unstages_every_revision_of_the_lineage():
     assert [peer.store.staged_payload(r) for r in roots] == [None, None]
     for seq in (1, 2):
         assert peer.serve_request(Request(lineage, seq, ()), "bob") == Refusal(lineage, seq, "not-held")
+
+
+def test_a_confirmed_delete_purges_the_cached_push_of_an_edit_that_lost_its_race():
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice, bob, carol = (Peer(PeerConfig(name=n), env=env, location=location) for n in ("alice", "bob", "carol"))
+    add = alice.publish(Task.ADD, NEWS, b"v1")
+    alice.on_mine_complete()
+    lineage = lineage_of(add)
+    block = [m for (_, dst, m) in env.sent if dst == "*"][-1]
+    for peer in (bob, carol):
+        peer.handle_message(block, "alice")
+        peer.handle_message(alice.serve_request(Request(lineage, 1, ()), peer.name), "alice")
+        assert peer.store.get_active(lineage) == b"v1"
+    # alice's edit and carol's delete both take seq 2, and the delete is mined
+    edit = alice.publish(Task.EDIT, NEWS, b"v2, never confirmed", lineage)
+    carol.publish(Task.DELETE, NEWS, None, lineage)
+    carol.on_mine_complete()
+    delete_block = [m for (src, dst, m) in env.sent if src == "carol" and dst == "*"][-1]
+    # the edit's push, and one for another document, reach bob ahead of any block
+    env.sent.clear()
+    alice._push_payload(edit, ["bob"])
+    bob.handle_message(env.sent[-1][2], "alice")
+    other = (hash_bytes(b"another document"), 1)
+    bob.handle_message(Response(*other, (b"bytes of another document",), ()), "dave")
+    assert list(bob.push_cache) == [(lineage, 2), other]
+    bob.handle_message(delete_block, "carol")
+    assert bob.store.docs[lineage].deleted
+    assert bob.store.revision(lineage, 1).payload is None
+    # the delete erased the lineage's pushed bytes too, and only those
+    assert list(bob.push_cache) == [other]
+    # and the edit can never land: its seq is taken
+    alice.handle_message(delete_block, "carol")
+    assert not alice.chain.in_mempool(edit)
+
+
+def open_fetch_at_bob(payloads):
+    """alice publishes one document's revisions, each in a block of its
+    own; bob takes in all but the last, whose fetch is open at alice."""
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice, bob = (Peer(PeerConfig(name=n), env=env, location=location) for n in ("alice", "bob"))
+    txs = []
+    for payload in payloads:
+        lineage = lineage_of(txs[0]) if txs else None
+        txs.append(alice.publish(Task.EDIT if txs else Task.ADD, NEWS, payload, lineage))
+        alice.on_mine_complete()
+        bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+        key = (txs[-1].doc_id, txs[-1].sequence_id)
+        if len(txs) < len(payloads):
+            bob.handle_message(alice.serve_request(Request(*key, ()), "bob"), "alice")
+    assert bob.pending[key].state is FetchState.FETCHING
+    return env, alice, bob, txs
+
+
+@pytest.mark.parametrize("refusal", ["DuplicateDocument", "StaleRevision", "TombstoneError"])
+def test_a_fetched_payload_for_a_revision_the_store_settled_closes_its_fetch(refusal):
+    payloads = [b"v1"] if refusal == "DuplicateDocument" else [b"v1", b"v2"]
+    env, alice, bob, txs = open_fetch_at_bob(payloads)
+    tx = txs[-1]
+    key = (tx.doc_id, tx.sequence_id)
+    coord = bob.pending[key].coord
+    # the store settles the revision through its own API before the reply lands
+    if refusal == "DuplicateDocument":
+        bob.store.apply_add(tx, b"v1", coord)
+    elif refusal == "StaleRevision":
+        bob.store.apply_edit(tx, b"v2", coord)
+    else:
+        bob.store.apply_delete(make_delete(tx.doc_id, 2), coord)
+    env.sent.clear()
+    bob.handle_message(alice.serve_request(Request(*key, ()), "bob"), "alice")
+    assert key not in bob.pending
+    notes = [text for (name, text) in env.notes if name == "bob"]
+    assert notes[-1] == f"apply skipped ({refusal}) lineage={tx.doc_id[:6].hex()}"
+    assert not any(text.startswith("bad chunks") for text in notes)
+    assert env.sent == []  # the fetch is over, not moved on
+
+
+@pytest.mark.parametrize("settled", ["stale", "tombstone"])
+def test_a_confirmed_delete_of_a_revision_the_store_settled_closes_without_a_note(settled):
+    env, alice, bob, (add,) = open_fetch_at_bob([b"v1"])
+    lineage = add.doc_id
+    bob.handle_message(alice.serve_request(Request(lineage, 1, ()), "bob"), "alice")
+    delete = alice.publish(Task.DELETE, NEWS, None, lineage)
+    alice.on_mine_complete()
+    # the store takes seq 2 through its own API before the delete's block lands
+    if settled == "stale":
+        bob.store.apply_edit(make_edit(lineage, 2, b"v2 from elsewhere"), b"v2 from elsewhere", (2, 0))
+    else:
+        bob.store.apply_delete(delete, (2, 0))
+    noted = len(env.notes)
+    bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+    assert not bob.pending
+    assert env.notes[noted:] == []
+    assert bob.store.docs[lineage].deleted is (settled == "tombstone")
+    assert [rev.seq for rev in bob.store.history(lineage)] == [1, 2]
+
+
+def test_a_confirmed_delete_ahead_of_its_document_waits_in_the_store():
+    bob, env = make_peer("bob")
+    add = make_add(b"v1")
+    lineage = lineage_of(add)
+    # the delete's predecessors are not on bob's chain, so none is erased first
+    pf = PendingFetch(tx=make_delete(lineage, 2), coord=(5, 0))
+    bob.pending[(lineage, 2)] = pf
+    bob._dispatch_confirmed(pf)
+    assert not bob.pending and env.notes == []
+    assert lineage not in bob.store.docs
+    # the add lands through the store's API, and the buffered delete after it
+    result = bob.store.apply_add(add, b"v1", (4, 0))
+    assert result.applied == ((lineage, 1), (lineage, 2))
+    assert bob.store.docs[lineage].deleted
 
 
 def test_confirmed_delete_keeps_bytes_another_live_document_was_published_with():
