@@ -114,7 +114,8 @@ class StoreState:
     be served before it applies, or, with no lineage, the bytes of a
     revision a rollback removed, kept until a revision holding them lands
     again. A landed delete drops its lineage from the entry of each of its
-    revision roots, and an entry left with no lineage goes. Held bytes are
+    revision roots, and so does ``release`` for a published record that
+    will never land; an entry left with no lineage goes. Held bytes are
     not part of a snapshot, and bytes equal to them apply without a hash,
     so ``stage`` takes only a root its caller hashed the payload to. Every
     other payload, a fetched one too, is hashed against its on-chain root
@@ -126,8 +127,9 @@ class StoreState:
     a payload of several chunks, else on the first push or serve of that
     root, and reused, with its encoded bytes (``wire``), for every later
     one. A set goes when any document holding that root is deleted, even
-    if another document still holds the same bytes; the next push or
-    serve of those bytes builds it again.
+    if another document still holds the same bytes, or with its held
+    entry on ``release``; the next push or serve of those bytes builds it
+    again.
     """
 
     SNAPSHOT_MAGIC = b"ECSTORE1"
@@ -157,6 +159,20 @@ class StoreState:
             self._held[root] = (payload, lineage)
         elif lineage not in entry[1:]:
             self._held[root] = entry + (lineage,)
+
+    def release(self, root: Digest, lineage: Digest) -> None:
+        """Drop ``lineage``'s claim on the bytes held under ``root``, for a
+        record of it that will never land; the entry goes once no lineage
+        claims it. A rollback copy is left as it is."""
+        entry = self._held.get(root)
+        if entry is None or lineage not in entry[1:]:
+            return
+        rest = tuple(h for h in entry[1:] if h != lineage)
+        if rest:
+            self._held[root] = (entry[0], *rest)
+        else:
+            del self._held[root]
+            self._proof_sets.pop(root, None)
 
     def staged_payload(self, data_hash: Digest) -> bytes | None:
         """The bytes held under a root the peer published them under."""

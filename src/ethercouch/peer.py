@@ -144,7 +144,8 @@ class Peer:
     ``send_batch(src, dst_name, msgs)``, ``broadcast(src, msg, names=None)``
     (to the peers named, or to every peer), ``note(src, text)``,
     ``arm_mining(peer)``, ``request_poll(peer)`` and the ints
-    ``poll_interval`` and ``fetch_timeout``.
+    ``poll_interval`` and ``fetch_timeout``. It mines for the peer only
+    while ``wants_mining()``.
 
     ``pending`` holds open work only, keyed by (lineage, seq) in the order
     it opened: one entry per in-filter canonical mutation whose revision
@@ -160,7 +161,6 @@ class Peer:
         env,
         location: LocationRegistry,
         chunk_size: int = 4096,
-        allow_empty_blocks: bool = False,
         max_txs_per_block: int = 100,
     ):
         self.config = config
@@ -169,7 +169,6 @@ class Peer:
         self.env = env
         self.location = location
         self.chunk_size = chunk_size
-        self.allow_empty_blocks = allow_empty_blocks  # mine with an empty queue
         self.max_txs_per_block = max_txs_per_block
         # the environment's delay between mining completions stands in for the work
         self.chain = ChainState(difficulty_bits=0, chunk_size=chunk_size)
@@ -180,6 +179,7 @@ class Peer:
         self.push_cache: dict[tuple[Digest, int], bytes] = {}  # pushed, not yet usable
         self.own_unconfirmed: dict[Digest, DbFunction] = {}  # published, not yet mined
         self.own_mined: dict[Digest, tuple[DbFunction, int]] = {}  # mined, short of depth k
+        self.own_reorged: dict[Digest, DbFunction] = {}  # settled, then rolled back
         self._next_reannounce: dict[Digest, int] = {}
         self.deferred: list[dict] = []
         self._resync: dict | None = None
@@ -341,7 +341,9 @@ class Peer:
     # -- mining -----------------------------------------------------------
 
     def wants_mining(self) -> bool:
-        return self.online and (bool(self.chain.mempool) or self.allow_empty_blocks)
+        """Mine while a tx is queued or a mutation awaits depth k, so a quiet
+        network mines empty blocks until its last mutations are k deep."""
+        return self.online and (bool(self.chain.mempool) or _AWAITING_CONFIRM in [pf.state for pf in self.pending.values()])
 
     def on_mine_complete(self) -> None:
         """The sampled work interval elapsed: assemble and adopt a block."""
@@ -563,6 +565,8 @@ class Peer:
             for tx in report.rolled_back:
                 if tx.digest in self.own_mined:
                     self.own_unconfirmed[tx.digest] = self.own_mined.pop(tx.digest)[0]
+                elif tx.editor_hash == self.editor_hash:
+                    self.own_reorged[tx.digest] = tx
         for tx, h, i in report.applied:
             if tx.digest in self.own_unconfirmed:
                 self.own_mined[tx.digest] = (self.own_unconfirmed.pop(tx.digest), h)
@@ -570,6 +574,8 @@ class Peer:
                 continue
             self.pending[(tx.doc_id, tx.sequence_id)] = PendingFetch(tx=tx, coord=(h, i))
         self._settle_own_txs()
+        if self.own_reorged:
+            self._watch_reorged()
         self._process_confirmations()
         if report.rolled_back:
             # only rollbacks can leave live revisions without payloads
@@ -591,6 +597,17 @@ class Peer:
                 if recipients:
                     self._push_payload(tx, recipients)
             self._next_reannounce.pop(d, None)
+
+    def _watch_reorged(self) -> None:
+        """Forget an own tx a reorg took off the chain after it settled
+        once it is on chain again, and release its bytes once it is dead:
+        neither queued nor on chain."""
+        for d, tx in list(self.own_reorged.items()):
+            if self.chain.confirmations(tx):
+                del self.own_reorged[d]
+            elif not self.chain.in_mempool(tx):
+                del self.own_reorged[d]
+                self._release(tx)
 
     def _push_recipients(self) -> list[str]:
         """The other peers currently marked up to date."""
@@ -705,7 +722,15 @@ class Peer:
                 self.env.note(self, f"dropping dead tx {tx.task.label} seq={tx.sequence_id}")
                 del self.own_unconfirmed[d]
                 self._next_reannounce.pop(d, None)
+                self._release(tx)
                 continue
             if now >= self._next_reannounce.get(d, 0):
                 self.env.broadcast(self, TxAnnounce(tx))
                 self._next_reannounce[d] = now + self.env.poll_interval * 2
+
+    def _release(self, tx: DbFunction) -> None:
+        """Give up a dead tx's claim on the bytes it staged, unless another
+        open tx of this peer claims the same root for the same lineage."""
+        live = [*self.own_unconfirmed.values(), *(t for t, _ in self.own_mined.values()), *self.own_reorged.values()]
+        if not any(t.doc_id == tx.doc_id and t.data_hash == tx.data_hash for t in live):
+            self.store.release(tx.data_hash, tx.doc_id)

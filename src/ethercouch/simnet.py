@@ -70,7 +70,6 @@ class Scenario:
     mean_block_interval: int = 100
     poll_interval: int = 25
     chunk_size: int = 4096
-    allow_empty_blocks: bool = False
     max_txs_per_block: int = 100
 
     def weights(self) -> dict[str, float]:
@@ -149,7 +148,8 @@ class Trace:
 
 
 class Simulation:
-    """Owns the clock, the event heap, the peers and the shared directory."""
+    """Owns the clock, the event heap, the peers and the shared directory.
+    A peer's miner is armed only while ``Peer.wants_mining()``."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -180,7 +180,6 @@ class Simulation:
                 env=self,
                 location=self.location,
                 chunk_size=scenario.chunk_size,
-                allow_empty_blocks=scenario.allow_empty_blocks,
                 max_txs_per_block=scenario.max_txs_per_block,
             )
             self.peers[cfg.name] = peer
@@ -194,9 +193,6 @@ class Simulation:
         # (the benchmark keeps data generation out of the timed region)
         self.payload_overrides: dict[int, bytes] = {}
         self._next_script = 0  # index of the first script entry not yet run
-        if scenario.allow_empty_blocks:
-            for peer in self.peers.values():
-                self.arm_mining(peer)
 
     # -- event plumbing ---------------------------------------------------
 
@@ -515,7 +511,6 @@ def scenario_from_json(text: str) -> Scenario:
         mean_block_interval=_field(doc, "mean_block_interval", int, "scenario", 100),
         poll_interval=_field(doc, "poll_interval", int, "scenario", 25),
         chunk_size=_field(doc, "chunk_size", int, "scenario", 4096),
-        allow_empty_blocks=_field(doc, "allow_empty_blocks", bool, "scenario", False),
         max_txs_per_block=_field(doc, "max_txs_per_block", int, "scenario", 100),
     )
 

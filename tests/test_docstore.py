@@ -192,6 +192,39 @@ def test_erased_revision_catchup_past_delete():
     assert store.apply_erased(add_tx, (1, 0)).applied == ()
 
 
+def test_apply_erased_refuses_an_edit_it_cannot_place():
+    store = StoreState(chunk_size=CHUNK)
+    add_tx = make_add(b"v1")
+    lineage = lineage_of(add_tx)
+    # an edit of a document the store never saw has nothing to attach to
+    with pytest.raises(UnknownLineage):
+        store.apply_erased(make_edit(lineage, 2, b"v2"), (2, 0))
+    assert lineage not in store.docs
+    store.apply_erased(add_tx, (1, 0))
+    store.apply_delete(make_delete(lineage, 2), (2, 0))
+    # past the delete, a revision would follow a tombstone
+    with pytest.raises(TombstoneError):
+        store.apply_erased(make_edit(lineage, 3, b"v3"), (3, 0))
+    assert [r.seq for r in store.history(lineage)] == [1, 2]
+
+
+def test_fill_payload_refuses_what_it_cannot_fill():
+    store = StoreState(chunk_size=CHUNK)
+    add_tx = make_add(b"v1")
+    lineage = lineage_of(add_tx)
+    with pytest.raises(UnknownLineage):
+        store.fill_payload(lineage, 1, b"v1")
+    store.apply_erased(add_tx, (1, 0))
+    for seq in (0, 2):
+        with pytest.raises(StaleRevision):
+            store.fill_payload(lineage, seq, b"v1")
+    with pytest.raises(IntegrityError):
+        store.fill_payload(lineage, 1, b"not v1")
+    assert store.revision(lineage, 1).payload is None
+    store.fill_payload(lineage, 1, b"v1")
+    assert store.get_active(lineage) == b"v1"
+
+
 # -- rollback ------------------------------------------------------------
 
 
@@ -575,6 +608,31 @@ def test_staged_bytes_are_held_under_the_given_root():
     assert store.staged_payload(tx.data_hash) == store.held_payload(tx.data_hash) == payload
     other = payload_root(payload[1:], 8)
     assert store.staged_payload(other) is store.held_payload(other) is None
+
+
+def test_release_drops_one_lineages_claim_and_leaves_rollback_copies():
+    store = StoreState(chunk_size=8)
+    payload = bytes(range(40))
+    root = payload_root(payload, 8)
+    first, second = hash_bytes(b"lineage one"), hash_bytes(b"lineage two")
+    store.stage(root, payload, first)
+    store.stage(root, payload, second)
+    store.proof_set(root, lambda: ("proofs",))
+    store.release(root, first)
+    assert store._held[root] == (payload, second)
+    store.release(root, first)  # a lineage with no claim changes nothing
+    assert store._held[root] == (payload, second)
+    assert store._proof_sets[root] == ("proofs",)
+    store.release(root, second)
+    assert root not in store._held and root not in store._proof_sets
+    assert store.held_payload(root) is None
+    store.release(root, second)  # nothing held: nothing to do
+    # a rollback copy has no claim to drop
+    tx, lineage = add_doc(store, payload, chunk=8)
+    store.rollback_to((0, 0))
+    assert store._held[tx.data_hash] == (payload,)
+    store.release(tx.data_hash, lineage)
+    assert store._held[tx.data_hash] == (payload,)
 
 
 def test_applying_staged_bytes_skips_the_hash(monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_add, make_delete, make_edit
+from conftest import build_convergence_scenario, make_add, make_delete, make_edit
 from test_crypto import BYTES_INTACT, tampered_responses
 from test_wire import count_sections, response_bytes
 from ethercouch.codec import lp, u64
@@ -13,7 +13,7 @@ from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, PendingFetch, Peer, PeerConfig, editor_hash_for, topic_hash
 from ethercouch.registry import LocationRegistry
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
-from ethercouch.wire import BlockAnnounce, Refusal, Request, Response, encode_message
+from ethercouch.wire import BlockAnnounce, BlockRequest, Refusal, Request, Response, encode_message
 
 NEWS = topic_hash("news")
 OPS = topic_hash("ops")
@@ -116,17 +116,27 @@ def test_chain_only_mode_embeds_payload():
     assert peer.store.get_active(lineage_of(tx)) == b"inline me"
 
 
-def test_an_empty_queue_is_mined_only_with_the_peers_flag():
-    peer, _ = make_peer()
+def test_an_empty_queue_is_mined_only_while_an_entry_awaits_depth_k():
+    peer, _ = make_peer(confirmation_depth=2)
     assert not peer.wants_mining()
     peer.on_mine_complete()
     assert peer.chain.height == 0
-    flagged = Peer(PeerConfig(name="bob"), env=FakeEnv(), location=LocationRegistry(), allow_empty_blocks=True)
-    assert flagged.wants_mining()
-    flagged.on_mine_complete()
-    assert flagged.chain.height == 1 and flagged.chain.tip_block.txs == ()
-    peer.publish(Task.ADD, NEWS, b"queued")
+    tx = peer.publish(Task.ADD, NEWS, b"queued")
     assert peer.wants_mining()
+    peer.on_mine_complete()
+    # the add is one block deep of the two it needs: an empty block buries it
+    assert peer.pending[(tx.doc_id, 1)].state is FetchState.AWAITING_CONFIRM
+    assert not peer.chain.mempool and peer.wants_mining()
+    peer.on_mine_complete()
+    assert peer.chain.height == 2 and peer.chain.tip_block.txs == ()
+    assert not peer.pending and peer.store.get_active(tx.doc_id) == b"queued"
+    assert not peer.wants_mining()
+    peer.on_mine_complete()
+    assert peer.chain.height == 2
+    # an offline peer mines nothing, whatever it has queued
+    peer.publish(Task.EDIT, NEWS, b"queued too", tx.doc_id)
+    peer.go_offline()
+    assert not peer.wants_mining()
 
 
 # -- serving ---------------------------------------------------------------
@@ -722,6 +732,64 @@ def test_a_confirmed_delete_purges_the_cached_push_of_an_edit_that_lost_its_race
     assert not alice.chain.in_mempool(edit)
 
 
+def race_two_edits():
+    """alice and bob each edit alice's document as seq 2, and bob's edit is
+    mined; alice takes bob's block, so her edit can never land."""
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice, bob = (Peer(PeerConfig(name=n), env=env, location=location) for n in ("alice", "bob"))
+    add = alice.publish(Task.ADD, NEWS, b"v1")
+    alice.on_mine_complete()
+    lineage = lineage_of(add)
+    bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+    bob.handle_message(alice.serve_request(Request(lineage, 1, ()), "bob"), "alice")
+    edit = alice.publish(Task.EDIT, NEWS, b"alice's v2", lineage)
+    bob.publish(Task.EDIT, NEWS, b"bob's v2", lineage)
+    bob.on_mine_complete()
+    alice.handle_message([m for (src, dst, m) in env.sent if src == "bob" and dst == "*"][-1], "bob")
+    assert not alice.chain.in_mempool(edit) and edit.digest in alice.own_unconfirmed
+    return env, alice, bob, edit
+
+
+def test_an_edit_that_lost_its_sequence_race_releases_its_bytes_at_the_poll_that_drops_it():
+    env, alice, _, edit = race_two_edits()
+    add_root = alice.store.revision(edit.doc_id, 1).data_hash
+    assert alice.store.staged_payload(edit.data_hash) == b"alice's v2"
+    alice.on_poll()
+    assert ("alice", "dropping dead tx edit seq=2") in env.notes
+    assert edit.digest not in alice.own_unconfirmed
+    assert edit.data_hash not in alice.store._held
+    # the add's bytes, claimed by the same lineage under another root, stay
+    assert alice.store.staged_payload(add_root) == b"v1"
+
+
+def test_a_dead_edit_keeps_its_bytes_while_another_open_edit_claims_them():
+    _, alice, bob, edit = race_two_edits()
+    # alice takes bob's edit in, then publishes her bytes again as seq 3
+    key = (edit.doc_id, 2)
+    assert alice.pending[key].state is FetchState.FETCHING
+    alice.handle_message(bob.serve_request(Request(*key, ()), "alice"), "bob")
+    again = alice.publish(Task.EDIT, NEWS, b"alice's v2", edit.doc_id)
+    assert again.sequence_id == 3 and again.data_hash == edit.data_hash
+    alice.on_poll()
+    assert edit.digest not in alice.own_unconfirmed
+    assert alice.store.staged_payload(edit.data_hash) == b"alice's v2"
+
+
+# convergence seeds whose peers kept bytes for records that never landed:
+# edits dropped as dead txs (42, 44), own txs a reorg took off the chain
+# after they settled (3, 118), and ones requeued by that reorg whose
+# sequence was taken later (87, 135)
+@pytest.mark.parametrize("seed", [3, 42, 44, 87, 118, 135])
+def test_no_peer_keeps_bytes_for_a_record_that_never_landed(seed):
+    result = run_scenario(build_convergence_scenario(seed), until=200_000)
+    for peer in result.peers.values():
+        roots = {rev.data_hash for doc in peer.store.docs.values() for rev in doc.revisions}
+        claimed = [root for root, entry in peer.store._held.items() if len(entry) > 1]
+        assert set(claimed) <= roots, peer.name
+        assert not peer.own_unconfirmed and not peer.own_reorged
+
+
 def open_fetch_at_bob(payloads):
     """alice publishes one document's revisions, each in a block of its
     own; bob takes in all but the last, whose fetch is open at alice."""
@@ -899,6 +967,20 @@ def test_peer_that_published_while_offline_propagates_after_reconnect():
     result = run_scenario(scenario, until=30000)
     assert result.peer("p1").store.payload_bytes() == 300
     assert result.peer("p0").chain.tip == result.peer("p1").chain.tip
+
+
+def test_a_lone_peer_that_comes_back_online_asks_nobody_for_blocks():
+    peer, env = make_peer()
+    tx = peer.publish(Task.ADD, NEWS, b"v1")
+    peer.on_mine_complete()
+    peer.go_offline()
+    env.sent.clear()
+    peer.go_online()
+    # no other peer is registered, so the resync has no source and ends at once
+    assert peer._resync is None
+    assert not any(isinstance(m, BlockRequest) for (_, _, m) in env.sent)
+    assert not peer.wants_poll() and not peer.wants_mining()
+    assert peer.store.get_active(tx.doc_id) == b"v1"
 
 
 def test_resync_converges_after_missed_mutations():

@@ -373,9 +373,9 @@ def test_every_trace_line_is_stamped_with_the_clock_and_a_padded_name():
     assert any(" alexandria " in line for _, line in stamped)
 
 
-def test_a_quiet_network_leaves_its_last_blocks_unconfirmed_at_depth_two():
-    # no block is mined once the queue is empty, so the last block never
-    # gets the one block on top of it that depth 2 needs
+def test_a_quiet_network_mines_until_its_last_blocks_are_confirmed_at_depth_two():
+    # a lone peer with nothing queued still mines while a mutation awaits
+    # depth 2, and stops once none does
     scenario = Scenario(
         seed=8,
         peers=[PeerConfig(name="node0", confirmation_depth=2)],
@@ -386,23 +386,26 @@ def test_a_quiet_network_leaves_its_last_blocks_unconfirmed_at_depth_two():
         mean_block_interval=50,
     )
     sim = Simulation(scenario)
-    result = sim.run()
+    result = sim.run(until=1_000_000)
     node = result.peer("node0")
-    assert node.chain.height == 2 and not sim._heap
+    assert not sim._heap and result.clock < 1_000_000
     a, b = sim.doc_lineages["a"], sim.doc_lineages["b"]
-    assert set(node.store.docs) == {a}
-    assert [pf.tx.doc_id for pf in node.pending.values()] == [b]
+    assert set(node.store.docs) == {a, b}
+    assert not node.pending and not node.chain.mempool
+    # each add's block and one empty block on top of it
+    assert node.chain.height == 4
+    assert [len(blk.txs) for blk in node.chain.canonical_blocks()[1:]] == [1, 0, 1, 0]
 
 
 def test_mining_shares_follow_weights():
-    # two miners at 3:1 over ~400 blocks: canonical share within 5 points
+    # two miners at 3:1 bury one publish 420 deep: canonical share within 5 points
     scenario = Scenario(
         seed=11,
-        peers=[PeerConfig(name="heavy"), PeerConfig(name="light")],
+        peers=[PeerConfig(name="heavy", confirmation_depth=420), PeerConfig(name="light", confirmation_depth=420)],
         mining_power={"heavy": 3.0, "light": 1.0},
+        script=[ScriptAction(5, "publish", "heavy", {"doc": "d", "topic": "t"})],
         latency=(1, 3),
         mean_block_interval=100,
-        allow_empty_blocks=True,
     )
     result = run_scenario(scenario, until=42_000)
     chain = result.peer("heavy").chain
@@ -411,6 +414,67 @@ def test_mining_shares_follow_weights():
     heavy = result.peer("heavy").editor_hash
     share = sum(1 for m in miners if m == heavy) / len(miners)
     assert abs(share - 0.75) <= 0.05
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_quiet_network_at_depth_three_applies_every_mutation_and_stops(seed):
+    # two adds, an edit and a delete, then nothing: the peers mine empty
+    # blocks until the last mutation is 3 deep. The horizon only guards
+    # the test; the run ends long before it, with an empty heap.
+    horizon = 100_000
+    scenario = Scenario(
+        seed=seed,
+        peers=[PeerConfig(name=f"p{i}", confirmation_depth=3) for i in range(3)],
+        script=[
+            ScriptAction(5, "publish", "p0", {"doc": "a", "topic": "t"}),
+            ScriptAction(10, "publish", "p1", {"doc": "b", "topic": "t"}),
+            ScriptAction(400, "edit", "p2", {"doc": "a"}),
+            ScriptAction(900, "delete", "p1", {"doc": "b"}),
+        ],
+        latency=(1, 5),
+        mean_block_interval=50,
+    )
+    sim = Simulation(scenario)
+    result = sim.run(until=horizon)
+    assert not sim._heap and result.clock < horizon // 10
+    a, b = sim.doc_lineages["a"], sim.doc_lineages["b"]
+    assert len({p.chain.tip for p in result.peers.values()}) == 1
+    assert len({p.store.dump_text() for p in result.peers.values()}) == 1
+    for peer in result.peers.values():
+        assert not peer.pending and not peer.chain.mempool and not peer.wants_mining()
+        assert verify_pair(peer.chain, peer.store) == []
+        assert [r.seq for r in peer.store.history(a)] == [1, 2]
+        assert peer.store.get_active(a) is not None
+        assert [r.seq for r in peer.store.history(b)] == [1, 2] and peer.store.get_active(b) is None
+
+
+def test_a_script_notes_what_it_cannot_run():
+    # the same bytes, topic and peer make the same add, which the ledger
+    # refuses once mined; an edit or delete of a document no script entry
+    # published is skipped
+    scenario = Scenario(
+        seed=3,
+        peers=[PeerConfig(name="p0"), PeerConfig(name="p1")],
+        script=[
+            ScriptAction(5, "publish", "p0", {"doc": "a", "topic": "t", "data": "same bytes"}),
+            ScriptAction(500, "publish", "p0", {"doc": "a2", "topic": "t", "data": "same bytes"}),
+            ScriptAction(510, "edit", "p1", {"doc": "ghost", "data": "x"}),
+            ScriptAction(520, "delete", "p1", {"doc": "ghost"}),
+        ],
+        latency=(1, 3),
+        mean_block_interval=20,
+    )
+    sim = Simulation(scenario)
+    result = sim.run(until=100_000)
+    assert not sim._heap
+    assert result.peer("p0").chain.height >= 1
+    notes = [line.split(None, 3)[3] for line in result.trace.lines if " note " in line]
+    assert "publish a2 rejected: duplicate-add" in notes
+    assert "edit ghost: unknown document, skipped" in notes
+    assert "delete ghost: unknown document, skipped" in notes
+    assert set(sim.doc_lineages) == {"a"}
+    for peer in result.peers.values():
+        assert len(peer.store.docs) == 1 and not peer.chain.mempool
 
 
 def test_zero_weight_miner_never_mines():
@@ -451,6 +515,29 @@ def test_scenario_validation_rejects_malformed():
             peers=[PeerConfig(name="a")],
             script=[ScriptAction(1, "publish", "ghost", {"doc": "d", "topic": "t"})],
         ).validate()
+    two = [PeerConfig(name="a"), PeerConfig(name="b")]
+    for bad, reason in [
+        ({"mining_power": {"a": 1.0, "b": -1.0}}, "non-negative"),
+        ({"mean_block_interval": 0}, "mean_block_interval"),
+        ({"poll_interval": 0}, "poll_interval"),
+        ({"script": [ScriptAction(1, "explode", "a")]}, "unknown action"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            Scenario(seed=1, peers=two, **bad).validate()
+    base = json.loads(THREE_PEER_JSON)
+    for key, value, reason in [
+        ("mode", "plain", "'mode' must be one of"),
+        ("latency", [1], r"'latency' must be \[min, max\]"),
+        ("latency", [1, 2, 3], r"'latency' must be \[min, max\]"),
+    ]:
+        doc = json.loads(THREE_PEER_JSON)
+        if key == "mode":
+            doc["peers"][0]["mode"] = value
+        else:
+            doc[key] = value
+        with pytest.raises(ValueError, match=reason):
+            scenario_from_json(json.dumps(doc))
+    assert scenario_from_json(json.dumps(base)) == three_peer_scenario(seed=44)
 
 
 def test_malformed_scenario_fails_before_any_event():
@@ -700,7 +787,8 @@ def profiled_calls(run) -> tuple[int, object]:
 # mutation's held bytes are read inline by its one dispatch, 41.60 once a
 # heap entry is a plain tuple pushed without a helper call (41.6025), and
 # 40.59 once a peer's notes print a digest's first 6 bytes in hex without
-# the ``digest_hex`` call (40.5925).
+# the ``digest_hex`` call (40.5925), and still 40.59 (40.593) once a peer
+# with an empty queue looks for a mutation awaiting depth k before it mines.
 # The count depends on the code alone, not on the machine; Python 3.12's
 # inlined comprehensions can only lower it.
 CALLS_PER_INSERT = 43
@@ -779,7 +867,9 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # frame; 30.33 once a peer's notes print a digest without ``digest_hex``;
 # 30.23 once the copies of a broadcast share one trace text, not one per drop;
 # 30.10 once a decoded proof is built without the named tuple's constructor
-# frame and a kept proof set is encoded once.
+# frame and a kept proof set is encoded once; 30.23 once a peer with an
+# empty queue looks for a mutation awaiting depth k before it mines (one
+# list comprehension; a generator cost one call per pending entry, 30.42).
 CALLS_PER_DELIVERY = 35
 
 
