@@ -128,6 +128,11 @@ class ProofSet(tuple):
     encoding of it (``encoded``), which its fixed items keep valid."""
 
 
+# The proofs of every payload of at most one chunk: its one leaf is its
+# root, so no tree is built to prove it, and one set serves every such root.
+ONE_LEAF_PROOFS = ProofSet([MerkleProof(0, 1, ())])
+
+
 def merkle_prove(chunks: list[bytes], index: int | range) -> MerkleProof | ProofSet:
     """Inclusion proof for chunks[index]. For a range of indices, a
     ProofSet of their proofs, all cut from one tree (empty for an empty range).

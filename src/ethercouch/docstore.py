@@ -122,11 +122,12 @@ class StoreState:
     before it lands, so every payload taken in by these methods hashes to
     the root it is held under.
 
-    The store also keeps, per root, the proofs of all chunks of the
-    payload held under it (``proof_set``), built when the peer publishes
-    a payload of several chunks, else on the first push or serve of that
-    root, and reused, with its encoded bytes (``wire``), for every later
-    one. A set goes when any document holding that root is deleted, even
+    The store also keeps, per root of a payload of several chunks, the
+    proofs of all its chunks (``proof_set``), built when the peer
+    publishes the payload, else on the first push or serve of that root,
+    and reused, with its encoded bytes (``wire``), for every later one; a
+    payload of one chunk needs no set of its own (``ONE_LEAF_PROOFS``).
+    A set goes when any document holding that root is deleted, even
     if another document still holds the same bytes, or with its held
     entry on ``release``; the next push or serve of those bytes builds it
     again.
@@ -146,7 +147,7 @@ class StoreState:
         # them lands again (a tuple, not a list: a publisher holds one entry
         # per payload)
         self._held: dict[Digest, tuple] = {}
-        # root -> the proofs of all chunks of the payload held under it
+        # root of a payload of several chunks -> the proofs of all its chunks
         self._proof_sets: dict[Digest, ProofSet] = {}
 
     # -- held bytes -------------------------------------------------------
@@ -187,7 +188,7 @@ class StoreState:
     # -- proof sets -------------------------------------------------------
 
     def proof_set(self, root: Digest, build: Callable[[], ProofSet]) -> ProofSet:
-        """The proofs of all chunks of the payload held under ``root``.
+        """The proofs of all chunks of a payload of several chunks held under ``root``.
 
         ``build`` makes them on the first call for a root, and the store
         keeps them for later calls. One set serves every document holding

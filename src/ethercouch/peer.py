@@ -15,12 +15,13 @@ chain-only peer never fetches), the store's table of bytes by root (what
 the peer published and what a rollback removed), then pushes cached
 ahead of their block. The store's hash on apply is the one check on
 every payload, and it skips the hash only for bytes equal to ones it
-holds under that root. A holder proves each payload once, from one
-tree, and the store keeps the proofs of all its chunks for every push
-and serve: a publisher builds them at publish from the tree that gives a
-payload of several chunks its root, and any other holder at its first
-serve of a root. Chunks are cut as views of the payload, so a Response
-copies its bytes only when it is encoded.
+holds under that root. A holder proves a payload of several chunks
+once, from one tree, and the store keeps the proofs of all its chunks for
+every push and serve: a publisher builds them at publish from the tree
+that gives the payload its root, and any other holder at its first push
+or serve of the root. Its chunks are cut as views of the payload, so a
+Response copies its bytes only when it is encoded. A payload of one chunk
+is sent as it is, with the constant ``ONE_LEAF_PROOFS``: no tree, no set.
 
 The peer is a deterministic event-driven machine: the surrounding
 environment (a simulator here) feeds it messages, mining completions,
@@ -42,6 +43,7 @@ from functools import cached_property
 
 from .crypto import (
     Digest,
+    ONE_LEAF_PROOFS,
     ZERO_DIGEST,
     ProofSet,
     chunk_payload,
@@ -434,11 +436,15 @@ class Peer:
         return Response(req.lineage, req.seq, tuple(chunks), proofs)
 
     def _proved_chunks(self, root: Digest, payload: bytes) -> tuple[list[bytes], ProofSet]:
-        """Views of the chunks of a payload held under ``root``, so the
-        payload is copied only when its Response is encoded, and the proofs
-        of all of them from the store: built at publish for a publisher's
-        payload of more than one chunk, else by the first push or serve of
-        the root, from one tree either way."""
+        """The chunks of a payload held under ``root`` and their proofs: a
+        payload of at most one chunk (the empty one too) as its one chunk,
+        with ``ONE_LEAF_PROOFS``, as ``payload_root`` hashes it whole; a
+        longer one as views, so it is copied only when its Response is
+        encoded, with the store's proofs: built at publish for a
+        publisher's payload, else by the first push or serve of the root,
+        from one tree either way."""
+        if len(payload) <= self.chunk_size:
+            return [payload], ONE_LEAF_PROOFS
         chunks = chunk_payload(memoryview(payload), self.chunk_size)
         return chunks, self.store.proof_set(root, lambda: merkle_prove(chunks, range(len(chunks))))
 

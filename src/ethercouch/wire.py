@@ -20,7 +20,10 @@ sibling) of any width but 32 bytes or an integer field of any width but 8
 is refused.
 
 A store's ``ProofSet`` keeps its encoded proof section from its first
-Response on. A proof record is read in one unpack with the struct of the
+Response on. The one-leaf set of every one-chunk payload,
+``ONE_LEAF_PROOFS``, is packed at import, and a proof section of exactly
+those bytes decodes to it unread; equal bytes parse to an equal value
+either way. A proof record is read in one unpack with the struct of the
 record before it (one payload's proofs share one width); a new width's
 sibling count is checked against the bytes left before a struct is sized.
 
@@ -38,7 +41,7 @@ import struct
 from functools import lru_cache
 from typing import NamedTuple
 
-from .crypto import DIGEST_SIZE, Digest, MerkleProof, ProofSet, hash_bytes
+from .crypto import DIGEST_SIZE, ONE_LEAF_PROOFS, Digest, MerkleProof, ProofSet, hash_bytes
 from .ledger import Block, DbFunction, parse_block, parse_tx, serialize_tx
 
 
@@ -173,6 +176,11 @@ def _proof_section(proofs: tuple[MerkleProof, ...]) -> bytes:
     return section
 
 
+# the proof section of every one-chunk payload, which the decoder reads by its bytes
+_ONE_LEAF_SECTION = _proof_section(ONE_LEAF_PROOFS)
+_ONE_LEAF_SIZE = len(_ONE_LEAF_SECTION)
+
+
 def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Message:
     """Strict inverse of ``encode_message``: only the canonical encoding
     parses. Every failure is a ValueError.
@@ -257,6 +265,9 @@ def _decode_response(buf: bytes) -> Response:
         if pos > end:
             raise ValueError("truncated message")
         chunks.append(buf[pos - w : pos])
+    # the width first: a longer section is not copied to be compared
+    if end - pos == _ONE_LEAF_SIZE and buf[pos:] == _ONE_LEAF_SECTION:
+        return Response(lineage, seq, tuple(chunks), ONE_LEAF_PROOFS)
     if pos + _COUNT.size > end:
         raise ValueError("truncated message")
     w_m, m = _COUNT.unpack_from(buf, pos)

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from conftest import EDITOR_A, TOPIC_T, TOPIC_U, build_convergence_scenario, make_add, make_delete, make_edit, raw_block
-from ethercouch.crypto import MerkleProof, chunk_payload, hash_bytes, merkle_prove
+from ethercouch.crypto import ONE_LEAF_PROOFS, MerkleProof, chunk_payload, hash_bytes, merkle_prove
 from ethercouch.docstore import StoreState
 from ethercouch.ledger import Block, ChainState, lineage_of, parse_block, parse_tx, serialize_tx
 from ethercouch.simnet import deterministic_bytes, run_scenario, scenario_from_json
@@ -118,6 +118,14 @@ BLOCK = raw_block(ChainState(difficulty_bits=0), hash_bytes(b"parent"), 7, [make
             decode_canonical,
             11,
             id="single-chunk-response",
+        ),
+        pytest.param(
+            # a served one-chunk payload: its proof section is read by its bytes
+            Response(LINEAGE, 2, (deterministic_bytes("fuzz", 300),), ONE_LEAF_PROOFS),
+            encode_message,
+            decode_canonical,
+            15,
+            id="one-chunk-response",
         ),
         pytest.param(
             Response(LINEAGE, 2, (b"a", b"bc", b"", b"def"), MIXED_PROOFS),

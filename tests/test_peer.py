@@ -8,7 +8,7 @@ from conftest import build_convergence_scenario, make_add, make_delete, make_edi
 from test_crypto import BYTES_INTACT, tampered_responses
 from test_wire import count_sections, response_bytes
 from ethercouch.codec import lp, u64
-from ethercouch.crypto import ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root, verify_chunk
+from ethercouch.crypto import ONE_LEAF_PROOFS, ZERO_DIGEST, chunk_payload, hash_bytes, merkle_prove, merkle_root, payload_root, verify_chunk
 from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, PendingFetch, Peer, PeerConfig, editor_hash_for, topic_hash
 from ethercouch.registry import LocationRegistry
@@ -423,13 +423,55 @@ def test_proof_sets_leave_with_their_bytes():
     for peer in (alice, bob):
         assert root not in peer.store._proof_sets
         assert peer.serve_request(Request(lineage, 1, ()), "carol") == Refusal(lineage, 1, "not-held")
-    # serving staged bytes before they apply builds a set too
+    # serving staged bytes of several chunks before they apply serves the
+    # kept set; staged bytes of one chunk keep none
     carol, _ = make_peer("carol", confirmation_depth=3)
-    staged = carol.publish(Task.ADD, NEWS, b"served from staging")
+    staged = carol.publish(Task.ADD, NEWS, b"served from staging " * 400)
+    one_chunk = carol.publish(Task.ADD, NEWS, b"served from staging")
     carol.on_mine_complete()  # depth 1 of 3: in the registry, not in the store
-    key = (lineage_of(staged), 1)
-    assert isinstance(carol.serve_request(Request(*key, ()), "bob"), Response)
-    assert staged.data_hash in carol.store._proof_sets
+    for tx in (staged, one_chunk):
+        served = carol.serve_request(Request(lineage_of(tx), 1, ()), "bob")
+        assert isinstance(served, Response) and lineage_of(tx) not in carol.store.docs
+    assert served.proofs is ONE_LEAF_PROOFS
+    assert list(carol.store._proof_sets) == [staged.data_hash]
+
+
+CS = 4096
+
+
+@pytest.mark.parametrize("size", [0, 1, CS - 1, CS, CS + 1])
+def test_a_one_chunk_payload_is_pushed_and_served_with_no_tree_and_no_kept_set(monkeypatch, size):
+    trees = count_trees(monkeypatch)
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice, bob = (Peer(PeerConfig(name=n), env=env, location=location, chunk_size=CS) for n in ("alice", "bob"))
+    payload = bytes(i % 251 for i in range(size))
+    tx = alice.publish(Task.ADD, NEWS, payload)
+    alice.on_mine_complete()
+    bob.handle_message([m for (_, dst, m) in env.sent if dst == "*"][-1], "alice")
+    key = (lineage_of(tx), 1)
+    bob.handle_message(alice.serve_request(Request(*key, ()), "bob"), "alice")
+    assert bob.store.revision(*key).payload == payload
+    env.sent.clear()
+    alice._push_payload(tx, ["carol"])
+    served = [holder.serve_request(Request(*key, ()), name) for holder in (alice, bob) for name in ("carol", "dave")]
+    sent = [m for (_, dst, m) in env.sent if dst == "carol"] + served
+    assert len(sent) == 5
+    built = list(trees)
+    chunks = chunk_payload(payload, CS)
+    proofs = merkle_prove(chunks, range(len(chunks)))
+    layout = response_bytes(tx.doc_id, lp(u64(1)), chunks=chunks, proofs=proofs)
+    for resp in sent:
+        assert resp == Response(*key, tuple(chunks), proofs)
+        assert encode_message(resp) == layout
+    if size <= CS:
+        assert built == [] and alice.store._proof_sets == bob.store._proof_sets == {}
+        assert all(resp.proofs is ONE_LEAF_PROOFS for resp in sent)
+    else:
+        # the publisher's tree gives the root and its proofs, the receiver
+        # hashes the bytes on apply and builds its proofs at its first serve
+        assert built == [2, 2, 2]
+        assert list(alice.store._proof_sets) == list(bob.store._proof_sets) == [tx.data_hash]
 
 
 def test_non_canonical_split_under_its_own_root_is_never_stored():

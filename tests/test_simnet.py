@@ -869,7 +869,9 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # 30.10 once a decoded proof is built without the named tuple's constructor
 # frame and a kept proof set is encoded once; 30.23 once a peer with an
 # empty queue looks for a mutation awaiting depth k before it mines (one
-# list comprehension; a generator cost one call per pending entry, 30.42).
+# list comprehension; a generator cost one call per pending entry, 30.42);
+# 29.14 once a one-chunk payload is served with the constant one-leaf set
+# and its section is read by its bytes.
 CALLS_PER_DELIVERY = 35
 
 
@@ -884,18 +886,21 @@ def test_a_delivery_costs_a_bounded_number_of_python_calls():
     assert calls / recvs <= CALLS_PER_DELIVERY, calls / recvs
 
 
-# Leaves hashed into merkle trees in the scenario below (4 publishes of 16
-# chunks, 12 applies at peers other than the publisher): 336 while a
-# publisher hashed its payload at publish and again at its first push or
-# serve, 272 once the tree that gives a publisher its root also gives it the
-# proofs for every push and serve (4 publishes, 12 applies, 1 first serve by
-# a peer that did not publish the root).
-def test_each_payload_is_hashed_once_per_peer_that_takes_it_in(monkeypatch):
+def hashing_census(monkeypatch, size: int, cs: int = 64):
+    """Run four peers that publish three documents of ``size`` bytes and
+    edit one at another peer; return who published each revision, the
+    revisions applied at peers other than their publisher, the serves by
+    such peers, the leaf count of every merkle tree built and the sizes of
+    the payloads ``payload_root`` hashed."""
     import ethercouch.crypto as crypto
+    from ethercouch import docstore, ledger, peer as peer_module
     from ethercouch.peer import Peer
 
     leaves, real_tree = [], crypto._tree
     monkeypatch.setattr(crypto, "_tree", lambda chunks: leaves.append(len(chunks)) or real_tree(chunks))
+    roots, real_root = [], crypto.payload_root
+    for module in (docstore, ledger, peer_module):
+        monkeypatch.setattr(module, "payload_root", lambda p, chunk_size: roots.append(len(p)) or real_root(p, chunk_size))
     publisher, served = {}, set()
     real_publish, real_serve = Peer.publish, Peer.serve_request
 
@@ -912,9 +917,8 @@ def test_each_payload_is_hashed_once_per_peer_that_takes_it_in(monkeypatch):
 
     monkeypatch.setattr(Peer, "publish", publish)
     monkeypatch.setattr(Peer, "serve_request", serve)
-    cs = 64
-    script = [ScriptAction(5 + 20 * i, "publish", f"p{i}", {"doc": f"d{i}", "topic": "news", "size": 16 * cs}) for i in range(3)]
-    script.append(ScriptAction(200, "edit", "p3", {"doc": "d0", "size": 16 * cs}))
+    script = [ScriptAction(5 + 20 * i, "publish", f"p{i}", {"doc": f"d{i}", "topic": "news", "size": size}) for i in range(3)]
+    script.append(ScriptAction(200, "edit", "p3", {"doc": "d0", "size": size}))
     peers = [PeerConfig(name=f"p{i}") for i in range(4)]
     sim = Simulation(Scenario(seed=0, peers=peers, script=script, latency=(1, 5), mean_block_interval=30, chunk_size=cs)).run()
     assert sim._heap == []
@@ -925,9 +929,32 @@ def test_each_payload_is_hashed_once_per_peer_that_takes_it_in(monkeypatch):
         for rev in doc.revisions
         if rev.payload is not None and publisher[doc.lineage, rev.seq] != name
     ]
+    return publisher, applied, served, leaves, roots
+
+
+# Leaves hashed into merkle trees in the scenario of ``hashing_census`` (4
+# publishes of 16 chunks, 12 applies at peers other than the publisher):
+# 336 while a publisher hashed its payload at publish and again at its
+# first push or serve, 272 once the tree that gives a publisher its root
+# also gives it the proofs for every push and serve (4 publishes, 12
+# applies, 1 first serve by a peer that did not publish the root).
+def test_each_payload_is_hashed_once_per_peer_that_takes_it_in(monkeypatch):
+    publisher, applied, served, leaves, _ = hashing_census(monkeypatch, 16 * 64)
     assert (len(publisher), len(applied), len(served)) == (4, 12, 1)
     assert set(leaves) == {16}
     assert sum(leaves) == 16 * (len(publisher) + len(applied) + len(served)) == 272
+
+
+# The same scenario with payloads of one chunk: each is hashed once, by
+# ``payload_root``, at its publish and at each apply at another peer, and
+# every push and serve proves it with the one-leaf set, so no tree is built
+# (a holder built a one-leaf tree at its first push or serve of a root
+# before the set was a constant).
+def test_a_one_chunk_payload_is_hashed_once_per_peer_and_never_into_a_tree(monkeypatch):
+    publisher, applied, served, leaves, roots = hashing_census(monkeypatch, 64)
+    assert (len(publisher), len(applied), len(served)) == (4, 12, 1)
+    assert leaves == []
+    assert roots == [64] * (len(publisher) + len(applied)) == [64] * 16
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (1, 1), (1, 8), (1, 10), (3, 2**20)])

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import EDITOR_A, TOPIC_T, make_add, make_edit
 from ethercouch.codec import lp, u64
-from ethercouch.crypto import MerkleProof, ProofSet, chunk_payload, hash_bytes, merkle_prove
+from ethercouch.crypto import ONE_LEAF_PROOFS, MerkleProof, ProofSet, chunk_payload, hash_bytes, merkle_prove
 from ethercouch.docstore import StoreState
 from ethercouch.ledger import ChainState, lineage_of
 from ethercouch.wire import (
@@ -41,7 +41,8 @@ def test_response_roundtrip():
     chunks = chunk_payload(payload, 300)
     proofs = tuple(merkle_prove(chunks, i) for i in range(len(chunks)))
     roundtrip(Response(hash_bytes(b"lin"), 2, tuple(chunks), proofs))
-    roundtrip(Response(hash_bytes(b"lin"), 2, (b"one",), (merkle_prove([b"one"], 0),)))
+    one = roundtrip(Response(hash_bytes(b"lin"), 2, (b"one",), (merkle_prove([b"one"], 0),)))
+    assert one.proofs == (MerkleProof(0, 1, ()),)
     roundtrip(Response(hash_bytes(b"lin"), 2, (), ()))
     # records of different widths follow one another
     roundtrip(Response(hash_bytes(b"lin"), 2, (b"a", b"bc", b"", b"def"), mixed_proofs((0, 3, 1, 6))))
@@ -248,3 +249,32 @@ def test_the_record_struct_cache_stays_at_its_bound():
         assert decode_message(encode_message(Response(LINEAGE, 4, (b"c",), proofs))).proofs == proofs
     info = wire._record.cache_info()
     assert info.currsize == info.maxsize == 64
+
+
+def decoded_or_error(buf: bytes):
+    """What ``decode_message`` makes of ``buf``: a message or its ValueError's text."""
+    try:
+        return decode_message(buf)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def test_a_one_chunk_proof_tail_reads_as_the_record_parser_reads_it(monkeypatch):
+    import ethercouch.wire as wire
+
+    one_chunk = encode_message(Response(LINEAGE, 4, (b"one chunk",), ONE_LEAF_PROOFS))
+    head, tail = one_chunk[:-52], one_chunk[-52:]
+    assert tail == wire._ONE_LEAF_SECTION and decode_message(one_chunk).proofs is ONE_LEAF_PROOFS
+    bufs = [head + tail[:i] + bytes([b]) + tail[i + 1 :] for i in range(len(tail)) for b in range(256)]
+    bufs += [head + tail[:i] for i in range(len(tail))] + [one_chunk + bytes([b]) for b in range(256)]
+    compared = [decoded_or_error(buf) for buf in bufs]
+    monkeypatch.setattr(wire, "_ONE_LEAF_SECTION", b"")
+    parsed = [decoded_or_error(buf) for buf in bufs]
+    assert compared == parsed
+    # the 52 unchanged tails read as the constant only with the compare on;
+    # a changed leaf index or leaf count byte (16 bytes, 255 changes each)
+    # parses to another proof, and every other change is refused
+    kept = [out for out in compared if isinstance(out, Response) and out.proofs is ONE_LEAF_PROOFS]
+    read = [out for out in parsed if isinstance(out, Response)]
+    assert len(kept) == 52 and len(read) == 52 + 16 * 255
+    assert not any(out.proofs is ONE_LEAF_PROOFS for out in read)
