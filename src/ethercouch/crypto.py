@@ -151,7 +151,7 @@ def merkle_prove(chunks: list[bytes], index: int | range) -> MerkleProof | Proof
 def _cut(levels: list[list[Digest]], n: int, indices: range) -> ProofSet:
     """The proofs of ``indices`` in the tree of n leaves ``_tree`` built."""
     below_root = levels[:-1]
-    # lists, not generators: most payloads are one chunk, and this is their hot path
+    # lists, not generators: a list comprehension resumes no generator frame per item
     return ProofSet([MerkleProof(i, n, tuple([lv[(i >> k) ^ 1] for k, lv in enumerate(below_root)])) for i in indices])
 
 

@@ -13,17 +13,18 @@ Canonical serialization (the wire and hashing contract):
 - the optional inline payload is encoded as one presence byte (0x00 absent,
   0x01 present) followed by the payload bytes, prefixed as a single field.
 
-This is the only encoding the parsers accept, so a parsed transaction's
-digest is the hash of the bytes it arrived in, and a mined or parsed block
-keeps the exact bytes it was hashed from. A transaction is encoded, hashed
-and named once, when it is built: it carries its digest and document id,
-and a hash-anchored record keeps its bytes, as a block does. A chain-only
-transaction keeps only its digest, so its inline payload is not held twice,
-and is serialized when a block is built.
+This is the only encoding the parsers accept, so the digest of a parsed
+transaction or block is the hash of the bytes it arrived in. A transaction
+is encoded, hashed and named once, when it is built: it carries its digest
+and document id, and a hash-anchored record keeps its bytes. A chain-only
+transaction keeps only its digest, so its inline payload is not held
+twice, and is serialized whenever a block holding it is.
 
-A block's hash is the digest of its serialized parent, height, nonce,
-miner and transaction list, in that order. Proof of work requires the
-block hash to start with ``difficulty_bits`` zero bits.
+A block is its fields: its hash is the digest of its serialized parent,
+height, nonce, miner and transaction list, in that order, computed once
+when the block is built. No block keeps its bytes or takes a hash from
+outside. Proof of work requires the block hash to start with
+``difficulty_bits`` zero bits.
 """
 
 from __future__ import annotations
@@ -211,26 +212,24 @@ def tx_text(tx: DbFunction) -> str:
 
 @dataclass(frozen=True)
 class Block:
+    """One block: its five fields, and ``block_hash``, which is not passed
+    in but computed from them once, when the block is built. So no block
+    can disagree with its hash, and none keeps its canonical bytes. A
+    parent or miner that is not 32 bytes is refused then, with ValueError."""
+
     parent: Digest
     height: int
     nonce: int
     miner: Digest
     txs: tuple[DbFunction, ...]
-    block_hash: Digest
+    block_hash: Digest = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "block_hash", hash_bytes(self.preimage()))
 
     def preimage(self) -> bytes:
-        # blocks that were mined or parsed here keep the bytes they were
-        # hashed from; a block built by hand is serialized afresh
-        raw = self.__dict__.get("_bytes")
-        if raw is None:
-            raw = block_preimage(self.parent, self.height, self.nonce, self.miner, self.txs)
-        return raw
-
-
-def _with_bytes(block: Block, raw: bytes) -> Block:
-    """Memoize the canonical bytes ``block`` was hashed from."""
-    object.__setattr__(block, "_bytes", raw)
-    return block
+        """The canonical bytes, serialized from the fields on each call."""
+        return _block_head(self.parent, self.height, self.nonce, self.miner, len(self.txs)) + _tx_body(self.txs)
 
 
 # the fixed head of a canonical block: the width-prefixed parent, height,
@@ -261,15 +260,9 @@ def _tx_body(txs: tuple[DbFunction, ...]) -> bytes:
     return b"".join(parts)
 
 
-def block_preimage(
-    parent: Digest, height: int, nonce: int, miner: Digest, txs: tuple[DbFunction, ...]
-) -> bytes:
-    return _block_head(parent, height, nonce, miner, len(txs)) + _tx_body(txs)
-
-
-def parse_block(buf: bytes, block_hash: Digest | None = None) -> Block:
-    """Strict inverse of ``Block.preimage``. ``block_hash``, if given, is
-    the caller's sha256 of ``buf``, so the bytes are not hashed again."""
+def parse_block(buf: bytes) -> Block:
+    """Strict inverse of ``Block.preimage``: only the canonical encoding
+    parses, so the block's hash is the hash of ``buf``. No bytes are kept."""
     if len(buf) < _BLOCK_HEAD.size:
         raise ValueError("truncated block")
     (w_parent, parent, w_height, height, w_nonce, nonce,
@@ -280,10 +273,7 @@ def parse_block(buf: bytes, block_hash: Digest | None = None) -> Block:
     txs = tuple(parse_tx(r.field()) for _ in range(ntx))
     if not r.done():
         raise ValueError("trailing bytes after block")
-    buf = bytes(buf)
-    if block_hash is None:
-        block_hash = hash_bytes(buf)
-    return _with_bytes(Block(parent, height, nonce, miner, txs, block_hash), buf)
+    return Block(parent, height, nonce, miner, txs)
 
 
 def block_text(block: Block) -> str:
@@ -389,15 +379,15 @@ class ChainState:
                 yield tx, blk.height, i
 
     def _mine_raw(self, parent: Digest, height: int, miner: Digest, txs: tuple) -> Block:
-        # the txs are encoded once; each nonce packs only the block head
-        body = _tx_body(txs)
+        # the search encodes the txs once and packs only the head per nonce;
+        # at difficulty 0 (every simulated peer) nonce 0 meets the target, so
+        # nothing is searched. The found block then hashes itself once.
         nonce = 0
-        while True:
-            pre = _block_head(parent, height, nonce, miner, len(txs)) + body
-            h = hash_bytes(pre)
-            if meets_target(h, self.difficulty_bits):
-                return _with_bytes(Block(parent, height, nonce, miner, txs, h), pre)
-            nonce += 1
+        if self.difficulty_bits:
+            body = _tx_body(txs)
+            while not meets_target(hash_bytes(_block_head(parent, height, nonce, miner, len(txs)) + body), self.difficulty_bits):
+                nonce += 1
+        return Block(parent, height, nonce, miner, txs)
 
     # -- operations ----------------------------------------------------
 
@@ -434,17 +424,17 @@ class ChainState:
 
     def validate_block(self, block: Block) -> tuple[bool, str]:
         """Full validity check: known parent, consistent height, proof of
-        work, hash integrity, and every transaction valid in order against
-        the registry state at the parent."""
+        work, and every transaction valid in order against the registry
+        state at the parent. A block's hash is computed from its fields,
+        so it cannot disagree with them and is not checked again; a block
+        with the genesis hash is the genesis."""
         if block.block_hash == self.genesis.block_hash:
-            return (block == self.genesis, "genesis")
+            return (True, "genesis")
         if block.parent not in self.blocks:
             return (False, "unknown-parent")
         parent = self.blocks[block.parent]
         if block.height != parent.height + 1:
             return (False, "bad-height")
-        if hash_bytes(block.preimage()) != block.block_hash:
-            return (False, "hash-mismatch")
         if not meets_target(block.block_hash, self.difficulty_bits):
             return (False, "pow-target")
         view = self._view_at(block.parent)

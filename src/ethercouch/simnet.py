@@ -462,24 +462,32 @@ def _field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
     return _typed(obj[key], kind, f"{where} {key!r}")
 
 
+def _present(obj: dict, where: str, **kinds: type) -> dict:
+    # the keys of obj named in kinds, checked; an absent one takes the dataclass default
+    return {key: _typed(obj[key], kind, f"{where} {key!r}") for key, kind in kinds.items() if key in obj}
+
+
 def scenario_from_json(text: str) -> Scenario:
     """Parse a scenario file. A malformed one (bad JSON, a missing field, a
-    field of the wrong kind) raises ValueError naming the field."""
+    field of the wrong kind) raises ValueError naming the field. A setting
+    the file leaves out takes the default ``Scenario`` or ``PeerConfig``
+    declares."""
     doc = _typed(json.loads(text), dict, "scenario")
     peers = []
     for i, p in enumerate(_field(doc, "peers", list, "scenario")):
         where = f"peer {i}"
         p = _typed(p, dict, where)
         topics = [_typed(t, str, f"{where} topic") for t in _field(p, "topics", list, where, [])]
-        mode = _field(p, "mode", str, where, "ethercouch")
-        if mode not in {m.value for m in Mode}:
-            raise ValueError(f"{where} 'mode' must be one of {', '.join(m.value for m in Mode)}")
+        config = _present(p, where, mode=str, confirmation_depth=int)
+        if "mode" in config:
+            if config["mode"] not in {m.value for m in Mode}:
+                raise ValueError(f"{where} 'mode' must be one of {', '.join(m.value for m in Mode)}")
+            config["mode"] = Mode(config["mode"])
         peers.append(
             PeerConfig(
                 name=_field(p, "name", str, where),
                 topics=frozenset(bytes.fromhex(t) if len(t) == 64 and _is_hex(t) else topic_hash(t) for t in topics),
-                confirmation_depth=_field(p, "confirmation_depth", int, where, 1),
-                mode=Mode(mode),
+                **config,
             )
         )
     script = []
@@ -498,20 +506,19 @@ def scenario_from_json(text: str) -> Scenario:
             for name in _typed(group, list, f"{where} group"):
                 _typed(name, str, f"{where} group member")
         script.append(ScriptAction(at=at, action=action, peer=peer, args=args))
-    latency = _field(doc, "latency", list, "scenario", [1, 10])
-    if len(latency) != 2:
-        raise ValueError("scenario 'latency' must be [min, max]")
+    settings = _present(doc, "scenario", latency=list)
+    if "latency" in settings:
+        if len(settings["latency"]) != 2:
+            raise ValueError("scenario 'latency' must be [min, max]")
+        settings["latency"] = tuple(_typed(v, int, "scenario 'latency' bound") for v in settings["latency"])
     mining_power = _field(doc, "mining_power", dict, "scenario", {})
     return Scenario(
         seed=_field(doc, "seed", int, "scenario"),
         peers=peers,
         mining_power={k: float(_typed(v, float, f"scenario mining power of {k!r}")) for k, v in mining_power.items()},
         script=script,
-        latency=tuple(_typed(v, int, "scenario 'latency' bound") for v in latency),
-        mean_block_interval=_field(doc, "mean_block_interval", int, "scenario", 100),
-        poll_interval=_field(doc, "poll_interval", int, "scenario", 25),
-        chunk_size=_field(doc, "chunk_size", int, "scenario", 4096),
-        max_txs_per_block=_field(doc, "max_txs_per_block", int, "scenario", 100),
+        **settings,
+        **_present(doc, "scenario", mean_block_interval=int, poll_interval=int, chunk_size=int, max_txs_per_block=int),
     )
 
 

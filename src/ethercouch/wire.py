@@ -239,12 +239,13 @@ def decode_message(buf: bytes, blocks: dict[Digest, Block] | None = None) -> Mes
 
 
 def _known_block(body: bytes, blocks: dict[Digest, Block]) -> Block:
-    # equal hashes mean equal canonical bytes, so the block parsed from them
-    # serves again; a body that does not parse raises and is never added
+    # the body is hashed only to look it up: equal hashes mean equal canonical
+    # bytes, so the block parsed from them serves again. A parsed block hashes
+    # its own fields; a body that does not parse raises and is never added
     block_hash = hash_bytes(body)
     block = blocks.get(block_hash)
     if block is None:
-        block = blocks[block_hash] = parse_block(body, block_hash)
+        block = blocks[block_hash] = parse_block(body)
     return block
 
 

@@ -11,7 +11,6 @@ from ethercouch.ledger import (
     ChainState,
     DbFunction,
     Task,
-    block_preimage,
     lineage_of,
     meets_target,
 )
@@ -66,10 +65,9 @@ def raw_block(state: ChainState, parent_hash, height, txs, miner=EDITOR_A) -> Bl
     """
     nonce = 0
     while True:
-        pre = block_preimage(parent_hash, height, nonce, miner, tuple(txs))
-        h = hash_bytes(pre)
-        if meets_target(h, state.difficulty_bits):
-            return Block(parent_hash, height, nonce, miner, tuple(txs), h)
+        block = Block(parent_hash, height, nonce, miner, tuple(txs))
+        if meets_target(block.block_hash, state.difficulty_bits):
+            return block
         nonce += 1
 
 

@@ -25,7 +25,6 @@ from ethercouch.ledger import (
     ChainState,
     DbFunction,
     Task,
-    block_preimage,
     lineage_of,
     meets_target,
     serialize_tx,
@@ -214,13 +213,29 @@ def test_cli_verify_flags_missing_revision(run_dir):
     assert any("missing revision" in v and lineage.hex() in v for v in violations)
 
 
+def test_cli_verify_flags_a_revision_the_chain_does_not_hold(run_dir, capsys):
+    # a store revision that no chain entry at or below the store's mark
+    # records is reported, and nothing else is
+    store = StoreState.load(run_dir / "p0.store")
+    mark = store.applied_upto
+    stray = make_add(b"never on chain")
+    store.apply_add(stray, b"never on chain", (1, 99))
+    assert store.applied_upto == mark
+    store.save(run_dir / "p0.store")
+    violations, checked = verify_dir(run_dir)
+    assert checked == 2
+    assert violations == [f"p0: unexpected revision lineage={stray.doc_id.hex()} seq=1"]
+    assert main(["verify", str(run_dir)]) == 1
+    assert "unexpected revision" in capsys.readouterr().out
+
+
 def _missing_target(state: ChainState, parent, height, txs) -> Block:
     """A block whose hash misses ``state``'s difficulty target."""
     nonce = 0
     while True:
-        h = hash_bytes(block_preimage(parent, height, nonce, EDITOR_A, tuple(txs)))
-        if not meets_target(h, state.difficulty_bits):
-            return Block(parent, height, nonce, EDITOR_A, tuple(txs), h)
+        block = Block(parent, height, nonce, EDITOR_A, tuple(txs))
+        if not meets_target(block.block_hash, state.difficulty_bits):
+            return block
         nonce += 1
 
 

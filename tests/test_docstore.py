@@ -320,6 +320,15 @@ def test_snapshot_roundtrip():
     assert loaded.applied_upto == store.applied_upto
 
 
+def test_a_snapshot_with_one_trailing_byte_is_refused():
+    store = StoreState(chunk_size=512)
+    add_doc(store, b"v1" * 300, origin=(1, 0), chunk=512)
+    blob = store.snapshot_bytes()
+    assert StoreState.from_snapshot(blob).snapshot_bytes() == blob
+    with pytest.raises(ValueError, match="trailing bytes in snapshot"):
+        StoreState.from_snapshot(blob + b"\x00")
+
+
 def doc_fields(lineage: bytes, deleted: int = 0, delete_field: int = 0, seqs=(1,), topic=TOPIC_T, data_hash=ZERO_DIGEST) -> list[bytes]:
     """One document of a store snapshot, written field by field."""
     out = [lp(lineage), lp(topic), lp(bytes([deleted])), lp(u64(delete_field)), lp(u64(len(seqs)))]

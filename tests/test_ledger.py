@@ -152,21 +152,29 @@ def test_sequence_id_must_fit_its_eight_bytes():
 
 
 def test_mining_encodes_each_tx_once_not_once_per_nonce(monkeypatch):
-    state = fresh(difficulty=12)
-    rng = random.Random(12)
-    for i in range(100):
-        state.submit_tx(make_add(rng.randbytes(16), inline=i % 2 == 0))
-    encoded = []
-    real = ledger.serialize_tx
-    monkeypatch.setattr(ledger, "serialize_tx", lambda tx: encoded.append(tx) or real(tx))
-    block = state.mine_block(EDITOR_A)
-    assert len(block.txs) == 100 and block.nonce > 1000  # thousands of attempts
-    assert len(encoded) <= len(block.txs)
-    monkeypatch.undo()
-    raw = block.preimage()
-    parsed = parse_block(raw)
-    assert parsed == block and parsed.block_hash == block.block_hash == hash_bytes(raw)
-    assert meets_target(block.block_hash, 12)
+    # a hash-anchored record is never re-encoded (it keeps its bytes); an
+    # inline tx is encoded once for the whole nonce search and once more
+    # when the found block hashes its fields, and at difficulty 0 nothing
+    # is searched, so only the block's own hash encodes it
+    for difficulty, encodes_per_inline_tx in ((12, 2), (0, 1)):
+        state = fresh(difficulty=difficulty)
+        rng = random.Random(12)
+        for i in range(100):
+            state.submit_tx(make_add(rng.randbytes(16), inline=i % 2 == 0))
+        encoded = []
+        real = ledger.serialize_tx
+        monkeypatch.setattr(ledger, "serialize_tx", lambda tx: encoded.append(tx) or real(tx))
+        block = state.mine_block(EDITOR_A)
+        monkeypatch.undo()
+        assert len(block.txs) == 100
+        assert block.nonce > 1000 if difficulty else block.nonce == 0  # thousands of attempts at 12
+        inline = [t for t in block.txs if t.inline_payload is not None]
+        assert len(inline) == 50
+        assert Counter(encoded) == {t: encodes_per_inline_tx for t in inline}
+        raw = block.preimage()
+        parsed = parse_block(raw)
+        assert parsed == block and parsed.block_hash == block.block_hash == hash_bytes(raw)
+        assert meets_target(block.block_hash, difficulty)
 
 
 def random_txs(rng: random.Random, n: int) -> list[DbFunction]:
@@ -214,26 +222,41 @@ def test_absent_payload_with_trailing_bytes_is_refused():
         parse_tx(buf[:-5] + lp(b"\x02"))
 
 
-def test_mined_and_parsed_blocks_hash_the_bytes_they_keep():
+def test_mined_parsed_and_hand_built_blocks_are_their_fields():
+    # however a block is made, it holds its five fields and the hash of their
+    # canonical bytes, and nothing else: no copy of the bytes it was hashed
+    # from or arrived in
     state = fresh(difficulty=8)
     state.submit_tx(make_add(b"kept", inline=True))
-    block = state.mine_block(EDITOR_A)
-    assert block.preimage() is block.preimage()
-    assert hash_bytes(block.preimage()) == block.block_hash
-    buf = bytes(bytearray(block.preimage()))  # a copy of its own
+    state.submit_tx(make_add(b"anchored"))
+    mined = state.mine_block(EDITOR_A)
+    buf = bytes(bytearray(mined.preimage()))  # a copy of its own
     parsed = parse_block(buf)
-    assert parsed.preimage() is buf
-    assert state.validate_block(parsed) == (True, "ok")
-    # a hand-built copy keeps no bytes and is serialized afresh on each call
-    rebuilt = Block(block.parent, block.height, block.nonce, block.miner, block.txs, block.block_hash)
-    assert rebuilt.preimage() is not rebuilt.preimage()
-    assert rebuilt.preimage() == block.preimage()
-    assert state.validate_block(rebuilt) == (True, "ok")
-    # ... and a parent or miner of any other width is refused, not padded or cut
+    rebuilt = Block(mined.parent, mined.height, mined.nonce, mined.miner, mined.txs)
+    fields = {"parent", "height", "nonce", "miner", "txs", "block_hash"}
+    for block in (mined, parsed, rebuilt):
+        assert block.preimage() == buf
+        assert block.preimage() is not block.preimage()  # serialized afresh on each call
+        assert block.block_hash == hash_bytes(block.preimage()) == hash_bytes(buf)
+        assert set(vars(block)) == fields
+        assert block == mined
+        assert state.validate_block(block) == (True, "ok")
+
+
+def test_a_block_takes_no_hash_and_refuses_a_parent_or_miner_of_another_width():
+    state = fresh()
+    block = state.mine_block(EDITOR_A)
+    args = (block.parent, block.height, block.nonce, block.miner, block.txs)
+    with pytest.raises(TypeError):
+        Block(*args, block.block_hash)
+    with pytest.raises(TypeError):
+        Block(*args, block_hash=block.block_hash)
+    # a parent or miner of any other width is refused when the block is
+    # built, not padded or cut
     for width in (31, 33):
         for parent, miner in ((bytes(width), EDITOR_A), (block.parent, bytes(width))):
             with pytest.raises(ValueError):
-                Block(parent, 1, 0, miner, (), block.block_hash).preimage()
+                Block(parent, 1, 0, miner, ())
 
 
 # -- submission ---------------------------------------------------------
@@ -343,13 +366,23 @@ def test_validate_fresh_block():
 
 
 def test_validate_rejects_tampered_nonce():
+    # a block with another nonce is another block: it gets its own hash,
+    # which at difficulty 12 misses the target
+    state = fresh(difficulty=12)
+    state.submit_tx(make_add(b"doc"))
+    block = state.mine_block(EDITOR_A)
+    assert state.validate_block(block) == (True, "ok")
+    tampered = Block(block.parent, block.height, block.nonce + 1, block.miner, block.txs)
+    assert tampered.block_hash != block.block_hash
+    assert tampered.block_hash == hash_bytes(tampered.preimage())
+    assert state.validate_block(tampered) == (False, "pow-target")
+    # with no target to miss, the same change makes a block that is valid
     state = fresh()
     state.submit_tx(make_add(b"doc"))
     block = state.mine_block(EDITOR_A)
-    tampered = Block(block.parent, block.height, block.nonce + 1, block.miner, block.txs, block.block_hash)
-    ok, reason = state.validate_block(tampered)
-    assert not ok
-    assert reason == "hash-mismatch"
+    tampered = Block(block.parent, block.height, block.nonce + 1, block.miner, block.txs)
+    assert tampered.block_hash != block.block_hash
+    assert state.validate_block(tampered) == (True, "ok")
 
 
 def test_validate_rejects_add_with_sequence_two():
@@ -369,22 +402,14 @@ def test_validate_rejects_add_with_sequence_two():
 
 def test_validate_rejects_pow_miss():
     state = ChainState(difficulty_bits=8)
-    block = state.mine_block(EDITOR_A)
-    # rebuild the same block with a nonce that fails the target
+    # the first nonce whose block misses the target
     nonce = 0
-    from ethercouch.ledger import block_preimage
-
     while True:
-        pre = block_preimage(state.tip, 1, nonce, EDITOR_A, ())
-        h = hash_bytes(pre)
-        if not meets_target(h, 8):
+        fake = Block(state.tip, 1, nonce, EDITOR_A, ())
+        if not meets_target(fake.block_hash, 8):
             break
         nonce += 1
-    fake = Block(state.tip, 1, nonce, EDITOR_A, (), h)
-    ok, reason = state.validate_block(fake)
-    assert not ok
-    assert reason == "pow-target"
-    del block
+    assert state.validate_block(fake) == (False, "pow-target")
 
 
 # -- adoption and fork choice -------------------------------------------

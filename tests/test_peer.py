@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import build_convergence_scenario, make_add, make_delete, make_edit
+from conftest import build_convergence_scenario, make_add, make_delete, make_edit, raw_block
 from test_crypto import BYTES_INTACT, tampered_responses
 from test_wire import count_sections, response_bytes
 from ethercouch.codec import lp, u64
@@ -13,7 +13,7 @@ from ethercouch.ledger import DbFunction, Task, TxRejected, lineage_of
 from ethercouch.peer import FetchState, Mode, PendingFetch, Peer, PeerConfig, editor_hash_for, topic_hash
 from ethercouch.registry import LocationRegistry
 from ethercouch.simnet import Scenario, ScriptAction, run_scenario
-from ethercouch.wire import BlockAnnounce, BlockRequest, Refusal, Request, Response, encode_message
+from ethercouch.wire import BlockAnnounce, BlockRequest, Refusal, Request, Response, TxAnnounce, encode_message
 
 NEWS = topic_hash("news")
 OPS = topic_hash("ops")
@@ -1069,3 +1069,52 @@ def test_filtered_peer_never_stores_foreign_topics():
     assert filtered.store.docs
     assert all(doc.topic_id == NEWS for doc in filtered.store.docs.values())
     assert filtered.chain.tip == result.peer("p0").chain.tip
+
+
+def test_a_refused_block_on_a_held_parent_is_noted_and_neither_adopted_nor_chased():
+    # unlike an orphan, a block whose parent the peer holds but that fails
+    # validation asks the sender for nothing: the peer notes it and drops it
+    peer, env = make_peer(name="bob")
+    add_at_seq_two = DbFunction(Task.ADD, hash_bytes(b"x"), editor_hash_for("alice"), NEWS, 2)
+    block = raw_block(peer.chain, peer.chain.tip, 1, [add_at_seq_two])
+    ok, reason = peer.chain.validate_block(block)
+    assert not ok and reason.startswith("tx-invalid:")
+    peer.handle_message(BlockAnnounce(block), "alice")
+    assert env.notes == [("bob", "rejected block h=1 from alice")]
+    assert block.block_hash not in peer.chain.blocks and peer.chain.height == 0
+    assert not peer.chain.orphans and not peer.pending
+    assert not any(isinstance(m, BlockRequest) for (_, _, m) in env.sent)
+
+
+def test_an_own_tx_rolled_back_short_of_depth_two_is_reflooded_and_settles_with_one_push():
+    env = FakeEnv()
+    location = LocationRegistry()
+    alice, bob = (Peer(PeerConfig(name=n, confirmation_depth=2), env=env, location=location) for n in ("alice", "bob"))
+    tx = alice.publish(Task.ADD, NEWS, b"v1" * 50)
+    alice.on_mine_complete()
+    assert alice.own_mined == {tx.digest: (tx, 1)}
+    # a longer branch without the tx wins while the tx is one block deep
+    b1 = raw_block(alice.chain, alice.chain.genesis.block_hash, 1, [], miner=bob.editor_hash)
+    b2 = raw_block(alice.chain, b1.block_hash, 2, [], miner=bob.editor_hash)
+    for block in (b1, b2):
+        bob.chain.adopt_block(block)
+        alice.handle_message(BlockAnnounce(block), "bob")
+    assert alice.chain.tip == bob.chain.tip == b2.block_hash
+    assert alice.own_mined == {} and alice.own_unconfirmed == {tx.digest: tx}
+    assert alice.chain.mempool == [tx]
+    # the next poll floods it again
+    env.sent.clear()
+    env.t = 100
+    alice.on_poll()
+    assert [(src, dst, m) for (src, dst, m) in env.sent if isinstance(m, TxAnnounce)] == [("alice", "*", TxAnnounce(tx))]
+    # alice mines it at height 3, and bob's block on top makes it 2 deep
+    env.sent.clear()
+    alice.on_mine_complete()
+    bob.handle_message([m for (_, _, m) in env.sent if isinstance(m, BlockAnnounce)][-1], "alice")
+    assert alice.own_mined == {tx.digest: (tx, 3)}
+    bob.on_mine_complete()
+    assert bob.chain.height == 4
+    alice.handle_message(BlockAnnounce(bob.chain.tip_block), "bob")
+    assert alice.own_mined == {} and alice.own_unconfirmed == {}
+    pushes = [(src, dst, m) for (src, dst, m) in env.sent if src == "alice" and isinstance(m, Response)]
+    assert [(dst, m.lineage, m.seq) for (_, dst, m) in pushes] == [("bob", tx.doc_id, 1)]

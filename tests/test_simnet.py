@@ -529,6 +529,9 @@ def test_scenario_validation_rejects_malformed():
         ("mode", "plain", "'mode' must be one of"),
         ("latency", [1], r"'latency' must be \[min, max\]"),
         ("latency", [1, 2, 3], r"'latency' must be \[min, max\]"),
+        ("latency", "1-5", "scenario 'latency' must be a list"),
+        ("latency", [1, "5"], "scenario 'latency' bound must be an integer"),
+        ("mean_block_interval", "30", "scenario 'mean_block_interval' must be an integer"),
     ]:
         doc = json.loads(THREE_PEER_JSON)
         if key == "mode":
@@ -587,6 +590,11 @@ def test_scenario_file_reads_as_the_built_scenario():
     assert r1.trace.digest() == r2.trace.digest()
 
 
+def test_a_scenario_file_leaves_every_absent_setting_to_the_dataclass_default():
+    read = scenario_from_json(json.dumps({"seed": 3, "peers": [{"name": "p0"}, {"name": "p1", "confirmation_depth": 2}]}))
+    assert read == Scenario(seed=3, peers=[PeerConfig(name="p0"), PeerConfig(name="p1", confirmation_depth=2)])
+
+
 def test_a_64_character_topic_is_a_digest_only_when_it_is_hex():
     digest = hash_bytes(b"some topic")
     name = "z" * 64  # 64 characters, but not hex: a topic name
@@ -640,6 +648,35 @@ def test_a_chain_only_network_fetches_nothing(seed):
     assert len({p.chain.tip for p in unfiltered}) == 1
     assert len({p.store.dump_text() for p in unfiltered}) == 1
     assert [v for p in sim.peers.values() for v in verify_pair(p.chain, p.store)] == []
+
+
+def test_a_chain_only_receiver_holds_each_inline_payload_once():
+    # the receiver's store keeps the very payload object its parsed tx
+    # carries, and no block keeps the bytes it arrived in beside it
+    scenario = Scenario(
+        seed=7,
+        peers=[PeerConfig(name=f"p{i}", mode=Mode.CHAIN_ONLY) for i in range(2)],
+        mining_power={"p0": 1.0},
+        script=[ScriptAction(5 + 10 * i, "publish", "p0", {"doc": f"d{i}", "topic": "news", "size": 4096}) for i in range(20)],
+        latency=(1, 4),
+        mean_block_interval=30,
+    )
+    sim = Simulation(scenario).run()
+    receiver = sim.peer("p1")
+    txs = {(tx.doc_id, tx.sequence_id): tx for tx, _, _ in receiver.chain.canonical_txs()}
+    revisions = [(lineage, rev) for lineage, doc in receiver.store.docs.items() for rev in doc.revisions]
+    assert len(revisions) == len(txs) == 20
+    for lineage, rev in revisions:
+        assert len(rev.payload) == 4096
+        assert rev.payload is txs[(lineage, rev.seq)].inline_payload
+    fields = {"parent", "height", "nonce", "miner", "txs", "block_hash"}
+    assert all(set(vars(block)) == fields for block in receiver.chain.blocks.values())
+
+
+def test_every_block_off_the_wire_is_filed_under_its_own_hash():
+    sim = Simulation(build_convergence_scenario(0)).run(200_000)
+    assert len(sim._blocks) > 10
+    assert all(block.block_hash == h for h, block in sim._blocks.items())
 
 
 def test_confirmation_depth_two_scenario_converges():
@@ -787,8 +824,10 @@ def profiled_calls(run) -> tuple[int, object]:
 # mutation's held bytes are read inline by its one dispatch, 41.60 once a
 # heap entry is a plain tuple pushed without a helper call (41.6025), and
 # 40.59 once a peer's notes print a digest's first 6 bytes in hex without
-# the ``digest_hex`` call (40.5925), and still 40.59 (40.593) once a peer
-# with an empty queue looks for a mutation awaiting depth k before it mines.
+# the ``digest_hex`` call (40.5925), still 40.59 (40.593) once a peer
+# with an empty queue looks for a mutation awaiting depth k before it mines,
+# and 40.57 (40.573) once a block computes its hash from its fields when it
+# is built, keeps no bytes, and is not hashed again when it is validated.
 # The count depends on the code alone, not on the machine; Python 3.12's
 # inlined comprehensions can only lower it.
 CALLS_PER_INSERT = 43
@@ -871,7 +910,9 @@ def test_no_function_reads_an_enum_member_through_its_class():
 # empty queue looks for a mutation awaiting depth k before it mines (one
 # list comprehension; a generator cost one call per pending entry, 30.42);
 # 29.14 once a one-chunk payload is served with the constant one-leaf set
-# and its section is read by its bytes.
+# and its section is read by its bytes; 29.17 (29.168) once a block computes
+# its hash from its fields (a parse builds and hashes one block beside the
+# table's lookup hash, and validating it hashes nothing).
 CALLS_PER_DELIVERY = 35
 
 
